@@ -14,6 +14,7 @@ from .correlation import (
     CorrProvenance,
     CorrQuery,
     CorrResult,
+    bucket_corrs,
     build_matrix,
     cross_corr,
     implied_corr,
@@ -95,7 +96,7 @@ __all__ = [
     # correlation
     "CorrQuery", "CorrResult", "CorrProvenance", "BucketStatus",
     "BucketedCorrelationMatrix", "triangle_corr", "cross_corr",
-    "implied_corr", "term_corr", "build_matrix",
+    "implied_corr", "bucket_corrs", "term_corr", "build_matrix",
     # monte carlo
     "SimulationConfig", "VanillaPayoff", "BasketPayoff", "BarrierPayoff",
     "PricingResult", "simulate_increments", "price",

@@ -22,12 +22,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .correlation import CorrQuery, build_matrix, implied_corr, normalize_breakpoints
+from .correlation import CorrQuery, bucket_corrs, build_matrix, implied_corr, normalize_breakpoints
 from .errors import (
     CalendarArbitrageError,
     CorrelationRangeError,
@@ -134,37 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(args: argparse.Namespace, config: dict) -> dict:
     """Embedded in every output document: what produced the result."""
-
-    subcommand: str
-    inputs: dict
-    config: dict
-    version: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "inputs": self.inputs,
-            "config": self.config,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
-
-
-def _manifest(args: argparse.Namespace, config: dict) -> RunManifest:
     inputs = {"snapshot": args.snapshot}
     if hasattr(args, "payoff"):
         inputs["payoff"] = args.payoff
-    return RunManifest(
-        subcommand=args.subcommand,
-        inputs=inputs,
-        config=config,
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+    return {
+        "subcommand": args.subcommand,
+        "inputs": inputs,
+        "config": config,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _emit(result: dict, args: argparse.Namespace, config: dict, pretty_lines: list[str]) -> None:
@@ -172,7 +152,7 @@ def _emit(result: dict, args: argparse.Namespace, config: dict, pretty_lines: li
         for line in pretty_lines:
             print(line)
     else:
-        doc = {"result": result, "manifest": _manifest(args, config).to_dict()}
+        doc = {"result": result, "manifest": _manifest(args, config)}
         print(json.dumps(doc, indent=2))
 
 
@@ -224,19 +204,17 @@ def _cmd_corr(args) -> int:
     else:
         breakpoints = normalize_breakpoints(args.buckets)
         config["buckets"] = list(breakpoints)
-        entries = []
-        pretty = [f"corr({pair_a}, {pair_b}) per bucket:"]
-        for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
-            try:
-                res = implied_corr(CorrQuery(pair_a, pair_b, (left, right)), snapshot, clamp=args.clamp)
-            except (CorrelationRangeError, MissingDataError) as exc:
-                raise type(exc)(f"bucket {n} ({left}, {right}]: {exc}") from exc
-            entry = {"start": left, "end": right, "correlation": res.value}
-            if args.audit:
-                entry["provenance"] = res.provenance.to_dict()
-            entries.append(entry)
-            pretty.append(f"  ({_g10(left)}, {_g10(right)}]: {_g10(res.value)}")
-        result = {"buckets": entries}
+        query = CorrQuery.total(pair_a, pair_b, breakpoints[-1])
+        results = bucket_corrs(query, snapshot, breakpoints, clamp=args.clamp)
+        result = {"buckets": [
+            {"start": r.provenance.start, "end": r.provenance.end, "correlation": r.value,
+             **({"provenance": r.provenance.to_dict()} if args.audit else {})}
+            for r in results
+        ]}
+        pretty = [f"corr({pair_a}, {pair_b}) per bucket:"] + [
+            f"  ({_g10(r.provenance.start)}, {_g10(r.provenance.end)}]: {_g10(r.value)}"
+            for r in results
+        ]
     _emit(result, args, config, pretty)
     return EXIT_OK
 

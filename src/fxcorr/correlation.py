@@ -1,24 +1,16 @@
 """Implied correlations between FX rates from implied volatilities.
 
-Two formulas cover every configuration of a pair of rates X_{i/j}, X_{m/k}:
+One formula gives the correlation of any two rates X_{i/j}, X_{m/k}:
 
-  shared denominating currency (m = i), the "currency triangle":
-
-      rho = (s_ik^2 + s_ij^2 - s_jk^2) / (2 s_ik s_ij)
-
-  different denominating currencies, via the cross rates of all four
-  currencies:
-
-      rho = (s_ik^2 + s_mj^2 - s_jk^2 - s_im^2) / (2 s_ij s_mk)
+    rho = (s_ik^2 + s_mj^2 - s_jk^2 - s_im^2) / (2 s_ij s_mk)
 
 where s_ab is the implied vol of X_{a/b} over the common horizon and a
-degenerate "pair" of one currency with itself has zero vol, which reduces
-the second formula to the first when m = i.  Vols are orientation
-invariant, so the orientation of the queried pairs enters only through
-which currency plays which index — flipping one queried pair negates the
-result exactly.
-
-Correlations over future buckets use forward vols in the same formulas.
+"pair" of one currency with itself has zero vol.  The currency triangle,
+two rates sharing their denominating currency, is the case m = i: s_im = 0
+and three vols suffice.  Vols are orientation invariant, so flipping one
+queried pair negates the result exactly.  The formula evaluates on floats
+for one query and elementwise for a whole matrix, by index into the vols
+between the pairs' currencies; buckets use forward vols.
 """
 
 from __future__ import annotations
@@ -26,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +26,7 @@ import numpy as np
 from .errors import (
     CorrelationClampWarning,
     CorrelationRangeError,
+    FxCorrError,
     MissingDataError,
     UndefinedCorrelationError,
     ValidationError,
@@ -125,7 +119,7 @@ def _bound(raw: float, clamp: bool, describe: str) -> tuple[float, bool]:
         warnings.warn(
             f"implied correlation {raw:.12g} clamped to {math.copysign(1.0, raw):+.0f} ({describe})",
             CorrelationClampWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return math.copysign(1.0, raw), True
     raise CorrelationRangeError(
@@ -134,21 +128,32 @@ def _bound(raw: float, clamp: bool, describe: str) -> tuple[float, bool]:
     )
 
 
+def _formula(s_ij, s_mk, s_ik, s_mj, s_jk, s_im):
+    # The one correlation formula, on floats or elementwise on arrays.
+    return (s_ik * s_ik + s_mj * s_mj - s_jk * s_jk - s_im * s_im) / (2.0 * s_ij * s_mk)
+
+
+def _kernel(s_ij, s_mk, s_ik, s_mj, s_jk, s_im, clamp: bool, describe: str) -> tuple[float, bool]:
+    """Checked and bounded correlation of X_{i/j}, X_{m/k} from six vols,
+    and whether it was clamped."""
+    # written as "not in range" so that NaN fails the checks
+    if not (0.0 < s_ij < math.inf and 0.0 < s_mk < math.inf):
+        raise UndefinedCorrelationError(
+            f"zero or non-finite implied vol for a queried pair: {describe}"
+        )
+    for s in (s_ik, s_mj, s_jk, s_im):
+        if not 0.0 <= s < math.inf:
+            raise ValidationError(f"cross vols must be finite and >= 0, got {s}: {describe}")
+    return _bound(_formula(s_ij, s_mk, s_ik, s_mj, s_jk, s_im), clamp, describe)
+
+
 def triangle_corr(sigma_ik: float, sigma_ij: float, sigma_jk: float, *, clamp: bool = False) -> float:
     """Correlation of rates X_{i/k}, X_{i/j} sharing denominating currency i,
     from their vols and the cross vol of X_{j/k}."""
-    if sigma_ik <= 0 or sigma_ij <= 0:
-        raise UndefinedCorrelationError(
-            f"triangle correlation needs positive vols for the queried pairs, "
-            f"got sigma_ik={sigma_ik}, sigma_ij={sigma_ij}"
-        )
-    if sigma_jk < 0:
-        raise ValidationError(f"cross vol must be >= 0, got {sigma_jk}")
-    raw = (sigma_ik * sigma_ik + sigma_ij * sigma_ij - sigma_jk * sigma_jk) / (
-        2.0 * sigma_ik * sigma_ij
-    )
-    value, _ = _bound(raw, clamp, f"triangle vols ({sigma_ik}, {sigma_ij}, {sigma_jk})")
-    return value
+    return _kernel(
+        sigma_ij, sigma_ik, sigma_ik, sigma_ij, sigma_jk, 0.0, clamp,
+        f"triangle vols ({sigma_ik}, {sigma_ij}, {sigma_jk})",
+    )[0]
 
 
 def cross_corr(
@@ -163,24 +168,10 @@ def cross_corr(
 ) -> float:
     """Correlation of rates X_{i/j}, X_{m/k} with different denominating
     currencies, from the vols of all six cross rates of {i, j, k, m}."""
-    if sigma_ij <= 0 or sigma_mk <= 0:
-        raise UndefinedCorrelationError(
-            f"cross correlation needs positive vols for the queried pairs, "
-            f"got sigma_ij={sigma_ij}, sigma_mk={sigma_mk}"
-        )
-    for name, s in (("sigma_ik", sigma_ik), ("sigma_mj", sigma_mj),
-                    ("sigma_jk", sigma_jk), ("sigma_im", sigma_im)):
-        if s < 0:
-            raise ValidationError(f"{name} must be >= 0, got {s}")
-    raw = (
-        sigma_ik * sigma_ik + sigma_mj * sigma_mj - sigma_jk * sigma_jk - sigma_im * sigma_im
-    ) / (2.0 * sigma_ij * sigma_mk)
-    value, _ = _bound(
-        raw,
-        clamp,
+    return _kernel(
+        sigma_ij, sigma_mk, sigma_ik, sigma_mj, sigma_jk, sigma_im, clamp,
         f"cross vols ({sigma_ij}, {sigma_mk}, {sigma_ik}, {sigma_mj}, {sigma_jk}, {sigma_im})",
-    )
-    return value
+    )[0]
 
 
 def _vol_between(snapshot: MarketSnapshot, a: Currency, b: Currency, start: float, end: float) -> float:
@@ -196,16 +187,13 @@ def _vol_between(snapshot: MarketSnapshot, a: Currency, b: Currency, start: floa
 
 
 def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = False) -> CorrResult:
-    """Dispatch to the triangle or cross formula for the queried orientation.
-
-    Returns the correlation between the log-increments of the two pairs
-    exactly as oriented in the query, with a provenance record listing
-    every vol that fed the formula.
+    """Correlation between the log-increments of the two pairs exactly as
+    oriented in the query, with a provenance record listing every vol that
+    fed the formula (3 for a triangle, 6 for a cross query).
     """
     i, j = query.pair_a.denominating, query.pair_a.foreign
     m, k = query.pair_b.denominating, query.pair_b.foreign
     start, end = query.horizon
-
     if query.pair_a == query.pair_b or query.pair_a == query.pair_b.inverse():
         value = 1.0 if query.pair_a == query.pair_b else -1.0
         prov = CorrProvenance(
@@ -213,37 +201,24 @@ def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = Fa
         )
         return CorrResult(value, prov)
 
-    def vol(role: str, a: Currency, b: Currency) -> VolUsed:
-        return VolUsed(role, f"{a}/{b}", start, end, _vol_between(snapshot, a, b, start, end))
-
-    describe = f"{query.pair_a} vs {query.pair_b} over ({start}, {end}]"
-    if m == i:
-        used = (vol("sigma_ik", i, k), vol("sigma_ij", i, j), vol("sigma_jk", j, k))
-        s_ik, s_ij, s_jk = (u.sigma for u in used)
-        if s_ik <= 0 or s_ij <= 0:
-            raise UndefinedCorrelationError(
-                f"zero implied vol for a queried pair: {describe}"
-            )
-        raw = (s_ik * s_ik + s_ij * s_ij - s_jk * s_jk) / (2.0 * s_ik * s_ij)
-        formula = "triangle"
+    formula = "triangle" if m == i else "cross"
+    if formula == "triangle":
+        roles = (("sigma_ik", i, k), ("sigma_ij", i, j), ("sigma_jk", j, k))
     else:
-        used = (
-            vol("sigma_ij", i, j),
-            vol("sigma_mk", m, k),
-            vol("sigma_ik", i, k),
-            vol("sigma_mj", m, j),
-            vol("sigma_jk", j, k),
-            vol("sigma_im", i, m),
-        )
-        s_ij, s_mk, s_ik, s_mj, s_jk, s_im = (u.sigma for u in used)
-        if s_ij <= 0 or s_mk <= 0:
-            raise UndefinedCorrelationError(
-                f"zero implied vol for a queried pair: {describe}"
-            )
-        raw = (s_ik * s_ik + s_mj * s_mj - s_jk * s_jk - s_im * s_im) / (2.0 * s_ij * s_mk)
-        formula = "cross"
-
-    value, clamped = _bound(raw, clamp, describe)
+        roles = (("sigma_ij", i, j), ("sigma_mk", m, k), ("sigma_ik", i, k),
+                 ("sigma_mj", m, j), ("sigma_jk", j, k), ("sigma_im", i, m))
+    # looked up in role order, so the first missing vol is the one reported
+    used = tuple(
+        VolUsed(role, f"{a}/{b}", start, end, _vol_between(snapshot, a, b, start, end))
+        for role, a, b in roles
+    )
+    sigma = [u.sigma for u in used]
+    if formula == "triangle":  # the case s_mk = s_ik, s_mj = s_ij, s_im = 0
+        s_ik, s_ij, s_jk = sigma
+        sigma = (s_ij, s_ik, s_ik, s_ij, s_jk, 0.0)
+    value, clamped = _kernel(
+        *sigma, clamp, f"{query.pair_a} vs {query.pair_b} over ({start}, {end}]"
+    )
     prov = CorrProvenance(
         formula, query.pair_a.label, query.pair_b.label, start, end, used, clamped
     )
@@ -264,6 +239,29 @@ def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
     return tuple(points)
 
 
+def bucket_corrs(
+    query: CorrQuery,
+    snapshot: MarketSnapshot,
+    buckets: Iterable[float],
+    *,
+    clamp: bool = False,
+) -> list[CorrResult]:
+    """Implied correlation over each bucket, from forward vols.
+
+    ``buckets`` are breakpoints; the query's own horizon is ignored in
+    favour of the bucket grid.  Errors carry the offending bucket index.
+    """
+    breakpoints = normalize_breakpoints(buckets)
+    results = []
+    for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
+        bucket_query = CorrQuery(query.pair_a, query.pair_b, (left, right))
+        try:
+            results.append(implied_corr(bucket_query, snapshot, clamp=clamp))
+        except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
+            raise type(exc)(f"bucket {n} ({left}, {right}]: {exc}") from exc
+    return results
+
+
 def term_corr(
     query: CorrQuery,
     snapshot: MarketSnapshot,
@@ -271,20 +269,10 @@ def term_corr(
     *,
     clamp: bool = False,
 ) -> PiecewiseConstant:
-    """Per-bucket implied correlations from forward vols over each bucket.
-
-    ``buckets`` are breakpoints; the query's own horizon is ignored in
-    favour of the bucket grid.  Errors carry the offending bucket index.
-    """
+    """Per-bucket implied correlations as a step function (see bucket_corrs)."""
     breakpoints = normalize_breakpoints(buckets)
-    values = []
-    for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
-        bucket_query = CorrQuery(query.pair_a, query.pair_b, (left, right))
-        try:
-            values.append(implied_corr(bucket_query, snapshot, clamp=clamp).value)
-        except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
-            raise type(exc)(f"bucket {n} ({left}, {right}]: {exc}") from exc
-    return PiecewiseConstant(breakpoints, tuple(values))
+    results = bucket_corrs(query, snapshot, breakpoints, clamp=clamp)
+    return PiecewiseConstant(breakpoints, tuple(r.value for r in results))
 
 
 @dataclass(frozen=True)
@@ -357,6 +345,43 @@ def _clip_to_psd(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return repaired, change
 
 
+def _bucket_matrix(
+    pairs: list[FxPair], snapshot: MarketSnapshot, n: int, left: float, right: float, clamp: bool
+) -> np.ndarray:
+    """One bucket's correlation matrix from the formula on the vol matrix S
+    over the pairs' currencies (one horizon vol per currency pair)."""
+    currencies = sorted({c for p in pairs for c in (p.denominating, p.foreign)})
+    index = {c: a for a, c in enumerate(currencies)}
+    s = np.zeros((len(currencies), len(currencies)))
+    for a, b in combinations(range(len(currencies)), 2):
+        try:
+            s[a, b] = s[b, a] = _vol_between(snapshot, currencies[a], currencies[b], left, right)
+        except FxCorrError:  # NaN here; raised again by the first entry using it
+            s[a, b] = s[b, a] = math.nan
+
+    i = np.array([index[p.denominating] for p in pairs])
+    j = np.array([index[p.foreign] for p in pairs])
+    rows, cols = np.triu_indices(len(pairs), 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = _formula(
+            s[i[rows], j[rows]], s[i[cols], j[cols]], s[i[rows], j[cols]],
+            s[i[cols], j[rows]], s[j[rows], j[cols]], s[i[rows], i[cols]],
+        )
+    # An entry outside [-1, 1], non-finite or from a missing vol is answered
+    # by its query, in row-major order: clamped with a warning, or raised.
+    for e in np.flatnonzero(~(np.abs(upper) <= 1.0)):
+        pa, pb = pairs[rows[e]], pairs[cols[e]]
+        try:
+            upper[e] = implied_corr(CorrQuery(pa, pb, (left, right)), snapshot, clamp=clamp).value
+        except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
+            raise type(exc)(
+                f"matrix entry ({pa}, {pb}) bucket {n} ({left}, {right}]: {exc}"
+            ) from exc
+    mat = np.eye(len(pairs))
+    mat[rows, cols] = mat[cols, rows] = upper
+    return mat
+
+
 def build_matrix(
     pairs: Sequence[FxPair],
     snapshot: MarketSnapshot,
@@ -367,11 +392,12 @@ def build_matrix(
 ) -> BucketedCorrelationMatrix:
     """Pairwise term correlations assembled into one matrix per bucket.
 
-    Pairs are restated in canonical orientation.  Each bucket's matrix is
-    built entry by entry (each entry a pure function of the snapshot),
-    symmetrized by construction, then eigenvalue-checked.  Indefinite
-    buckets are either flagged or, with ``repair``, clipped to the nearest
-    unit-diagonal PSD matrix (reporting the Frobenius distance moved).
+    Pairs are restated in canonical orientation.  Each entry equals the
+    implied_corr query for its two pairs over the bucket, bit for bit; the
+    matrix is symmetrized by construction, then eigenvalue-checked.
+    Indefinite buckets are either flagged or, with ``repair``, clipped to
+    the nearest unit-diagonal PSD matrix (reporting the Frobenius distance
+    moved).
     """
     canon = []
     for pair in pairs:
@@ -386,18 +412,7 @@ def build_matrix(
     matrices = []
     statuses = []
     for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
-        mat = np.eye(len(canon))
-        for a in range(len(canon)):
-            for b in range(a + 1, len(canon)):
-                query = CorrQuery(canon[a], canon[b], (left, right))
-                try:
-                    value = implied_corr(query, snapshot, clamp=clamp).value
-                except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
-                    raise type(exc)(
-                        f"matrix entry ({canon[a]}, {canon[b]}) bucket {n} ({left}, {right}]: {exc}"
-                    ) from exc
-                mat[a, b] = value
-                mat[b, a] = value
+        mat = _bucket_matrix(canon, snapshot, n, left, right, clamp)
         min_eig = float(np.linalg.eigvalsh(mat)[0])
         if min_eig >= -PSD_TOL:
             statuses.append(BucketStatus("psd", min_eig))

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -417,10 +418,12 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
             raise SchemaError(f"missing key {key!r}", field=where)
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    value = obj[key]
+def _number(value, field: str) -> float:
+    """A document number as a float; booleans and non-finite values are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"expected a number, got {type(value).__name__}", field=f"{where}.{key}")
+        raise SchemaError(f"expected a number, got {type(value).__name__}", field=field)
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, and integers too large
+        raise SchemaError("expected a finite number", field=field)
     return float(value)
 
 
@@ -460,7 +463,7 @@ def loads_snapshot(text: str, triangle_tol: float | None = None) -> MarketSnapsh
         pair = _parse_pair(entry, where)
         if pair in spots:
             raise SchemaError(f"duplicate spot for {pair}", field=where)
-        spots[pair] = _number(entry, "value", where)
+        spots[pair] = _number(entry["value"], f"{where}.value")
 
     vols: dict[FxPair, VolTermStructure] = {}
     for n, entry in enumerate(_expect_list(doc, "vols")):
@@ -475,7 +478,7 @@ def loads_snapshot(text: str, triangle_tol: float | None = None) -> MarketSnapsh
             pwhere = f"{where}.points[{m}]"
             _expect_obj(pt, pwhere)
             _require_keys(pt, {"T", "sigma"}, {"T", "sigma"}, pwhere)
-            points.append((_number(pt, "T", pwhere), _number(pt, "sigma", pwhere)))
+            points.append((_number(pt["T"], f"{pwhere}.T"), _number(pt["sigma"], f"{pwhere}.sigma")))
         vols[pair] = VolTermStructure(pair, tuple(points))
 
     rates: dict[Currency, RateCurve] = {}
@@ -497,7 +500,7 @@ def loads_snapshot(text: str, triangle_tol: float | None = None) -> MarketSnapsh
             pwhere = f"{where}.points[{m}]"
             _expect_obj(pt, pwhere)
             _require_keys(pt, {"T", "r"}, {"T", "r"}, pwhere)
-            points.append((_number(pt, "T", pwhere), _number(pt, "r", pwhere)))
+            points.append((_number(pt["T"], f"{pwhere}.T"), _number(pt["r"], f"{pwhere}.r")))
         rates[ccy] = RateCurve(ccy, tuple(points))
 
     snapshot = MarketSnapshot(spots, vols, rates, as_of=as_of)

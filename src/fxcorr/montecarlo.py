@@ -30,7 +30,7 @@ import numpy as np
 
 from .correlation import PSD_TOL, BucketedCorrelationMatrix, build_matrix, canonicalize
 from .errors import FactorizationError, MissingDataError, SchemaError, ValidationError
-from .market_data import Currency, FxPair, MarketSnapshot, RateCurve
+from .market_data import Currency, FxPair, MarketSnapshot, RateCurve, _number
 from .term_structure import PiecewiseConstant, horizon_vol
 
 BLOCK_PATHS = 16384
@@ -523,7 +523,7 @@ def payoff_from_dict(doc: dict) -> PayoffSpec:
             pair = FxPair.parse(_str_field(entry, "pair"))
             if pair in weights:
                 raise SchemaError(f"duplicate basket pair {pair}", field=f"weights[{n}]")
-            weights[pair] = _num_field(entry, "weight")
+            weights[pair] = _number(entry["weight"], f"weights[{n}].weight")
         return BasketPayoff(weights, _num_field(doc, "strike"), _str_field(doc, "kind"))
     if kind_of == "barrier":
         _check_keys(
@@ -538,7 +538,7 @@ def payoff_from_dict(doc: dict) -> PayoffSpec:
             times = doc["monitoring"]
             if not isinstance(times, list):
                 raise SchemaError("expected a list of times", field="monitoring")
-            monitoring = tuple(float(t) for t in times)
+            monitoring = tuple(_number(t, f"monitoring[{n}]") for n, t in enumerate(times))
         return BarrierPayoff(
             FxPair.parse(_str_field(doc, "payoff_pair")),
             _num_field(doc, "strike"),
@@ -602,7 +602,4 @@ def _str_field(doc: dict, key: str) -> str:
 
 
 def _num_field(doc: dict, key: str) -> float:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError("expected a number", field=key)
-    return float(value)
+    return _number(doc[key], key)

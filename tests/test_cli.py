@@ -322,3 +322,16 @@ class TestManifest:
             "corr", "--pair-a", "EUR/USD", "--pair-b", "EUR/JPY", "--maturity", "1.0",
         ])
         assert doc["result"]["correlation"] == pytest.approx(0.5, rel=1e-15)
+
+
+class TestPayoffErrors:
+    def test_bad_monitoring_entry_is_an_error_line(self, capsys, tmp_path, snapshot_path):
+        payoff = write(tmp_path, "soon.json", {
+            "type": "barrier", "payoff_pair": "EUR/USD", "strike": 1.25, "kind": "call",
+            "barrier_pair": "JPY/USD", "barrier_level": 0.0115, "direction": "up",
+            "style": "knock-out", "monitoring": ["soon"],
+        })
+        code, out, err = run(capsys, ["price", snapshot_path, payoff, "--grid", "1.0"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "monitoring[0]" in err

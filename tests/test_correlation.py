@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from fxcorr import (
     ValidationError,
     bootstrap_piecewise_vol,
     build_matrix,
+    canonicalize,
     cross_corr,
     implied_corr,
     integrated_correlation,
+    load_snapshot,
     loads_snapshot,
     term_corr,
     triangle_corr,
@@ -405,3 +409,117 @@ class TestBuildMatrix:
             build_matrix(
                 [pair("EUR/USD"), pair("USD/EUR")], three_ccy_snapshot, [1.0]
             )
+
+
+class TestNonFiniteVols:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_triangle_rejects_non_finite_cross_vol(self, bad):
+        with pytest.raises(ValidationError):
+            triangle_corr(0.2, 0.2, bad, clamp=True)
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.2, 0.2), (0.2, math.nan, 0.2), (math.inf, 0.2, 0.2)])
+    def test_triangle_rejects_non_finite_queried_vol(self, args):
+        with pytest.raises(UndefinedCorrelationError):
+            triangle_corr(*args, clamp=True)
+
+    @pytest.mark.parametrize("slot", range(2, 6))
+    def test_cross_rejects_nan_cross_vol(self, slot):
+        vols = [0.2] * 6
+        vols[slot] = math.nan
+        with pytest.raises(ValidationError):
+            cross_corr(*vols, clamp=True)
+
+    @pytest.mark.parametrize("slot", range(2))
+    def test_cross_rejects_nan_queried_vol(self, slot):
+        vols = [0.2] * 6
+        vols[slot] = math.nan
+        with pytest.raises(UndefinedCorrelationError):
+            cross_corr(*vols, clamp=True)
+
+
+def reference_matrix(pairs, snap, breakpoints, clamp):
+    """The entry-by-entry loop: one implied_corr query per upper entry."""
+    matrices = []
+    for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
+        mat = np.eye(len(pairs))
+        for a in range(len(pairs)):
+            for b in range(a + 1, len(pairs)):
+                query = CorrQuery(pairs[a], pairs[b], (left, right))
+                try:
+                    value = implied_corr(query, snap, clamp=clamp).value
+                except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
+                    raise type(exc)(
+                        f"matrix entry ({pairs[a]}, {pairs[b]}) bucket {n} ({left}, {right}]: {exc}"
+                    ) from exc
+                mat[a, b] = mat[b, a] = value
+        matrices.append(mat)
+    return matrices
+
+
+def outcome(fn):
+    """The matrices, or the error's type and message; and the clamp warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("matrices", list(fn()))
+        except Exception as exc:  # compared, not handled
+            result = ("error", (type(exc), str(exc)))
+    clamps = [str(w.message) for w in caught if w.category is CorrelationClampWarning]
+    return result, clamps
+
+
+class TestMatrixMatchesQueries:
+    CODES = ["AAA", "BBB", "CCC", "DDD", "EEE"]
+
+    def random_doc(self, rng, drop=None):
+        labels = [f"{a}/{b}" for n, a in enumerate(self.CODES) for b in self.CODES[n + 1:]]
+        vols = {}
+        for label in labels:
+            s1 = rng.uniform(0.02, 0.5)
+            s2 = math.sqrt(s1 * s1 * 0.5 + rng.uniform(0.0, 0.3) ** 2 * 0.5)
+            vols[label] = [(0.5, s1), (1.0, s2)]
+        if rng.uniform() < 0.3:
+            vols[labels[rng.integers(len(labels))]][0] = (0.5, 0.0)
+        if drop is not None:
+            del vols[drop]
+        return snapshot_doc(
+            spots={label: 1.0 for label in labels},
+            vols=vols,
+            rates={c: [(1.0, 0.0)] for c in self.CODES},
+        )
+
+    def test_every_entry_equals_its_query_exactly(self):
+        rng = np.random.default_rng(71)
+        for trial in range(60):
+            drop = "BBB/DDD" if trial % 7 == 3 else None
+            snap = loads_snapshot(json.dumps(self.random_doc(rng, drop)))
+            size = int(rng.integers(2, 8))
+            labels = rng.choice(
+                [f"{a}/{b}" for a in self.CODES for b in self.CODES if a != b], size, replace=False
+            )
+            pairs = [pair(label) for label in labels]
+            canon = [canonicalize(p)[0] for p in pairs]
+            if len(set(canon)) < len(canon):
+                continue
+            for clamp in (False, True):
+                got, got_clamps = outcome(
+                    lambda: build_matrix(pairs, snap, [0.25, 0.5, 1.0], clamp=clamp).matrices
+                )
+                want, want_clamps = outcome(
+                    lambda: reference_matrix(canon, snap, (0.0, 0.25, 0.5, 1.0), clamp)
+                )
+                assert got_clamps == want_clamps
+                assert got[0] == want[0]
+                if want[0] == "error":
+                    assert got == want
+                else:
+                    assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+
+    def test_golden_world_matrix_equals_queries(self):
+        snap = load_snapshot(Path(__file__).parent / "data" / "golden" / "world.json")
+        labels = ["EUR/GBP", "EUR/JPY", "EUR/USD", "GBP/JPY", "GBP/USD", "JPY/USD"]
+        pairs = [pair(label) for label in labels]
+        got = build_matrix(pairs, snap, [0.5, 1.0, 2.0]).matrices
+        want = reference_matrix(pairs, snap, (0.0, 0.5, 1.0, 2.0), False)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)

@@ -277,3 +277,24 @@ class TestSpotTriangles:
         )
         snap = loads_snapshot(json.dumps(doc))
         assert check_spot_triangles(snap, 1e-10) == []
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("section, index, key, field", [
+        ("vols", 0, "sigma", r"vols\[0\]\.points\[0\]\.sigma"),
+        ("vols", 1, "T", r"vols\[0\]\.points\[1\]\.T"),
+        ("rates", 0, "r", r"rates\[0\]\.points\[0\]\.r"),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_point_fields_rejected(self, section, index, key, field, bad):
+        doc = three_ccy_doc()
+        doc[section][0]["points"][index][key] = bad
+        with pytest.raises(SchemaError, match=field):
+            loads_snapshot(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_spot_rejected(self, bad):
+        doc = three_ccy_doc()
+        doc["spots"][1]["value"] = bad
+        with pytest.raises(SchemaError, match=r"spots\[1\]\.value"):
+            loads_snapshot(json.dumps(doc))

@@ -13,6 +13,7 @@ from fxcorr import (
     MissingDataError,
     PiecewiseConstant,
     PricingInputs,
+    SchemaError,
     SimulationConfig,
     ValidationError,
     VanillaPayoff,
@@ -316,3 +317,32 @@ class TestPayoffDocuments:
         doc["barrier"] = 1.0
         with pytest.raises(SchemaError, match="unknown key"):
             payoff_from_dict(doc)
+
+
+class TestPayoffNumbers:
+    BARRIER = {
+        "type": "barrier", "payoff_pair": "EUR/USD", "strike": 1.25, "kind": "call",
+        "barrier_pair": "JPY/USD", "barrier_level": 0.0115, "direction": "up",
+        "style": "knock-out",
+    }
+
+    @pytest.mark.parametrize("key", ["strike", "barrier_level"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, key, bad):
+        with pytest.raises(SchemaError, match=f"field: {key}"):
+            payoff_from_dict({**self.BARRIER, key: bad})
+
+    def test_non_finite_weight_names_its_entry(self):
+        doc = {"type": "basket", "strike": 1.0, "kind": "call", "weights": [
+            {"pair": "EUR/USD", "weight": 1.0}, {"pair": "EUR/JPY", "weight": math.inf}]}
+        with pytest.raises(SchemaError, match=r"weights\[1\]\.weight"):
+            payoff_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", ["soon", True, None, math.nan, [0.5]])
+    def test_monitoring_entries_must_be_numbers(self, bad):
+        with pytest.raises(SchemaError, match=r"monitoring\[1\]"):
+            payoff_from_dict({**self.BARRIER, "monitoring": [0.5, bad]})
+
+    def test_integer_monitoring_time_accepted(self):
+        payoff = payoff_from_dict({**self.BARRIER, "monitoring": [0.5, 1]})
+        assert payoff.monitoring == (0.5, 1.0)
