@@ -59,11 +59,9 @@ from .montecarlo import (
     simulate_increments,
 )
 from .term_structure import (
-    ForwardVol,
     PiecewiseConstant,
     bootstrap_piecewise_vol,
     forward_vol,
-    forward_vols,
     horizon_vol,
     integrated_correlation,
     total_variance,
@@ -90,9 +88,8 @@ __all__ = [
     "VanillaSpec", "PricingInputs", "forward", "gk_price", "gk_vega",
     "implied_vol", "norm_cdf",
     # term structure
-    "PiecewiseConstant", "ForwardVol", "forward_vol", "forward_vols",
-    "bootstrap_piecewise_vol", "total_variance", "integrated_correlation",
-    "horizon_vol",
+    "PiecewiseConstant", "forward_vol", "bootstrap_piecewise_vol",
+    "total_variance", "integrated_correlation", "horizon_vol",
     # correlation
     "CorrQuery", "CorrResult", "CorrProvenance", "BucketStatus",
     "BucketedCorrelationMatrix", "triangle_corr", "cross_corr",

@@ -34,9 +34,9 @@ from .errors import (
     MissingDataError,
     NoImpliedVolError,
 )
-from .market_data import FxPair, check_spot_triangles, load_snapshot
+from .market_data import FxPair, _loads_json, check_spot_triangles, load_snapshot
 from .montecarlo import SimulationConfig, payoff_from_dict, payoff_to_dict, price
-from .term_structure import bootstrap_piecewise_vol, forward_vols, total_variance
+from .term_structure import bootstrap_piecewise_vol, total_variance
 from .vanilla import VanillaSpec, implied_vol
 
 EXIT_OK = 0
@@ -244,8 +244,7 @@ def _cmd_corr_matrix(args) -> int:
 
 def _cmd_price(args) -> int:
     snapshot = load_snapshot(args.snapshot)
-    payoff_doc = json.loads(Path(args.payoff).read_text())
-    payoff = payoff_from_dict(payoff_doc)
+    payoff = payoff_from_dict(_loads_json(Path(args.payoff).read_text()))
     config_obj = SimulationConfig(args.paths, args.seed, args.grid, args.antithetic)
     result_obj = price(
         payoff, snapshot, config_obj,
@@ -276,7 +275,7 @@ def _cmd_bootstrap(args) -> int:
     pair = FxPair.parse(args.pair)
     ts = snapshot.vol_structure(pair)
     pc = bootstrap_piecewise_vol(ts)
-    buckets = forward_vols(ts)
+    buckets = list(zip(pc.breakpoints, pc.breakpoints[1:], pc.values))
     residuals = [
         total_variance(pc, t) - sigma * sigma * t for t, sigma in ts.points
     ]
@@ -284,13 +283,13 @@ def _cmd_bootstrap(args) -> int:
     result = {
         "pair": ts.pair.label,
         "buckets": [
-            {"start": fv.start, "end": fv.end, "sigma": fv.sigma} for fv in buckets
+            {"start": start, "end": end, "sigma": sigma} for start, end, sigma in buckets
         ],
         "reconstruction_residuals": residuals,
     }
     pretty = [f"forward vols for {ts.pair}:"]
-    for fv in buckets:
-        pretty.append(f"  ({_g10(fv.start)}, {_g10(fv.end)}]: {_g10(fv.sigma)}")
+    for start, end, sigma in buckets:
+        pretty.append(f"  ({_g10(start)}, {_g10(end)}]: {_g10(sigma)}")
     pretty.append(f"max reconstruction residual: {_g10(max(abs(r) for r in residuals))}")
     _emit(result, args, config, pretty)
     return EXIT_OK
@@ -351,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except CalendarArbitrageError as exc:
         print(f"error: calendar arbitrage: {exc}", file=sys.stderr)
         return EXIT_CALENDAR
-    except (FxCorrError, OSError, json.JSONDecodeError) as exc:
+    except (FxCorrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -409,13 +409,27 @@ def _check_inverse_vols(pair: FxPair, a: VolTermStructure, b: VolTermStructure) 
 # Snapshot document parsing
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _loads_json(text: str):
+    """Decode JSON text; any decoding failure is a SchemaError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # integer digit limit, deep nesting
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str = "") -> None:
     for key in obj:
         if key not in allowed:
-            raise SchemaError(f"unknown key {key!r}", field=where)
-    for key in required:
+            raise SchemaError(f"unknown key {key!r}", field=_path(where, key))
+    for key in sorted(required):
         if key not in obj:
-            raise SchemaError(f"missing key {key!r}", field=where)
+            raise SchemaError(f"missing key {key!r}", field=_path(where, key))
 
 
 def _number(value, field: str) -> float:
@@ -427,14 +441,18 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
-def _parse_pair(obj: dict, where: str) -> FxPair:
-    value = obj["pair"]
+def _string(value, field: str) -> str:
     if not isinstance(value, str):
-        raise SchemaError("expected a pair label string", field=f"{where}.pair")
+        raise SchemaError("expected a string", field=field)
+    return value
+
+
+def _parse_pair(obj: dict, key: str, where: str = "") -> FxPair:
+    field = _path(where, key)
     try:
-        return FxPair.parse(value)
+        return FxPair.parse(_string(obj[key], field))
     except ValidationError as exc:
-        raise SchemaError(str(exc), field=f"{where}.pair") from exc
+        raise SchemaError(str(exc), field=field) from exc
 
 
 def loads_snapshot(text: str, triangle_tol: float | None = None) -> MarketSnapshot:
@@ -443,24 +461,18 @@ def loads_snapshot(text: str, triangle_tol: float | None = None) -> MarketSnapsh
     With ``triangle_tol`` set, spot triangles are also checked and any
     violation raises ValidationError.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    doc = _loads_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object", field="$")
-    _require_keys(doc, {"as_of", "spots", "vols", "rates"}, {"spots", "vols", "rates"}, "$")
-
-    as_of = doc.get("as_of", "")
-    if not isinstance(as_of, str):
-        raise SchemaError("expected a string", field="as_of")
+    _require_keys(doc, {"as_of", "spots", "vols", "rates"}, {"spots", "vols", "rates"})
+    as_of = _string(doc.get("as_of", ""), "as_of")
 
     spots: dict[FxPair, float] = {}
     for n, entry in enumerate(_expect_list(doc, "spots")):
         where = f"spots[{n}]"
         _expect_obj(entry, where)
         _require_keys(entry, {"pair", "value"}, {"pair", "value"}, where)
-        pair = _parse_pair(entry, where)
+        pair = _parse_pair(entry, "pair", where)
         if pair in spots:
             raise SchemaError(f"duplicate spot for {pair}", field=where)
         spots[pair] = _number(entry["value"], f"{where}.value")
@@ -470,7 +482,7 @@ def loads_snapshot(text: str, triangle_tol: float | None = None) -> MarketSnapsh
         where = f"vols[{n}]"
         _expect_obj(entry, where)
         _require_keys(entry, {"pair", "points"}, {"pair", "points"}, where)
-        pair = _parse_pair(entry, where)
+        pair = _parse_pair(entry, "pair", where)
         if pair in vols:
             raise SchemaError(f"duplicate vol structure for {pair}", field=where)
         points = []
@@ -486,11 +498,8 @@ def loads_snapshot(text: str, triangle_tol: float | None = None) -> MarketSnapsh
         where = f"rates[{n}]"
         _expect_obj(entry, where)
         _require_keys(entry, {"currency", "points"}, {"currency", "points"}, where)
-        code = entry["currency"]
-        if not isinstance(code, str):
-            raise SchemaError("expected a currency code string", field=f"{where}.currency")
         try:
-            ccy = Currency(code)
+            ccy = Currency(_string(entry["currency"], f"{where}.currency"))
         except ValidationError as exc:
             raise SchemaError(str(exc), field=f"{where}.currency") from exc
         if ccy in rates:

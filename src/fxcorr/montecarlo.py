@@ -30,7 +30,10 @@ import numpy as np
 
 from .correlation import PSD_TOL, BucketedCorrelationMatrix, build_matrix, canonicalize
 from .errors import FactorizationError, MissingDataError, SchemaError, ValidationError
-from .market_data import Currency, FxPair, MarketSnapshot, RateCurve, _number
+from .market_data import (
+    Currency, FxPair, MarketSnapshot, RateCurve,
+    _expect_list, _expect_obj, _number, _parse_pair, _require_keys, _string,
+)
 from .term_structure import PiecewiseConstant, horizon_vol
 
 BLOCK_PATHS = 16384
@@ -280,10 +283,6 @@ def _integrated(curve: RateCurve, t: float) -> float:
     return curve.integrated(t) if t > 0 else 0.0
 
 
-def _block_bounds(n_paths: int) -> list[tuple[int, int]]:
-    return [(b, min(b + BLOCK_PATHS, n_paths)) for b in range(0, n_paths, BLOCK_PATHS)]
-
-
 def _block_normals(seed: int, block: int, n_steps: int, n_draw: int, n_pairs: int) -> np.ndarray:
     # counter layout: bits 128+ block, bits 96..127 pair slot, rest stream
     columns = []
@@ -310,6 +309,27 @@ def _block_increments(
     return y
 
 
+def _run_blocks(
+    steps: _Steps,
+    config: SimulationConfig,
+    apply: Callable[[int, np.ndarray], object],
+    workers: int = 1,
+) -> list:
+    """``apply(first_path, increments)`` on every path block, on up to
+    ``workers`` threads; the results come back in block order."""
+
+    def run(block: int) -> object:
+        start = block * BLOCK_PATHS
+        size = min(BLOCK_PATHS, config.n_paths - start)
+        return apply(start, _block_increments(steps, config, block, size))
+
+    blocks = range(math.ceil(config.n_paths / BLOCK_PATHS))
+    if workers <= 1:
+        return [run(block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, blocks))
+
+
 def simulate_increments(
     pairs: Sequence[FxPair],
     vols: Mapping[FxPair, PiecewiseConstant],
@@ -323,10 +343,12 @@ def simulate_increments(
     rate-differential part of the drift (pure -sigma^2/2 dt).
     """
     steps = _prepare_steps(pairs, vols, corr, config, rates)
-    blocks = _block_bounds(config.n_paths)
-    out = np.empty((config.n_paths, steps.sigma.shape[0], steps.sigma.shape[1]))
-    for block, (b0, b1) in enumerate(blocks):
-        out[b0:b1] = _block_increments(steps, config, block, b1 - b0)
+    out = np.empty((config.n_paths,) + steps.sigma.shape)
+
+    def store(start: int, y: np.ndarray) -> None:
+        out[start:start + len(y)] = y
+
+    _run_blocks(steps, config, store)
     return out
 
 
@@ -452,22 +474,14 @@ def price(
     disc_rate = snapshot.average_rate(disc_ccy, horizon)
     df = math.exp(-disc_rate * horizon)
 
-    blocks = _block_bounds(config.n_paths)
-
-    def run_block(item: tuple[int, tuple[int, int]]) -> tuple[float, float, int]:
-        block, (b0, b1) = item
-        values = evaluate(_block_increments(steps, config, block, b1 - b0))
+    def block_sums(start: int, y: np.ndarray) -> tuple[float, float, int]:
+        values = evaluate(y)
         if config.antithetic:
-            half = (b1 - b0) // 2
+            half = len(values) // 2
             values = 0.5 * (values[:half] + values[half:])
         return float(values.sum()), float((values * values).sum()), values.size
 
-    if workers <= 1:
-        partials = [run_block(item) for item in enumerate(blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, enumerate(blocks)))
-
+    partials = _run_blocks(steps, config, block_sums, workers)
     total = 0.0
     total_sq = 0.0
     n_eff = 0
@@ -504,49 +518,43 @@ def payoff_from_dict(doc: dict) -> PayoffSpec:
         raise SchemaError("payoff document must be an object", field="$")
     kind_of = doc.get("type")
     if kind_of == "vanilla":
-        _check_keys(doc, {"type", "pair", "strike", "kind"})
+        keys = {"type", "pair", "strike", "kind"}
+        _require_keys(doc, keys, keys)
         return VanillaPayoff(
-            FxPair.parse(_str_field(doc, "pair")),
-            _num_field(doc, "strike"),
-            _str_field(doc, "kind"),
+            _parse_pair(doc, "pair"), _number(doc["strike"], "strike"), _string(doc["kind"], "kind")
         )
     if kind_of == "basket":
-        _check_keys(doc, {"type", "weights", "strike", "kind"})
+        keys = {"type", "weights", "strike", "kind"}
+        _require_keys(doc, keys, keys)
         entries = doc["weights"]
         if not isinstance(entries, list) or not entries:
             raise SchemaError("expected a non-empty list", field="weights")
         weights: dict[FxPair, float] = {}
         for n, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise SchemaError("expected an object", field=f"weights[{n}]")
-            _check_keys(entry, {"pair", "weight"}, prefix=f"weights[{n}]")
-            pair = FxPair.parse(_str_field(entry, "pair"))
+            where = f"weights[{n}]"
+            _expect_obj(entry, where)
+            _require_keys(entry, {"pair", "weight"}, {"pair", "weight"}, where)
+            pair = _parse_pair(entry, "pair", where)
             if pair in weights:
-                raise SchemaError(f"duplicate basket pair {pair}", field=f"weights[{n}]")
-            weights[pair] = _number(entry["weight"], f"weights[{n}].weight")
-        return BasketPayoff(weights, _num_field(doc, "strike"), _str_field(doc, "kind"))
+                raise SchemaError(f"duplicate basket pair {pair}", field=where)
+            weights[pair] = _number(entry["weight"], f"{where}.weight")
+        return BasketPayoff(weights, _number(doc["strike"], "strike"), _string(doc["kind"], "kind"))
     if kind_of == "barrier":
-        _check_keys(
-            doc,
-            {
-                "type", "payoff_pair", "strike", "kind",
-                "barrier_pair", "barrier_level", "direction", "style", "monitoring",
-            },
-        )
+        keys = {"type", "payoff_pair", "strike", "kind",
+                "barrier_pair", "barrier_level", "direction", "style"}
+        _require_keys(doc, keys | {"monitoring"}, keys)
         monitoring = None
         if "monitoring" in doc:
-            times = doc["monitoring"]
-            if not isinstance(times, list):
-                raise SchemaError("expected a list of times", field="monitoring")
+            times = _expect_list(doc, "monitoring")
             monitoring = tuple(_number(t, f"monitoring[{n}]") for n, t in enumerate(times))
         return BarrierPayoff(
-            FxPair.parse(_str_field(doc, "payoff_pair")),
-            _num_field(doc, "strike"),
-            _str_field(doc, "kind"),
-            FxPair.parse(_str_field(doc, "barrier_pair")),
-            _num_field(doc, "barrier_level"),
-            _str_field(doc, "direction"),
-            _str_field(doc, "style"),
+            _parse_pair(doc, "payoff_pair"),
+            _number(doc["strike"], "strike"),
+            _string(doc["kind"], "kind"),
+            _parse_pair(doc, "barrier_pair"),
+            _number(doc["barrier_level"], "barrier_level"),
+            _string(doc["direction"], "direction"),
+            _string(doc["style"], "style"),
             monitoring,
         )
     raise SchemaError(
@@ -581,25 +589,3 @@ def payoff_to_dict(payoff: PayoffSpec) -> dict:
     if payoff.monitoring is not None:
         doc["monitoring"] = list(payoff.monitoring)
     return doc
-
-
-def _check_keys(doc: dict, allowed: set[str], prefix: str = "") -> None:
-    for key in doc:
-        if key not in allowed:
-            where = f"{prefix}.{key}" if prefix else key
-            raise SchemaError(f"unknown key {key!r}", field=where)
-    for key in allowed - {"monitoring"}:
-        if key not in doc:
-            where = f"{prefix}.{key}" if prefix else key
-            raise SchemaError(f"missing key {key!r}", field=where)
-
-
-def _str_field(doc: dict, key: str) -> str:
-    value = doc[key]
-    if not isinstance(value, str):
-        raise SchemaError("expected a string", field=key)
-    return value
-
-
-def _num_field(doc: dict, key: str) -> float:
-    return _number(doc[key], key)

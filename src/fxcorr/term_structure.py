@@ -22,7 +22,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .market_data import FxPair, VolTermStructure
+from .market_data import VolTermStructure
 
 MIN_BUCKET_WIDTH = 1e-12
 
@@ -196,28 +196,3 @@ def horizon_vol(ts: VolTermStructure, start: float, end: float) -> float:
             f"{ts.pair}: negative forward variance on ({start}, {end}]"
         )
     return math.sqrt((tv_end - tv_start) / (end - start))
-
-
-@dataclass(frozen=True)
-class ForwardVol:
-    """A forward implied vol for one pair over a future bucket."""
-
-    pair: FxPair
-    start: float
-    end: float
-    sigma: float
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValidationError(f"need 0 <= start < end, got ({self.start}, {self.end})")
-        if self.sigma < 0:
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
-
-
-def forward_vols(ts: VolTermStructure) -> list[ForwardVol]:
-    """The bootstrapped instantaneous vols as labelled bucket quotes."""
-    pc = bootstrap_piecewise_vol(ts)
-    return [
-        ForwardVol(ts.pair, pc.breakpoints[n], pc.breakpoints[n + 1], pc.values[n])
-        for n in range(len(pc.values))
-    ]

@@ -31,6 +31,13 @@ def snapshot_doc(
     }
 
 
+def json_with_huge_integer(doc: dict) -> str:
+    """JSON text of ``doc`` with each ``"HUGE"`` string value replaced by a
+    5,000-digit integer, longer than Python's default limit of 4,300 digits
+    for converting a string to an int."""
+    return json.dumps(doc).replace('"HUGE"', "9" * 5000)
+
+
 def three_ccy_doc() -> dict:
     # Equal flat 20% vols on a consistent EUR/JPY/USD triangle: every
     # implied correlation comes out 0.5.

@@ -4,7 +4,7 @@ import pytest
 
 from fxcorr import cli
 
-from conftest import snapshot_doc, three_ccy_doc
+from conftest import json_with_huge_integer, snapshot_doc, three_ccy_doc
 
 
 def write(tmp_path, name, doc):
@@ -335,3 +335,25 @@ class TestPayoffErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "monitoring[0]" in err
+
+
+class TestDigitLimit:
+    def test_validate_huge_spot_is_an_error_line(self, capsys, tmp_path):
+        doc = three_ccy_doc()
+        doc["spots"][0]["value"] = "HUGE"
+        path = tmp_path / "huge.json"
+        path.write_text(json_with_huge_integer(doc))
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_price_huge_strike_is_an_error_line(self, capsys, tmp_path, snapshot_path):
+        payoff = tmp_path / "huge.json"
+        payoff.write_text(json_with_huge_integer(
+            {"type": "vanilla", "pair": "EUR/USD", "strike": "HUGE", "kind": "call"}
+        ))
+        code, out, err = run(capsys, ["price", snapshot_path, str(payoff), "--grid", "1.0"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err

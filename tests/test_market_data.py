@@ -17,9 +17,10 @@ from fxcorr import (
     canonicalize,
     check_spot_triangles,
     loads_snapshot,
+    payoff_from_dict,
 )
 
-from conftest import snapshot_doc, three_ccy_doc
+from conftest import json_with_huge_integer, snapshot_doc, three_ccy_doc
 
 
 EUR = Currency("EUR")
@@ -298,3 +299,55 @@ class TestNonFiniteNumbers:
         doc["spots"][1]["value"] = bad
         with pytest.raises(SchemaError, match=r"spots\[1\]\.value"):
             loads_snapshot(json.dumps(doc))
+
+
+class TestUndecodableText:
+    def test_huge_integer_spot_is_a_schema_error(self):
+        doc = three_ccy_doc()
+        doc["spots"][0]["value"] = "HUGE"
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            loads_snapshot(json_with_huge_integer(doc))
+
+    def test_deep_nesting_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            loads_snapshot("[" * 100_000)
+
+
+def _parse_edited_snapshot(edit):
+    doc = three_ccy_doc()
+    edit(doc)
+    return lambda: loads_snapshot(json.dumps(doc))
+
+
+def _parse_payoff(doc):
+    return lambda: payoff_from_dict(doc)
+
+
+class TestFieldPaths:
+    """``SchemaError.field`` is the path of the offending key in both documents."""
+
+    @pytest.mark.parametrize("parse, field", [
+        pytest.param(_parse_payoff({"type": "basket", "strike": 1.0, "kind": "call",
+                                    "weights": [{"pair": 5, "weight": 1.0}]}),
+                     "weights[0].pair", id="basket-pair-not-a-string"),
+        pytest.param(_parse_payoff({"type": "vanilla", "pair": "EURUSD", "strike": 1.25,
+                                    "kind": "call"}),
+                     "pair", id="malformed-pair"),
+        pytest.param(_parse_payoff({"type": "barrier", "payoff_pair": "EUR/USD", "strike": 1.25,
+                                    "kind": "call", "barrier_pair": "JPYUSD",
+                                    "barrier_level": 0.0115, "direction": "up",
+                                    "style": "knock-out"}),
+                     "barrier_pair", id="malformed-barrier-pair"),
+        pytest.param(_parse_edited_snapshot(lambda d: d["vols"][0].update(smile=[])),
+                     "vols[0].smile", id="unknown-nested-key"),
+        pytest.param(_parse_edited_snapshot(lambda d: d.update(extra=1)),
+                     "extra", id="unknown-top-level-key"),
+        pytest.param(_parse_edited_snapshot(lambda d: d["vols"][0].pop("points")),
+                     "vols[0].points", id="missing-nested-key"),
+        pytest.param(_parse_edited_snapshot(lambda d: d.pop("rates")),
+                     "rates", id="missing-top-level-key"),
+    ])
+    def test_field_is_the_key_path(self, parse, field):
+        with pytest.raises(SchemaError) as exc:
+            parse()
+        assert exc.value.field == field

@@ -104,15 +104,11 @@ class TestBootstrap:
         assert pc.values[0] == 0.10
         assert pc.values[1] == pytest.approx(FORWARD_VOL_10_12, abs=1e-16)
 
-    def test_forward_vols_label_the_buckets(self):
-        from fxcorr import forward_vols
-
+    def test_buckets_follow_the_quotes(self):
         ts = VolTermStructure(PAIR, ((1.0, 0.10), (2.0, 0.12)))
-        quotes = forward_vols(ts)
-        assert [(q.pair, q.start, q.end) for q in quotes] == [
-            (PAIR, 0.0, 1.0), (PAIR, 1.0, 2.0),
-        ]
-        assert quotes[1].sigma == pytest.approx(FORWARD_VOL_10_12, abs=1e-16)
+        pc = bootstrap_piecewise_vol(ts)
+        assert list(zip(pc.breakpoints, pc.breakpoints[1:])) == [(0.0, 1.0), (1.0, 2.0)]
+        assert pc.values[1] == pytest.approx(FORWARD_VOL_10_12, abs=1e-16)
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(17)
