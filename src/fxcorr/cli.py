@@ -244,7 +244,7 @@ def _cmd_corr_matrix(args) -> int:
 
 def _cmd_price(args) -> int:
     snapshot = load_snapshot(args.snapshot)
-    payoff = payoff_from_dict(_loads_json(Path(args.payoff).read_text()))
+    payoff = payoff_from_dict(_loads_json(Path(args.payoff).read_bytes()))
     config_obj = SimulationConfig(args.paths, args.seed, args.grid, args.antithetic)
     result_obj = price(
         payoff, snapshot, config_obj,

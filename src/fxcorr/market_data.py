@@ -409,13 +409,13 @@ def _check_inverse_vols(pair: FxPair, a: VolTermStructure, b: VolTermStructure) 
 # Snapshot document parsing
 
 
-def _loads_json(text: str):
-    """Decode JSON text; any decoding failure is a SchemaError."""
+def _loads_json(text: str | bytes):
+    """Decode JSON text or file bytes; any decoding failure is a SchemaError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    except (ValueError, RecursionError) as exc:  # integer digit limit, deep nesting
+    except (ValueError, RecursionError) as exc:  # bad bytes, digit limit, deep nesting
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
@@ -455,7 +455,7 @@ def _parse_pair(obj: dict, key: str, where: str = "") -> FxPair:
         raise SchemaError(str(exc), field=field) from exc
 
 
-def loads_snapshot(text: str, triangle_tol: float | None = None) -> MarketSnapshot:
+def loads_snapshot(text: str | bytes, triangle_tol: float | None = None) -> MarketSnapshot:
     """Parse and fully validate a snapshot document from JSON text.
 
     With ``triangle_tol`` set, spot triangles are also checked and any
@@ -527,7 +527,7 @@ def loads_snapshot(text: str, triangle_tol: float | None = None) -> MarketSnapsh
 
 def load_snapshot(source: str | Path, triangle_tol: float | None = None) -> MarketSnapshot:
     """Load a snapshot from a file path (see loads_snapshot)."""
-    return loads_snapshot(Path(source).read_text(), triangle_tol=triangle_tol)
+    return loads_snapshot(Path(source).read_bytes(), triangle_tol=triangle_tol)
 
 
 def _expect_list(obj: dict, key: str, prefix: str = "") -> list:

@@ -17,6 +17,10 @@ factor its paths are bit-identical too, which is what makes an
 unreachable barrier reproduce the plain vanilla price exactly).
 Reductions accumulate per-block partial sums in block order, which keeps
 results bit-identical for any worker count.
+
+Layout: a block is one pair-major (n_pairs, n_steps, size) buffer: each
+pair slot's normals fill its (n_steps, size) slab and become increments in
+place, so a worker holds about one block; payoff evaluators overwrite it.
 """
 
 from __future__ import annotations
@@ -176,10 +180,8 @@ class PricingResult:
 class _Steps:
     """Per-step constants: everything the inner loop needs."""
 
-    dt: np.ndarray          # (M,)
-    sqrt_dt: np.ndarray     # (M,)
-    sigma: np.ndarray       # (M, P)
-    drift: np.ndarray       # (M, P), includes the dt factor
+    scale: np.ndarray       # (M, P, 1), sigma sqrt(dt)
+    drift: np.ndarray       # (M, P, 1), includes the dt factor
     factors: tuple[np.ndarray, ...]  # per step, (P, P) with L L^T = C
 
 
@@ -276,36 +278,35 @@ def _prepare_steps(
             factor_list.append(bucket_factors[bucket])
         factors = tuple(factor_list)
 
-    return _Steps(dt, np.sqrt(dt), sigma, drift, factors)
+    return _Steps((sigma * np.sqrt(dt)[:, None])[..., None], drift[..., None], factors)
 
 
 def _integrated(curve: RateCurve, t: float) -> float:
     return curve.integrated(t) if t > 0 else 0.0
 
 
-def _block_normals(seed: int, block: int, n_steps: int, n_draw: int, n_pairs: int) -> np.ndarray:
+def _block_normals(seed: int, block: int, n_steps: int, size: int, n_pairs: int,
+                   antithetic: bool) -> np.ndarray:
     # counter layout: bits 128+ block, bits 96..127 pair slot, rest stream
-    columns = []
+    z = np.empty((n_pairs, n_steps, size))
+    n_draw = size // 2 if antithetic else size
     for slot in range(n_pairs):
         bitgen = np.random.Philox(key=seed, counter=(block << 128) | (slot << 96))
-        columns.append(np.random.Generator(bitgen).standard_normal((n_steps, n_draw)))
-    return np.stack(columns, axis=-1)
+        draw = np.random.Generator(bitgen).standard_normal
+        for m in range(n_steps):  # the slot's stream fills its first n_draw paths step by step
+            draw(out=z[slot, m, :n_draw])
+    if antithetic:
+        np.negative(z[:, :, :n_draw], out=z[:, :, n_draw:])
+    return z
 
 
 def _block_increments(
     steps: _Steps, config: SimulationConfig, block: int, size: int
 ) -> np.ndarray:
-    n_steps, n_pairs = steps.sigma.shape
-    if config.antithetic:
-        half = size // 2
-        z = _block_normals(config.seed, block, n_steps, half, n_pairs)
-        z = np.concatenate([z, -z], axis=1)
-    else:
-        z = _block_normals(config.seed, block, n_steps, size, n_pairs)
-    y = np.empty((size, n_steps, n_pairs))
-    for m in range(n_steps):
-        correlated = z[m] @ steps.factors[m].T
-        y[:, m, :] = steps.drift[m] + (steps.sigma[m] * steps.sqrt_dt[m]) * correlated
+    n_steps, n_pairs = steps.drift.shape[:2]
+    y = _block_normals(config.seed, block, n_steps, size, n_pairs, config.antithetic)
+    for m in range(n_steps):  # in place: step m's normals become its increments
+        y[:, m, :] = steps.drift[m] + steps.scale[m] * (steps.factors[m] @ y[:, m, :])
     return y
 
 
@@ -343,10 +344,10 @@ def simulate_increments(
     rate-differential part of the drift (pure -sigma^2/2 dt).
     """
     steps = _prepare_steps(pairs, vols, corr, config, rates)
-    out = np.empty((config.n_paths,) + steps.sigma.shape)
+    out = np.empty((config.n_paths,) + steps.drift.shape[:2])
 
     def store(start: int, y: np.ndarray) -> None:
-        out[start:start + len(y)] = y
+        out[start:start + y.shape[2]] = y.transpose(2, 1, 0)
 
     _run_blocks(steps, config, store)
     return out
@@ -384,6 +385,11 @@ def _monitoring_indices(payoff: BarrierPayoff, grid: tuple[float, ...]) -> np.nd
     return np.asarray(indices)
 
 
+def _summed_steps(rows: np.ndarray) -> np.ndarray:
+    # numpy sums a contiguous (paths, steps) copy pairwise, not left to right
+    return np.ascontiguousarray(rows.T).sum(axis=1)
+
+
 def _payoff_evaluator(
     payoff: PayoffSpec,
     pairs: tuple[FxPair, ...],
@@ -397,7 +403,7 @@ def _payoff_evaluator(
         p = index[payoff.pair]
 
         def evaluate(y: np.ndarray) -> np.ndarray:
-            terminal = spots[p] * np.exp(y[:, :, p].sum(axis=1))
+            terminal = spots[p] * np.exp(_summed_steps(y[p]))
             return np.maximum(sign * (terminal - payoff.strike), 0.0)
 
         return evaluate
@@ -406,7 +412,7 @@ def _payoff_evaluator(
         weights = np.array([payoff.weights[pair] for pair in pairs])
 
         def evaluate(y: np.ndarray) -> np.ndarray:
-            terminal = spots * np.exp(y.sum(axis=1))
+            terminal = spots * np.exp(np.ascontiguousarray(y.sum(axis=1).T))  # (paths, pairs) rows for the matvec
             basket = terminal @ weights
             return np.maximum(sign * (basket - payoff.strike), 0.0)
 
@@ -419,14 +425,18 @@ def _payoff_evaluator(
     up = payoff.direction == "up"
 
     def evaluate(y: np.ndarray) -> np.ndarray:
-        terminal = spots[p_pay] * np.exp(y[:, :, p_pay].sum(axis=1))
+        terminal = spots[p_pay] * np.exp(_summed_steps(y[p_pay]))
         vanilla = np.maximum(sign * (terminal - payoff.strike), 0.0)
-        barrier_path = spots[p_bar] * np.exp(np.cumsum(y[:, :, p_bar], axis=1))
-        watched = barrier_path[:, monitor]
+        log_path = y[p_bar]
+        for m in range(1, len(log_path)):  # cumulative sum in place, after the terminal
+            log_path[m] += log_path[m - 1]
+        watched = log_path[monitor]
+        np.exp(watched, out=watched)
+        watched *= spots[p_bar]
         if up:
-            breached = (watched >= payoff.barrier_level).any(axis=1)
+            breached = (watched >= payoff.barrier_level).any(axis=0)
         else:
-            breached = (watched <= payoff.barrier_level).any(axis=1)
+            breached = (watched <= payoff.barrier_level).any(axis=0)
         return vanilla * (breached if knock_in else ~breached)
 
     return evaluate

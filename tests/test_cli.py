@@ -357,3 +357,21 @@ class TestDigitLimit:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestUndecodableFile:
+    def test_validate_non_utf8_snapshot_is_an_error_line(self, capsys, tmp_path):
+        path = tmp_path / "snapshot.json"
+        path.write_bytes(b"\xff" + json.dumps(three_ccy_doc()).encode())
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid JSON") and "Traceback" not in err
+
+    def test_price_non_utf8_payoff_is_an_error_line(self, capsys, tmp_path, snapshot_path):
+        payoff = tmp_path / "payoff.json"
+        payoff.write_bytes(b'{"type": "vanilla", "pair": "EUR/USD", "strike": 1.25, "kind": "call\xe9"}')
+        code, out, err = run(capsys, ["price", snapshot_path, str(payoff), "--grid", "1.0"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid JSON") and "Traceback" not in err

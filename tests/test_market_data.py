@@ -16,6 +16,7 @@ from fxcorr import (
     VolTermStructure,
     canonicalize,
     check_spot_triangles,
+    load_snapshot,
     loads_snapshot,
     payoff_from_dict,
 )
@@ -351,3 +352,11 @@ class TestFieldPaths:
         with pytest.raises(SchemaError) as exc:
             parse()
         assert exc.value.field == field
+
+
+class TestUndecodableFile:
+    def test_non_utf8_snapshot_file_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "snapshot.json"
+        path.write_bytes(b"\xff" + json.dumps(three_ccy_doc()).encode())
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            load_snapshot(path)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fxcorr import (
     simulate_increments,
     total_variance,
 )
+from fxcorr.montecarlo import BLOCK_PATHS
 
 EURUSD = FxPair.parse("EUR/USD")
 EURJPY = FxPair.parse("EUR/JPY")
@@ -346,3 +349,107 @@ class TestPayoffNumbers:
     def test_integer_monitoring_time_accepted(self):
         payoff = payoff_from_dict({**self.BARRIER, "monitoring": [0.5, 1]})
         assert payoff.monitoring == (0.5, 1.0)
+
+
+# Runs that cross block boundaries: one short block, a partial last block
+# (37,002 = 2 x 16,384 + 4,234) and a partial last block again (40,000).
+PINNED_RUNS = [(5, False), (37_002, False), (40_000, False), (37_002, True), (40_000, True)]
+# 12 steps: at 8 or more terms numpy sums pairwise, not left to right
+PINNED_GRID = tuple(k / 12 for k in range(1, 13))
+PINNED_PAYOFFS = {
+    "vanilla": VanillaPayoff(EURUSD, 1.25, "call"),
+    "basket": BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call"),
+    "up-out-own-pair": BarrierPayoff(EURUSD, 1.2, "call", EURUSD, 1.45, "up", "knock-out"),
+    "down-in-cross": BarrierPayoff(
+        EURUSD, 1.3, "put", USDJPY, 94.0, "down", "knock-in", monitoring=(0.5, 1.0)
+    ),
+}
+
+
+def pinned_increments_digest(snapshot, n_paths, antithetic):
+    # the consistent triangle is singular, so the eigen factor is used
+    pairs = [EURJPY, EURUSD, USDJPY]
+    corr = build_matrix(pairs, snapshot, PINNED_GRID)
+    config = SimulationConfig(n_paths, 97, PINNED_GRID, antithetic)
+    vols = {p: flat_vol(0.2) for p in pairs}
+    y = simulate_increments(pairs, vols, corr, config, rates=snapshot.rates)
+    return hashlib.sha256(y.tobytes()).hexdigest()
+
+
+def pinned_price(snapshot, payoff, n_paths, antithetic, workers):
+    config = SimulationConfig(n_paths, 101, PINNED_GRID, antithetic)
+    result = price(payoff, snapshot, config, workers=workers)
+    return result.price.hex(), result.standard_error.hex()
+
+
+class TestBitsArePinned:
+    """Engine output bytes fixed by the RNG stream layout, the increment
+    formula and the reductions' summation order; a layout or loop change
+    that moves any bit fails here."""
+
+    INCREMENTS = {
+        (5, False): "d45f1f904369144e505852619326d5c4a66f22b440525cc612eab4a573a86de4",
+        (37_002, False): "10e8d1d52c6d471a62626f7ee06980fe635298893042c1425b5d8e766f0e4f5e",
+        (40_000, False): "f86f6b295daba9743a41fd22882c7c05df92ebbd04720601161b4f011c0f413d",
+        (37_002, True): "b4a5d920457660315d34f9420096f4b4c6fd7a40453c2af53e908039bd57939b",
+        (40_000, True): "dd53360ce35cf483072e30bc9f5544fd05783ff1e00a2e0cbcf6452310776224",
+    }
+    PRICES = {
+        ("basket", 5, False): ("0x1.818534504557bp-4", "0x1.818534504557bp-4"),
+        ("basket", 37_002, False): ("0x1.6bfaf68d7ec28p-3", "0x1.7da07d25f1b0fp-10"),
+        ("basket", 40_000, False): ("0x1.6b40f6037e51cp-3", "0x1.6edb26ac2e45ep-10"),
+        ("basket", 37_002, True): ("0x1.6e0b551365c98p-3", "0x1.2bb98102e1255p-10"),
+        ("basket", 40_000, True): ("0x1.6bca262062114p-3", "0x1.1ed9c119c9a44p-10"),
+        ("down-in-cross", 5, False): ("0x1.2b46bd4bf1848p-5", "0x1.722d6e81d778ep-6"),
+        ("down-in-cross", 37_002, False): ("0x1.23a24f96bceb3p-5", "0x1.d98462c7cd7eap-12"),
+        ("down-in-cross", 40_000, False): ("0x1.249af1b7e1ee8p-5", "0x1.c94fb1160b3e2p-12"),
+        ("down-in-cross", 37_002, True): ("0x1.2c04eeaba9ef4p-5", "0x1.b7c6546bd73fap-12"),
+        ("down-in-cross", 40_000, True): ("0x1.290b48c5da5a8p-5", "0x1.a5173df3cc24dp-12"),
+        ("up-out-own-pair", 5, False): ("0x1.b5582f72496e8p-9", "0x1.b5582f72496e8p-9"),
+        ("up-out-own-pair", 37_002, False): ("0x1.606e41e350806p-6", "0x1.10f47eb60b126p-12"),
+        ("up-out-own-pair", 40_000, False): ("0x1.607ec7515ad72p-6", "0x1.069d7dc451df0p-12"),
+        ("up-out-own-pair", 37_002, True): ("0x1.62f10d06c3641p-6", "0x1.f29034e73ada6p-13"),
+        ("up-out-own-pair", 40_000, True): ("0x1.62e8cc89299d6p-6", "0x1.dfd3150d745f4p-13"),
+        ("vanilla", 5, False): ("0x1.3a5b5e64d50dbp-4", "0x1.864fb44622ee2p-5"),
+        ("vanilla", 37_002, False): ("0x1.7621dcff20881p-4", "0x1.a66875fb5407ep-11"),
+        ("vanilla", 40_000, False): ("0x1.7604ade32f5d5p-4", "0x1.96921286bcc03p-11"),
+        ("vanilla", 37_002, True): ("0x1.756d0701c1bf9p-4", "0x1.564b9006da6a5p-11"),
+        ("vanilla", 40_000, True): ("0x1.75314129d8cb6p-4", "0x1.49eab1ff48542p-11"),
+    }
+
+    @pytest.mark.parametrize("n_paths, antithetic", PINNED_RUNS)
+    def test_increments(self, three_ccy_snapshot, n_paths, antithetic):
+        digest = pinned_increments_digest(three_ccy_snapshot, n_paths, antithetic)
+        assert digest == self.INCREMENTS[n_paths, antithetic]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_paths, antithetic", PINNED_RUNS)
+    @pytest.mark.parametrize("name", sorted(PINNED_PAYOFFS))
+    def test_price(self, three_ccy_snapshot, name, n_paths, antithetic, workers):
+        got = pinned_price(three_ccy_snapshot, PINNED_PAYOFFS[name], n_paths, antithetic, workers)
+        assert got == self.PRICES[name, n_paths, antithetic]
+
+
+class TestBlockMemory:
+    """``price`` holds about one block of increments per worker; a second
+    block-sized array shows as a peak above 2 blocks."""
+
+    GRID = tuple(k / 52 for k in range(1, 53))
+    PAYOFFS = {
+        "barrier": BarrierPayoff(EURUSD, 1.25, "call", USDJPY, 110.0, "up", "knock-out"),
+        "basket": BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call"),
+    }
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("name", sorted(PAYOFFS))
+    def test_peak_is_near_one_block(self, three_ccy_snapshot, name, blocks):
+        antithetic = name == "basket"
+        config = SimulationConfig(blocks * BLOCK_PATHS, 103, self.GRID, antithetic)
+        block_bytes = 2 * len(self.GRID) * BLOCK_PATHS * 8  # two pairs
+        tracemalloc.start()
+        try:
+            price(self.PAYOFFS[name], three_ccy_snapshot, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * block_bytes
