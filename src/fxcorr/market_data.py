@@ -151,6 +151,8 @@ class VolTermStructure:
                     f"total variance falls from {prev_tv:.12g} (T={prev_t}) to {tv:.12g} (T={t})"
                 )
             prev_t, prev_tv = t, tv
+        # knots for total_variance, built once: it runs for every horizon vol
+        object.__setattr__(self, "_knots", (self.maturities, [s * s * t for t, s in self.points]))
 
     @classmethod
     def from_quotes(cls, quotes: Iterable[VolQuote]) -> "VolTermStructure":
@@ -181,8 +183,7 @@ class VolTermStructure:
         """
         if not maturity > 0:
             raise ValidationError(f"maturity must be > 0, got {maturity}")
-        ts = self.maturities
-        tvs = [s * s * t for t, s in self.points]
+        ts, tvs = self._knots
         if maturity <= ts[0]:
             return tvs[0] / ts[0] * maturity
         if maturity > ts[-1]:
@@ -222,13 +223,13 @@ class RateCurve:
             if t <= prev_t:
                 raise ValidationError(f"{self.currency}: maturities must be strictly increasing at point {n}")
             prev_t = t
+        object.__setattr__(self, "_knots", ([t for t, _ in self.points], [r * t for t, r in self.points]))
 
     def integrated(self, maturity: float) -> float:
         """Integrated rate r(T)*T, linear in T between knots, flat r outside."""
         if not maturity > 0:
             raise ValidationError(f"maturity must be > 0, got {maturity}")
-        ts = [t for t, _ in self.points]
-        rts = [r * t for t, r in self.points]
+        ts, rts = self._knots
         if maturity <= ts[0]:
             return self.points[0][1] * maturity
         if maturity >= ts[-1]:

@@ -18,9 +18,11 @@ unreachable barrier reproduce the plain vanilla price exactly).
 Reductions accumulate per-block partial sums in block order, which keeps
 results bit-identical for any worker count.
 
-Layout: a block is one pair-major (n_pairs, n_steps, size) buffer: each
-pair slot's normals fill its (n_steps, size) slab and become increments in
-place, so a worker holds about one block; payoff evaluators overwrite it.
+Layout: no block is held whole.  A block streams one grid step at a time:
+each pair slot's stream draws the step's normals into a reused
+(n_pairs, size) buffer, a second one receives the increments, and the
+payoff folds them into running sums, so a worker's memory does not grow
+with the number of steps.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -285,44 +287,41 @@ def _integrated(curve: RateCurve, t: float) -> float:
     return curve.integrated(t) if t > 0 else 0.0
 
 
-def _block_normals(seed: int, block: int, n_steps: int, size: int, n_pairs: int,
-                   antithetic: bool) -> np.ndarray:
-    # counter layout: bits 128+ block, bits 96..127 pair slot, rest stream
-    z = np.empty((n_pairs, n_steps, size))
-    n_draw = size // 2 if antithetic else size
-    for slot in range(n_pairs):
-        bitgen = np.random.Philox(key=seed, counter=(block << 128) | (slot << 96))
-        draw = np.random.Generator(bitgen).standard_normal
-        for m in range(n_steps):  # the slot's stream fills its first n_draw paths step by step
-            draw(out=z[slot, m, :n_draw])
-    if antithetic:
-        np.negative(z[:, :, :n_draw], out=z[:, :, n_draw:])
-    return z
-
-
-def _block_increments(
+def _block_steps(
     steps: _Steps, config: SimulationConfig, block: int, size: int
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
+    """Yield one path block's (n_pairs, size) increments grid step by grid
+    step, in one reused buffer: read each step before asking for the next."""
     n_steps, n_pairs = steps.drift.shape[:2]
-    y = _block_normals(config.seed, block, n_steps, size, n_pairs, config.antithetic)
-    for m in range(n_steps):  # in place: step m's normals become its increments
-        y[:, m, :] = steps.drift[m] + steps.scale[m] * (steps.factors[m] @ y[:, m, :])
-    return y
+    n_draw = size // 2 if config.antithetic else size
+    # counter layout: bits 128+ block, bits 96..127 pair slot, rest stream
+    rngs = [np.random.Generator(np.random.Philox(key=config.seed, counter=(block << 128) | (slot << 96)))
+            for slot in range(n_pairs)]
+    z, y = np.empty((2, n_pairs, size))
+    for m in range(n_steps):
+        for slot, rng in enumerate(rngs):  # each slot's stream continues step by step
+            rng.standard_normal(out=z[slot, :n_draw])
+        if config.antithetic:
+            np.negative(z[:, :n_draw], out=z[:, n_draw:])
+        np.matmul(steps.factors[m], z, out=y)
+        y *= steps.scale[m]
+        y += steps.drift[m]
+        yield y
 
 
 def _run_blocks(
     steps: _Steps,
     config: SimulationConfig,
-    apply: Callable[[int, np.ndarray], object],
+    apply: Callable[[int, int, Iterator[np.ndarray]], object],
     workers: int = 1,
 ) -> list:
-    """``apply(first_path, increments)`` on every path block, on up to
-    ``workers`` threads; the results come back in block order."""
+    """``apply(first_path, size, step_increments)`` on every path block, on
+    up to ``workers`` threads; the results come back in block order."""
 
     def run(block: int) -> object:
         start = block * BLOCK_PATHS
         size = min(BLOCK_PATHS, config.n_paths - start)
-        return apply(start, _block_increments(steps, config, block, size))
+        return apply(start, size, _block_steps(steps, config, block, size))
 
     blocks = range(math.ceil(config.n_paths / BLOCK_PATHS))
     if workers <= 1:
@@ -346,8 +345,9 @@ def simulate_increments(
     steps = _prepare_steps(pairs, vols, corr, config, rates)
     out = np.empty((config.n_paths,) + steps.drift.shape[:2])
 
-    def store(start: int, y: np.ndarray) -> None:
-        out[start:start + y.shape[2]] = y.transpose(2, 1, 0)
+    def store(start: int, size: int, step_increments: Iterator[np.ndarray]) -> None:
+        for m, y in enumerate(step_increments):
+            out[start:start + size, m] = y.T
 
     _run_blocks(steps, config, store)
     return out
@@ -373,21 +373,34 @@ def discount_currency(payoff: PayoffSpec) -> Currency:
     return payoff.payoff_pair.denominating
 
 
-def _monitoring_indices(payoff: BarrierPayoff, grid: tuple[float, ...]) -> np.ndarray:
+def _monitoring_indices(payoff: BarrierPayoff, grid: tuple[float, ...]) -> set[int]:
     if payoff.monitoring is None:
-        return np.arange(len(grid))
-    indices = []
+        return set(range(len(grid)))
+    indices = set()
     for t in payoff.monitoring:
         matches = [m for m, g in enumerate(grid) if abs(g - t) <= _GRID_TOL]
         if not matches:
             raise ValidationError(f"barrier monitoring time {t} is not a grid time")
-        indices.append(matches[0])
-    return np.asarray(indices)
+        indices.add(matches[0])
+    return indices
 
 
-def _summed_steps(rows: np.ndarray) -> np.ndarray:
-    # numpy sums a contiguous (paths, steps) copy pairwise, not left to right
-    return np.ascontiguousarray(rows.T).sum(axis=1)
+def _pairwise_sum(rows: Iterator[np.ndarray], n: int) -> np.ndarray:
+    """Sum the next ``n`` rows in numpy's float64 pairwise order: bit for bit
+    the rows stacked as a contiguous (paths, n) array and summed on axis 1."""
+    if n > 128:  # numpy's block size; the split point is a multiple of 8
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(rows, half) + _pairwise_sum(rows, n - half)
+    total, rest = 0.0, n  # below 8 rows: left to right from 0.0
+    if n >= 8:
+        acc = [next(rows).copy() for _ in range(8)]  # copies: the rows may share one buffer
+        for i in range(8, n - n % 8):
+            acc[i % 8] += next(rows)
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rest = n % 8
+    for _ in range(rest):
+        total += next(rows)  # a new array when total is still 0.0
+    return total
 
 
 def _payoff_evaluator(
@@ -395,15 +408,16 @@ def _payoff_evaluator(
     pairs: tuple[FxPair, ...],
     spots: np.ndarray,
     config: SimulationConfig,
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[int, Iterator[np.ndarray]], np.ndarray]:
     index = {pair: p for p, pair in enumerate(pairs)}
     sign = 1.0 if payoff.kind == "call" else -1.0
+    n_steps = len(config.grid)
 
     if isinstance(payoff, VanillaPayoff):
         p = index[payoff.pair]
 
-        def evaluate(y: np.ndarray) -> np.ndarray:
-            terminal = spots[p] * np.exp(_summed_steps(y[p]))
+        def evaluate(size: int, step_increments: Iterator[np.ndarray]) -> np.ndarray:
+            terminal = spots[p] * np.exp(_pairwise_sum((y[p] for y in step_increments), n_steps))
             return np.maximum(sign * (terminal - payoff.strike), 0.0)
 
         return evaluate
@@ -411,8 +425,11 @@ def _payoff_evaluator(
     if isinstance(payoff, BasketPayoff):
         weights = np.array([payoff.weights[pair] for pair in pairs])
 
-        def evaluate(y: np.ndarray) -> np.ndarray:
-            terminal = spots * np.exp(np.ascontiguousarray(y.sum(axis=1).T))  # (paths, pairs) rows for the matvec
+        def evaluate(size: int, step_increments: Iterator[np.ndarray]) -> np.ndarray:
+            total = np.zeros((len(pairs), size))
+            for y in step_increments:  # left to right: the order the pinned bits depend on
+                total += y
+            terminal = spots * np.exp(np.ascontiguousarray(total.T))  # (paths, pairs) rows for the matvec
             basket = terminal @ weights
             return np.maximum(sign * (basket - payoff.strike), 0.0)
 
@@ -422,21 +439,23 @@ def _payoff_evaluator(
     p_bar = index[payoff.barrier_pair]
     monitor = _monitoring_indices(payoff, config.grid)
     knock_in = payoff.style == "knock-in"
-    up = payoff.direction == "up"
+    beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
 
-    def evaluate(y: np.ndarray) -> np.ndarray:
-        terminal = spots[p_pay] * np.exp(_summed_steps(y[p_pay]))
+    def evaluate(size: int, step_increments: Iterator[np.ndarray]) -> np.ndarray:
+        log_level, watched = np.zeros((2, size))
+        breached = np.zeros(size, dtype=bool)
+
+        def payoff_rows() -> Iterator[np.ndarray]:  # tracks the barrier pair on the way
+            for m, y in enumerate(step_increments):
+                np.add(log_level, y[p_bar], out=log_level)
+                if m in monitor:
+                    np.exp(log_level, out=watched)
+                    np.multiply(watched, spots[p_bar], out=watched)
+                    np.logical_or(breached, beyond(watched, payoff.barrier_level), out=breached)
+                yield y[p_pay]
+
+        terminal = spots[p_pay] * np.exp(_pairwise_sum(payoff_rows(), n_steps))
         vanilla = np.maximum(sign * (terminal - payoff.strike), 0.0)
-        log_path = y[p_bar]
-        for m in range(1, len(log_path)):  # cumulative sum in place, after the terminal
-            log_path[m] += log_path[m - 1]
-        watched = log_path[monitor]
-        np.exp(watched, out=watched)
-        watched *= spots[p_bar]
-        if up:
-            breached = (watched >= payoff.barrier_level).any(axis=0)
-        else:
-            breached = (watched <= payoff.barrier_level).any(axis=0)
         return vanilla * (breached if knock_in else ~breached)
 
     return evaluate
@@ -461,6 +480,8 @@ def price(
     grid as buckets.  Deterministic for fixed (seed, n_paths, grid,
     antithetic), whatever ``workers`` is.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     pairs = _involved_pairs(payoff)
     disc_ccy = discount_currency(payoff)
     horizon = config.horizon
@@ -484,8 +505,8 @@ def price(
     disc_rate = snapshot.average_rate(disc_ccy, horizon)
     df = math.exp(-disc_rate * horizon)
 
-    def block_sums(start: int, y: np.ndarray) -> tuple[float, float, int]:
-        values = evaluate(y)
+    def block_sums(start: int, size: int, step_increments: Iterator[np.ndarray]) -> tuple[float, float, int]:
+        values = evaluate(size, step_increments)
         if config.antithetic:
             half = len(values) // 2
             values = 0.5 * (values[:half] + values[half:])

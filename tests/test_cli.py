@@ -261,6 +261,16 @@ class TestPrice:
         assert code == 1
         assert "unknown payoff type" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_1(self, capsys, tmp_path, snapshot_path, workers):
+        payoff = self.vanilla_payoff_path(tmp_path)
+        code, out, err = run(capsys, [
+            "price", snapshot_path, payoff, "--grid", "1.0", "--paths", "100", "--workers", workers,
+        ])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "workers" in err
+
 
 class TestBootstrap:
     def test_flat_structure(self, capsys, snapshot_path):

@@ -28,7 +28,7 @@ from fxcorr import (
     simulate_increments,
     total_variance,
 )
-from fxcorr.montecarlo import BLOCK_PATHS
+from fxcorr.montecarlo import BLOCK_PATHS, _pairwise_sum
 
 EURUSD = FxPair.parse("EUR/USD")
 EURJPY = FxPair.parse("EUR/JPY")
@@ -169,6 +169,12 @@ class TestPriceVanilla:
             price(payoff, three_ccy_snapshot, config, workers=w) for w in (1, 2, 8)
         ]
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, three_ccy_snapshot, workers):
+        config = SimulationConfig(100, 31, (1.0,))
+        with pytest.raises(ValidationError, match="workers"):
+            price(VanillaPayoff(EURUSD, 1.3, "put"), three_ccy_snapshot, config, workers=workers)
 
     def test_antithetic_agrees_with_plain_estimator(self, three_ccy_snapshot):
         payoff = VanillaPayoff(EURUSD, 1.25, "call")
@@ -366,18 +372,18 @@ PINNED_PAYOFFS = {
 }
 
 
-def pinned_increments_digest(snapshot, n_paths, antithetic):
+def pinned_increments_digest(snapshot, n_paths, antithetic, grid=PINNED_GRID):
     # the consistent triangle is singular, so the eigen factor is used
     pairs = [EURJPY, EURUSD, USDJPY]
-    corr = build_matrix(pairs, snapshot, PINNED_GRID)
-    config = SimulationConfig(n_paths, 97, PINNED_GRID, antithetic)
+    corr = build_matrix(pairs, snapshot, grid)
+    config = SimulationConfig(n_paths, 97, grid, antithetic)
     vols = {p: flat_vol(0.2) for p in pairs}
     y = simulate_increments(pairs, vols, corr, config, rates=snapshot.rates)
     return hashlib.sha256(y.tobytes()).hexdigest()
 
 
-def pinned_price(snapshot, payoff, n_paths, antithetic, workers):
-    config = SimulationConfig(n_paths, 101, PINNED_GRID, antithetic)
+def pinned_price(snapshot, payoff, n_paths, antithetic, workers, grid=PINNED_GRID):
+    config = SimulationConfig(n_paths, 101, grid, antithetic)
     result = price(payoff, snapshot, config, workers=workers)
     return result.price.hex(), result.standard_error.hex()
 
@@ -430,6 +436,34 @@ class TestBitsArePinned:
         assert got == self.PRICES[name, n_paths, antithetic]
 
 
+class TestLongGridBitsArePinned:
+    """260 steps: above 128 terms numpy's pairwise sum splits the steps in
+    halves, which the streamed terminal sum must reproduce bit for bit."""
+
+    GRID = tuple(k / 260 for k in range(1, 261))
+    INCREMENTS = "d23d7b8b4480b3e61d38563c131cb96f43191b600e30d0349060f3e0329d5d65"
+    PRICES = {
+        ("down-in-cross", False): ("0x1.212b5eadcc8b7p-5", "0x1.40804133ff2b7p-11"),
+        ("down-in-cross", True): ("0x1.1bd67517b340bp-5", "0x1.20256b5e62029p-11"),
+        ("up-out-own-pair", False): ("0x1.ea7bc7d795e3bp-7", "0x1.2f9c1504d163dp-12"),
+        ("up-out-own-pair", True): ("0x1.e9f82f490e9c6p-7", "0x1.171da4511310fp-12"),
+        ("vanilla", False): ("0x1.734bc7ca2edd8p-4", "0x1.1e7d958c24c5cp-10"),
+        ("vanilla", True): ("0x1.71da0e9c374c4p-4", "0x1.d4475bcf1d31dp-11"),
+    }
+
+    def test_increments(self, three_ccy_snapshot):
+        digest = pinned_increments_digest(three_ccy_snapshot, 5_000, True, self.GRID)
+        assert digest == self.INCREMENTS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", ["down-in-cross", "up-out-own-pair", "vanilla"])
+    def test_price(self, three_ccy_snapshot, name, antithetic, workers):
+        payoff = PINNED_PAYOFFS[name]
+        got = pinned_price(three_ccy_snapshot, payoff, 20_000, antithetic, workers, self.GRID)
+        assert got == self.PRICES[name, antithetic]
+
+
 class TestBlockMemory:
     """``price`` holds about one block of increments per worker; a second
     block-sized array shows as a peak above 2 blocks."""
@@ -453,3 +487,40 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * block_bytes
+
+
+class TestStepMemory:
+    """``price`` streams a block one grid step at a time: its peak is a
+    fraction of one 52-step block and does not grow with the step count."""
+
+    PAYOFFS = TestBlockMemory.PAYOFFS
+
+    @pytest.mark.parametrize("n_steps", [52, 260])
+    @pytest.mark.parametrize("name", sorted(PAYOFFS))
+    def test_peak_does_not_grow_with_steps(self, three_ccy_snapshot, name, n_steps):
+        grid = tuple(k / n_steps for k in range(1, n_steps + 1))
+        config = SimulationConfig(BLOCK_PATHS, 103, grid, name == "basket")
+        block_bytes = 2 * 52 * BLOCK_PATHS * 8  # two pairs, 52 steps
+        tracemalloc.start()
+        try:
+            price(self.PAYOFFS[name], three_ccy_snapshot, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * block_bytes
+
+
+class TestPairwiseSum:
+    def test_matches_numpy_row_sum_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 301):
+            rows = rng.standard_normal((n, 37)) * rng.uniform(1e-3, 1e3, (n, 1))
+            buffer = np.empty(37)
+
+            def stream():  # one reused buffer, as the step stream yields it
+                for row in rows:
+                    buffer[:] = row
+                    yield buffer
+
+            expected = np.ascontiguousarray(rows.T).sum(axis=1)
+            assert _pairwise_sum(stream(), n).tobytes() == expected.tobytes(), n
