@@ -31,7 +31,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .market_data import Currency, FxPair, MarketSnapshot, canonicalize
+from .market_data import FxPair, MarketSnapshot, canonicalize
 from .term_structure import PiecewiseConstant, horizon_vol
 
 RANGE_SNAP = 1e-12
@@ -53,8 +53,8 @@ class CorrQuery:
 
     def __post_init__(self):
         start, end = self.horizon
-        if not 0 <= start < end:
-            raise ValidationError(f"horizon must satisfy 0 <= start < end, got {self.horizon}")
+        if not 0 <= start < end < math.inf:
+            raise ValidationError(f"horizon must be finite with 0 <= start < end, got {self.horizon}")
 
     @classmethod
     def total(cls, pair_a: FxPair, pair_b: FxPair, maturity: float) -> "CorrQuery":
@@ -174,16 +174,46 @@ def cross_corr(
     )[0]
 
 
-def _vol_between(snapshot: MarketSnapshot, a: Currency, b: Currency, start: float, end: float) -> float:
-    if a == b:
-        return 0.0
+def _vol_between(snapshot: MarketSnapshot, a: str, b: str, start: float, end: float):
+    """Term structure of X_{a/b} by currency code, or None when a == b (zero vol)."""
     try:
-        ts = snapshot.vol_structure(FxPair(a, b))
+        return None if a == b else snapshot._vol_by_code(a, b)
     except MissingDataError as exc:
-        raise MissingDataError(
-            f"no vol term structure for pair {a}/{b} (needed over ({start}, {end}])"
-        ) from exc
-    return horizon_vol(ts, start, end)
+        raise MissingDataError(f"{exc} (needed over ({start}, {end}])") from exc
+
+
+def _plan(query: CorrQuery, snapshot: MarketSnapshot, start: float, end: float) -> tuple[str, tuple]:
+    """A query's formula and its vols as (role, "a/b" label, term structure
+    or None), looked up once for every horizon.  Lookups run in role order,
+    so the first missing vol is the one reported, needed over (start, end]."""
+    i, j = query.pair_a.denominating.code, query.pair_a.foreign.code
+    m, k = query.pair_b.denominating.code, query.pair_b.foreign.code
+    if (m, k) == (i, j) or (m, k) == (j, i):
+        return "degenerate", ()
+    if m == i:
+        formula, roles = "triangle", (("sigma_ik", i, k), ("sigma_ij", i, j), ("sigma_jk", j, k))
+    else:
+        formula, roles = "cross", (("sigma_ij", i, j), ("sigma_mk", m, k), ("sigma_ik", i, k),
+                                   ("sigma_mj", m, j), ("sigma_jk", j, k), ("sigma_im", i, m))
+    return formula, tuple(
+        (role, f"{a}/{b}", _vol_between(snapshot, a, b, start, end)) for role, a, b in roles
+    )
+
+
+def _evaluate(query: CorrQuery, formula: str, plan, start: float, end: float, clamp: bool) -> CorrResult:
+    """A planned query's correlation over (start, end]."""
+    label_a, label_b = query.pair_a.label, query.pair_b.label
+    if formula == "degenerate":
+        value = 1.0 if query.pair_a == query.pair_b else -1.0
+        return CorrResult(value, CorrProvenance(formula, label_a, label_b, start, end))
+    used = tuple(VolUsed(role, label, start, end, 0.0 if ts is None else horizon_vol(ts, start, end))
+                 for role, label, ts in plan)
+    sigma = [u.sigma for u in used]
+    if formula == "triangle":  # the case s_mk = s_ik, s_mj = s_ij, s_im = 0
+        s_ik, s_ij, s_jk = sigma
+        sigma = (s_ij, s_ik, s_ik, s_ij, s_jk, 0.0)
+    value, clamped = _kernel(*sigma, clamp, f"{label_a} vs {label_b} over ({start}, {end}]")
+    return CorrResult(value, CorrProvenance(formula, label_a, label_b, start, end, used, clamped))
 
 
 def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = False) -> CorrResult:
@@ -191,38 +221,8 @@ def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = Fa
     oriented in the query, with a provenance record listing every vol that
     fed the formula (3 for a triangle, 6 for a cross query).
     """
-    i, j = query.pair_a.denominating, query.pair_a.foreign
-    m, k = query.pair_b.denominating, query.pair_b.foreign
     start, end = query.horizon
-    if query.pair_a == query.pair_b or query.pair_a == query.pair_b.inverse():
-        value = 1.0 if query.pair_a == query.pair_b else -1.0
-        prov = CorrProvenance(
-            "degenerate", query.pair_a.label, query.pair_b.label, start, end
-        )
-        return CorrResult(value, prov)
-
-    formula = "triangle" if m == i else "cross"
-    if formula == "triangle":
-        roles = (("sigma_ik", i, k), ("sigma_ij", i, j), ("sigma_jk", j, k))
-    else:
-        roles = (("sigma_ij", i, j), ("sigma_mk", m, k), ("sigma_ik", i, k),
-                 ("sigma_mj", m, j), ("sigma_jk", j, k), ("sigma_im", i, m))
-    # looked up in role order, so the first missing vol is the one reported
-    used = tuple(
-        VolUsed(role, f"{a}/{b}", start, end, _vol_between(snapshot, a, b, start, end))
-        for role, a, b in roles
-    )
-    sigma = [u.sigma for u in used]
-    if formula == "triangle":  # the case s_mk = s_ik, s_mj = s_ij, s_im = 0
-        s_ik, s_ij, s_jk = sigma
-        sigma = (s_ij, s_ik, s_ik, s_ij, s_jk, 0.0)
-    value, clamped = _kernel(
-        *sigma, clamp, f"{query.pair_a} vs {query.pair_b} over ({start}, {end}]"
-    )
-    prov = CorrProvenance(
-        formula, query.pair_a.label, query.pair_b.label, start, end, used, clamped
-    )
-    return CorrResult(value, prov)
+    return _evaluate(query, *_plan(query, snapshot, start, end), start, end, clamp)
 
 
 def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
@@ -230,6 +230,8 @@ def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
     points = sorted(set(float(b) for b in buckets))
     if not points:
         raise ValidationError("need at least one bucket boundary")
+    if not all(map(math.isfinite, points)):
+        raise ValidationError(f"bucket boundaries must be finite, got {points}")
     if points[0] < 0:
         raise ValidationError(f"bucket boundaries must be >= 0, got {points[0]}")
     if points[0] != 0.0:
@@ -254,9 +256,10 @@ def bucket_corrs(
     breakpoints = normalize_breakpoints(buckets)
     results = []
     for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
-        bucket_query = CorrQuery(query.pair_a, query.pair_b, (left, right))
         try:
-            results.append(implied_corr(bucket_query, snapshot, clamp=clamp))
+            if n == 0:  # one plan serves every bucket, so a missing vol fails bucket 0
+                formula, plan = _plan(query, snapshot, left, right)
+            results.append(_evaluate(query, formula, plan, left, right, clamp))
         except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
             raise type(exc)(f"bucket {n} ({left}, {right}]: {exc}") from exc
     return results
@@ -270,8 +273,8 @@ def term_corr(
     clamp: bool = False,
 ) -> PiecewiseConstant:
     """Per-bucket implied correlations as a step function (see bucket_corrs)."""
-    breakpoints = normalize_breakpoints(buckets)
-    results = bucket_corrs(query, snapshot, breakpoints, clamp=clamp)
+    results = bucket_corrs(query, snapshot, buckets, clamp=clamp)
+    breakpoints = (results[0].provenance.start,) + tuple(r.provenance.end for r in results)
     return PiecewiseConstant(breakpoints, tuple(r.value for r in results))
 
 
@@ -355,7 +358,8 @@ def _bucket_matrix(
     s = np.zeros((len(currencies), len(currencies)))
     for a, b in combinations(range(len(currencies)), 2):
         try:
-            s[a, b] = s[b, a] = _vol_between(snapshot, currencies[a], currencies[b], left, right)
+            ts = _vol_between(snapshot, currencies[a].code, currencies[b].code, left, right)
+            s[a, b] = s[b, a] = horizon_vol(ts, left, right)
         except FxCorrError:  # NaN here; raised again by the first entry using it
             s[a, b] = s[b, a] = math.nan
 

@@ -166,14 +166,6 @@ class VolTermStructure:
     def maturities(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.points)
 
-    @property
-    def vols(self) -> tuple[float, ...]:
-        return tuple(s for _, s in self.points)
-
-    @property
-    def last_maturity(self) -> float:
-        return self.points[-1][0]
-
     def total_variance(self, maturity: float) -> float:
         """Total variance sigma^2(0,T)*T at any T > 0.
 
@@ -318,6 +310,11 @@ class MarketSnapshot:
 
         self._spots = MappingProxyType(canon_spots)
         self._vols = MappingProxyType(canon_vols)
+        # the one vol lookup: (code, code) in both orientations, built once
+        self._vol_index: dict[tuple[str, str], VolTermStructure] = {}
+        for pair, ts in canon_vols.items():
+            a, b = pair.denominating.code, pair.foreign.code
+            self._vol_index[a, b] = self._vol_index[b, a] = ts
         self._rates = MappingProxyType(dict(rates))
         self.as_of = as_of
 
@@ -347,14 +344,17 @@ class MarketSnapshot:
         return 1.0 / value if flipped else value
 
     def has_vol(self, pair: FxPair) -> bool:
-        return canonicalize(pair)[0] in self._vols
+        return (pair.denominating.code, pair.foreign.code) in self._vol_index
 
     def vol_structure(self, pair: FxPair) -> VolTermStructure:
         """Vol term structure for a pair in either orientation (vols are invariant)."""
-        cpair, _ = canonicalize(pair)
-        if cpair not in self._vols:
-            raise MissingDataError(f"no vol term structure for pair {pair}")
-        return self._vols[cpair]
+        return self._vol_by_code(pair.denominating.code, pair.foreign.code)
+
+    def _vol_by_code(self, a: str, b: str) -> VolTermStructure:
+        ts = self._vol_index.get((a, b))
+        if ts is None:
+            raise MissingDataError(f"no vol term structure for pair {a}/{b}")
+        return ts
 
     def rate_curve(self, currency: Currency) -> RateCurve:
         if currency not in self._rates:

@@ -50,10 +50,10 @@ class VanillaSpec:
     kind: OptionKind
 
     def __post_init__(self):
-        if not self.strike > 0:
-            raise ValidationError(f"strike must be positive, got {self.strike}")
-        if not self.maturity > 0:
-            raise ValidationError(f"maturity must be positive, got {self.maturity}")
+        if not 0 < self.strike < math.inf:
+            raise ValidationError(f"strike must be positive and finite, got {self.strike}")
+        if not 0 < self.maturity < math.inf:
+            raise ValidationError(f"maturity must be positive and finite, got {self.maturity}")
         if self.kind not in ("call", "put"):
             raise ValidationError(f"kind must be 'call' or 'put', got {self.kind!r}")
 
@@ -68,10 +68,12 @@ class PricingInputs:
     sigma: float
 
     def __post_init__(self):
-        if not self.spot > 0:
-            raise ValidationError(f"spot must be positive, got {self.spot}")
-        if self.sigma < 0:
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 < self.spot < math.inf:
+            raise ValidationError(f"spot must be positive and finite, got {self.spot}")
+        if not (math.isfinite(self.rate_dom) and math.isfinite(self.rate_fgn)):
+            raise ValidationError(f"rates must be finite, got {self.rate_dom} and {self.rate_fgn}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def forward(spot: float, rate_dom: float, rate_fgn: float, maturity: float) -> float:
@@ -85,24 +87,30 @@ def forward(spot: float, rate_dom: float, rate_fgn: float, maturity: float) -> f
 
 def gk_price(spec: VanillaSpec, inputs: PricingInputs) -> float:
     """Vanilla price in units of the denominating currency."""
-    return _price_with_vega(spec, inputs)[0]
+    return _price_with_vega(spec, _terms(spec, inputs), inputs.sigma)[0]
 
 
 def gk_vega(spec: VanillaSpec, inputs: PricingInputs) -> float:
     """Sensitivity of the price to sigma (same for calls and puts)."""
-    return _price_with_vega(spec, inputs)[1]
+    return _price_with_vega(spec, _terms(spec, inputs), inputs.sigma)[1]
 
 
-def _price_with_vega(spec: VanillaSpec, inputs: PricingInputs) -> tuple[float, float]:
+def _terms(spec: VanillaSpec, inputs: PricingInputs) -> tuple[float, ...]:
+    """The sigma-free terms of the formula: F, exp(-r_d T), sqrt(T), ln(F/K)."""
     t = spec.maturity
     fwd = forward(inputs.spot, inputs.rate_dom, inputs.rate_fgn, t)
-    df = math.exp(-inputs.rate_dom * t)
-    if inputs.sigma == 0.0:
+    ratio = fwd / spec.strike  # 0 only when it underflows; ln(F/K) then tends to -inf
+    log_fk = math.log(ratio) if ratio > 0.0 else -math.inf
+    return fwd, math.exp(-inputs.rate_dom * t), math.sqrt(t), log_fk
+
+
+def _price_with_vega(spec: VanillaSpec, terms: tuple[float, ...], sigma: float) -> tuple[float, float]:
+    fwd, df, sqrt_t, log_fk = terms
+    if sigma == 0.0:
         intrinsic = fwd - spec.strike if spec.kind == "call" else spec.strike - fwd
         return df * max(intrinsic, 0.0), 0.0
-    sqrt_t = math.sqrt(t)
-    vol_sqrt_t = inputs.sigma * sqrt_t
-    d1 = (math.log(fwd / spec.strike) + 0.5 * inputs.sigma * inputs.sigma * t) / vol_sqrt_t
+    vol_sqrt_t = sigma * sqrt_t
+    d1 = (log_fk + 0.5 * sigma * sigma * spec.maturity) / vol_sqrt_t
     d2 = d1 - vol_sqrt_t
     if spec.kind == "call":
         price = df * (fwd * norm_cdf(d1) - spec.strike * norm_cdf(d2))
@@ -136,6 +144,9 @@ def implied_vol(
     to 10.0.  Converges when the remaining price error pins sigma within
     VOL_TOL, or the bracket itself shrinks below VOL_TOL.
     """
+    if not math.isfinite(market_price):
+        raise ValidationError(f"market price must be finite, got {market_price}")
+    market = PricingInputs(spot, rate_dom, rate_fgn, 0.0)  # checks that spot and rates are finite
     lower, upper = no_arb_bounds(spec, spot, rate_dom, rate_fgn)
     if market_price <= lower:
         raise NoImpliedVolError(
@@ -148,10 +159,10 @@ def implied_vol(
             reason="above_cap",
         )
 
+    terms = _terms(spec, market)
+
     def value(sigma: float) -> tuple[float, float]:
-        price, vega = _price_with_vega(
-            spec, PricingInputs(spot, rate_dom, rate_fgn, sigma)
-        )
+        price, vega = _price_with_vega(spec, terms, sigma)
         return price - market_price, vega
 
     lo, hi = _BRACKET_LO, _BRACKET_HI

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -385,3 +386,25 @@ class TestUndecodableFile:
         assert code == 1
         assert out == ""
         assert err.startswith("error: invalid JSON") and "Traceback" not in err
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("flag,value", [
+        ("--price", "nan"), ("--price", "inf"), ("--maturity", "inf"), ("--strike", "inf"),
+    ])
+    def test_implied_vol_is_an_error_line(self, capsys, tmp_path, flag, value):
+        path = write(tmp_path, "snap.json", oracle_doc())
+        args = {"--strike": "1.25", "--maturity": "1.0", "--price": "0.06", flag: value}
+        argv = ["implied-vol", path, "--pair", "EUR/USD", "--kind", "call"]
+        code, out, err = run(capsys, argv + [x for item in args.items() for x in item])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("horizon", [["--maturity", "inf"], ["--buckets", "0.5,inf"]])
+    def test_corr_is_an_error_line_without_warnings(self, capsys, snapshot_path, horizon):
+        argv = ["corr", snapshot_path, "--pair-a", "EUR/USD", "--pair-b", "EUR/JPY"] + horizon
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv)
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error:") and "finite" in err

@@ -523,3 +523,18 @@ class TestMatrixMatchesQueries:
         want = reference_matrix(pairs, snap, (0.0, 0.5, 1.0, 2.0), False)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+class TestNonFiniteHorizons:
+    @pytest.mark.parametrize("end", [math.inf, math.nan])
+    def test_query_rejects_non_finite_end(self, end):
+        with pytest.raises(ValidationError, match="horizon"):
+            CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), end)
+
+    @pytest.mark.parametrize("buckets", [[1.0, math.inf], [math.nan, 1.0], [0.5, math.nan]])
+    def test_buckets_reject_non_finite_boundary(self, three_ccy_snapshot, buckets):
+        query = CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                term_corr(query, three_ccy_snapshot, buckets)

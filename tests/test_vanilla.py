@@ -189,3 +189,40 @@ class TestImpliedVol:
             recovered = implied_vol(spec, price, spot, rd, rf)
             assert abs(recovered - sigma) <= 1e-10, (sigma, spec)
             done += 1
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["strike", "maturity"])
+    def test_spec_rejects(self, field, bad):
+        args = {"strike": 1.25, "maturity": 1.0, field: bad}
+        with pytest.raises(ValidationError, match=field):
+            VanillaSpec(PAIR, args["strike"], args["maturity"], "call")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["spot", "rate_dom", "rate_fgn", "sigma"])
+    def test_pricing_inputs_reject(self, field, bad):
+        args = {"spot": 1.25, "rate_dom": 0.03, "rate_fgn": 0.01, "sigma": 0.1, field: bad}
+        with pytest.raises(ValidationError):
+            PricingInputs(**args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_implied_vol_rejects(self, slot, bad):
+        # market price, spot, rate_dom, rate_fgn
+        args = [0.06, 1.25, 0.03, 0.01]
+        args[slot] = bad
+        with pytest.raises(ValidationError):
+            implied_vol(VanillaSpec(PAIR, 1.25, 1.0, "call"), *args)
+
+
+class TestUnderflowingForward:
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_prices_at_the_limit(self, sigma):
+        # F = 1e-300 * exp(-100) underflows to 0: the call is worthless and
+        # the put pays the discounted strike, rather than ln(0) raising
+        spot, rd, t = 1e-300, -10.0, 10.0
+        inputs = PricingInputs(spot, rd, 0.0, sigma)
+        assert forward(spot, rd, 0.0, t) == 0.0
+        assert gk_price(VanillaSpec(PAIR, 1.0, t, "call"), inputs) == 0.0
+        assert gk_price(VanillaSpec(PAIR, 1.0, t, "put"), inputs) == math.exp(-rd * t)
