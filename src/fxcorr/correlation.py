@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .market_data import FxPair, MarketSnapshot, canonicalize
-from .term_structure import PiecewiseConstant, horizon_vol
+from .term_structure import PiecewiseConstant, _check_bucket_widths, horizon_vol
 
 RANGE_SNAP = 1e-12
 PSD_TOL = 1e-10
@@ -238,6 +238,7 @@ def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
         points.insert(0, 0.0)
     if len(points) < 2:
         raise ValidationError("need at least one bucket past 0")
+    _check_bucket_widths(points)
     return tuple(points)
 
 

@@ -8,6 +8,13 @@ with per-step constant vols and correlation factor L, so the stepping is
 exact in the marginals (no discretization bias).  Rates enter as exact
 integrated-rate differences over the step.
 
+A basket reads only X(T), and the sum of a grid's steps is one Gaussian
+step with drift sum_m drift_m and covariance sum_m D_m C_m D_m, where
+D_m = diag(sigma_m sqrt(dt_m)) and C_m is step m's correlation.  So
+``price`` draws a basket in that one step; its grid still sets the
+maturity and the breakpoint checks.  Vanillas and barriers are stepped on
+the grid, which keeps an unreachable barrier equal to the vanilla.
+
 Determinism: paths are partitioned into fixed-size blocks and every
 (block, pair-slot) draws its own segment of a counter-based generator
 keyed by the seed, so path p is identical no matter how blocks are
@@ -196,7 +203,7 @@ def _require_grid_covers(grid: tuple[float, ...], breakpoints: Sequence[float], 
             raise ValidationError(f"grid must include breakpoint {b} of {what}")
 
 
-def _factor_matrix(matrix: np.ndarray, bucket: int) -> np.ndarray:
+def _factor_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
     # Cholesky when strictly PD; eigenvalue factor for PSD-but-singular
     # matrices (consistent triangles are structurally rank-deficient).
     try:
@@ -205,7 +212,7 @@ def _factor_matrix(matrix: np.ndarray, bucket: int) -> np.ndarray:
         eigvals, eigvecs = np.linalg.eigh(matrix)
         if eigvals[0] < -PSD_TOL:
             raise FactorizationError(
-                f"correlation matrix for bucket {bucket} is indefinite "
+                f"correlation matrix for {what} is indefinite "
                 f"(min eigenvalue {eigvals[0]:.3g}); repair it before simulating"
             ) from None
         return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
@@ -226,7 +233,14 @@ def _prepare_steps(
     for pair in pairs:
         if pair not in vols:
             raise MissingDataError(f"no vol structure supplied for pair {pair}")
-        _require_grid_covers(config.grid, vols[pair].breakpoints, f"vols of {pair}")
+        structure = vols[pair]
+        _require_grid_covers(config.grid, structure.breakpoints, f"vols of {pair}")
+        for n, s in enumerate(structure.values):
+            if not 0.0 <= s < math.inf:
+                left, right = structure.breakpoints[n:n + 2]
+                raise ValidationError(
+                    f"vol of {pair} on bucket {n} ({left}, {right}] must be finite and >= 0, got {s}"
+                )
     if corr is not None:
         _require_grid_covers(config.grid, corr.breakpoints, "the correlation matrix")
 
@@ -276,7 +290,7 @@ def _prepare_steps(
                     )
                 sub = corr.matrices[bucket][np.ix_(indices, indices)]
                 oriented = sub * np.outer(signs, signs)
-                bucket_factors[bucket] = _factor_matrix(oriented, bucket)
+                bucket_factors[bucket] = _factor_matrix(oriented, f"bucket {bucket}")
             factor_list.append(bucket_factors[bucket])
         factors = tuple(factor_list)
 
@@ -285,6 +299,21 @@ def _prepare_steps(
 
 def _integrated(curve: RateCurve, t: float) -> float:
     return curve.integrated(t) if t > 0 else 0.0
+
+
+def _terminal_steps(steps: _Steps) -> _Steps:
+    """The grid's steps as one step with the same terminal law, for payoffs
+    that read only X(T): drift sum_m drift_m and covariance
+    sum_m D_m C_m D_m, where D_m = diag(sigma_m sqrt(dt_m))."""
+    if len(steps.factors) == 1:
+        return steps
+    covariance = sum(root @ root.T for root in (s * f for s, f in zip(steps.scale, steps.factors)))
+    scale = np.sqrt(np.diag(covariance))
+    inverse = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)  # zero-vol legs
+    correlation = covariance * np.outer(inverse, inverse)
+    np.fill_diagonal(correlation, 1.0)
+    factor = _factor_matrix(correlation, "the summed grid steps")
+    return _Steps(scale[None, :, None], steps.drift.sum(axis=0, keepdims=True), (factor,))
 
 
 def _block_steps(
@@ -477,7 +506,10 @@ def price(
     Maturity is the last grid time.  When ``vols``/``corr`` are not given
     they are derived from the snapshot: per-step forward vols on the grid,
     and the implied correlation matrix across the payoff's pairs with the
-    grid as buckets.  Deterministic for fixed (seed, n_paths, grid,
+    grid as buckets.  ``vols`` must be finite and non-negative.  A basket
+    draws one terminal step from the grid's summed drift and covariance;
+    its grid sets the maturity and must cover every breakpoint, as for
+    the other payoffs.  Deterministic for fixed (seed, n_paths, grid,
     antithetic), whatever ``workers`` is.
     """
     if workers < 1:
@@ -499,6 +531,8 @@ def price(
         corr = build_matrix(pairs, snapshot, config.grid, repair=repair, clamp=clamp)
 
     steps = _prepare_steps(pairs, vols, corr, config, snapshot.rates)
+    if isinstance(payoff, BasketPayoff):
+        steps = _terminal_steps(steps)
     spots = np.array([snapshot.spot(pair) for pair in pairs])
     evaluate = _payoff_evaluator(payoff, pairs, spots, config)
 

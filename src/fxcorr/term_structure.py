@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -25,6 +26,13 @@ from .errors import (
 from .market_data import VolTermStructure
 
 MIN_BUCKET_WIDTH = 1e-12
+
+
+def _check_bucket_widths(breakpoints: Sequence[float]) -> None:
+    for n in range(1, len(breakpoints)):
+        width = breakpoints[n] - breakpoints[n - 1]
+        if width < MIN_BUCKET_WIDTH:
+            raise ValidationError(f"bucket {n - 1} has width {width:.3g} < {MIN_BUCKET_WIDTH}")
 
 
 @dataclass(frozen=True)
@@ -39,12 +47,7 @@ class PiecewiseConstant:
             raise ValidationError("need at least one bucket")
         if self.breakpoints[0] != 0.0:
             raise ValidationError(f"breakpoints must start at 0, got {self.breakpoints[0]}")
-        for n in range(1, len(self.breakpoints)):
-            width = self.breakpoints[n] - self.breakpoints[n - 1]
-            if width < MIN_BUCKET_WIDTH:
-                raise ValidationError(
-                    f"bucket {n - 1} has width {width:.3g} < {MIN_BUCKET_WIDTH}"
-                )
+        _check_bucket_widths(self.breakpoints)
         if len(self.values) != len(self.breakpoints) - 1:
             raise ValidationError(
                 f"{len(self.breakpoints) - 1} buckets need {len(self.breakpoints) - 1} values, "

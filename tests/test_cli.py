@@ -408,3 +408,12 @@ class TestNonFiniteArguments:
             code, out, err = run(capsys, argv)
         assert (code, out, caught) == (1, "", [])
         assert err.startswith("error:") and "finite" in err
+
+
+class TestHairlineBuckets:
+    def test_corr_buckets_is_an_error_line(self, capsys, snapshot_path):
+        argv = ["corr", snapshot_path, "--pair-a", "EUR/USD", "--pair-b", "EUR/JPY",
+                "--buckets", "1e-13,1.0"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "width" in err and "Traceback" not in err

@@ -15,6 +15,7 @@ from fxcorr import (
     UndefinedCorrelationError,
     ValidationError,
     bootstrap_piecewise_vol,
+    bucket_corrs,
     build_matrix,
     canonicalize,
     cross_corr,
@@ -25,6 +26,8 @@ from fxcorr import (
     term_corr,
     triangle_corr,
 )
+
+from fxcorr.term_structure import MIN_BUCKET_WIDTH
 
 from conftest import snapshot_doc
 from oracles import DriverWorld
@@ -538,3 +541,24 @@ class TestNonFiniteHorizons:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="finite"):
                 term_corr(query, three_ccy_snapshot, buckets)
+
+
+class TestHairlineBuckets:
+    """A bucket narrower than MIN_BUCKET_WIDTH is rejected by every entry
+    point that takes bucket boundaries, with the same message."""
+
+    @pytest.mark.parametrize("buckets", [(1e-13, 1.0), (0.5, 0.5 + 1e-13, 1.0)])
+    @pytest.mark.parametrize("entry", [bucket_corrs, term_corr])
+    def test_rejected(self, three_ccy_snapshot, entry, buckets):
+        query = CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0)
+        with pytest.raises(ValidationError, match=r"has width .* < 1e-12"):
+            entry(query, three_ccy_snapshot, buckets)
+
+    def test_matrix_rejects_hairline_bucket(self, three_ccy_snapshot):
+        with pytest.raises(ValidationError, match=r"bucket 0 has width"):
+            build_matrix([pair("EUR/USD"), pair("EUR/JPY")], three_ccy_snapshot, (1e-13, 1.0))
+
+    def test_min_width_accepted(self, three_ccy_snapshot):
+        query = CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0)
+        results = bucket_corrs(query, three_ccy_snapshot, (MIN_BUCKET_WIDTH, 1.0))
+        assert len(results) == 2

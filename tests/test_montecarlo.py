@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fxcorr import (
     VanillaPayoff,
     VanillaSpec,
     build_matrix,
+    canonicalize,
     gk_price,
     payoff_from_dict,
     payoff_to_dict,
@@ -28,7 +30,7 @@ from fxcorr import (
     simulate_increments,
     total_variance,
 )
-from fxcorr.montecarlo import BLOCK_PATHS, _pairwise_sum
+from fxcorr.montecarlo import BLOCK_PATHS, _pairwise_sum, _prepare_steps, _terminal_steps
 
 EURUSD = FxPair.parse("EUR/USD")
 EURJPY = FxPair.parse("EUR/JPY")
@@ -221,6 +223,117 @@ class TestPriceBasket:
             BasketPayoff({EURUSD: 1.0, USDJPY: 1.0}, 1.0, "call")
 
 
+# 12 monthly steps with breakpoints inside the grid: vols at 0.25 and 0.5,
+# correlation at 0.5, with a sign change between the two buckets
+MONTHLY = tuple(k / 12 for k in range(1, 13))
+PIECEWISE_VOLS = {
+    EURJPY: PiecewiseConstant((0.0, 0.25, 0.5, 1.0), (0.12, 0.18, 0.25)),
+    EURUSD: PiecewiseConstant((0.0, 0.5, 1.0), (0.3, 0.1)),
+    USDJPY: PiecewiseConstant((0.0, 0.25, 1.0), (0.15, 0.22)),
+}
+TWO_BUCKET_CORR = BucketedCorrelationMatrix(
+    ("EUR/JPY", "EUR/USD", "JPY/USD"),
+    (0.0, 0.5, 1.0),
+    (np.array([[1.0, 0.6, 0.3], [0.6, 1.0, -0.2], [0.3, -0.2, 1.0]]),
+     np.array([[1.0, -0.4, 0.5], [-0.4, 1.0, 0.1], [0.5, 0.1, 1.0]])),
+    (BucketStatus("psd", 0.2), BucketStatus("psd", 0.2)),
+)
+
+
+class TestTerminalStep:
+    """A basket reads only X(T), so ``price`` draws it in one step with the
+    grid's summed drift and covariance."""
+
+    def test_covariance_is_the_integrated_covariance(self, three_ccy_snapshot):
+        pairs = (EURJPY, EURUSD, USDJPY)
+        config = SimulationConfig(10, 1, MONTHLY)
+        steps = _prepare_steps(pairs, PIECEWISE_VOLS, TWO_BUCKET_CORR, config, three_ccy_snapshot.rates)
+        one = _terminal_steps(steps)
+        scale, factor = one.scale[0, :, 0], one.factors[0]
+        got = scale[:, None] * (factor @ factor.T) * scale[None, :]
+        signs = np.array([-1.0 if canonicalize(p)[1] else 1.0 for p in pairs])
+        expected = np.zeros((3, 3))
+        for left, right in zip((0.0,) + MONTHLY, MONTHLY):
+            mid = 0.5 * (left + right)
+            d = np.array([PIECEWISE_VOLS[p].value_at(mid) for p in pairs]) * math.sqrt(right - left)
+            c = TWO_BUCKET_CORR.matrices[TWO_BUCKET_CORR.bucket_index(mid)] * np.outer(signs, signs)
+            expected += d[:, None] * c * d[None, :]
+        assert signs[2] == -1.0  # USD/JPY is held as JPY/USD
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+        assert one.drift.shape == (1, 3, 1)
+        np.testing.assert_allclose(one.drift[0, :, 0], steps.drift.sum(axis=0)[:, 0], rtol=1e-14)
+
+    def test_one_step_grid_is_kept(self, three_ccy_snapshot):
+        config = SimulationConfig(10, 1, (1.0,))
+        vols = {p: flat_vol(0.2) for p in (EURJPY, EURUSD)}
+        corr = manual_corr(["EUR/JPY", "EUR/USD"], [[1.0, 0.5], [0.5, 1.0]])
+        steps = _prepare_steps((EURJPY, EURUSD), vols, corr, config, None)
+        assert _terminal_steps(steps) is steps
+
+    def test_agrees_with_summed_increments(self, three_ccy_snapshot):
+        pairs = (EURJPY, EURUSD)  # the basket's slot order
+        weights, strike = (0.01, 1.0), 2.5
+        payoff = BasketPayoff(dict(zip(pairs, weights)), strike, "call")
+        result = price(payoff, three_ccy_snapshot, SimulationConfig(200_000, 83, MONTHLY),
+                       vols=PIECEWISE_VOLS, corr=TWO_BUCKET_CORR)
+        y = simulate_increments(pairs, PIECEWISE_VOLS, TWO_BUCKET_CORR,
+                                SimulationConfig(100_000, 89, MONTHLY), rates=three_ccy_snapshot.rates)
+        terminal = np.array([125.0, 1.25]) * np.exp(y.sum(axis=1))
+        values = np.maximum(terminal @ np.array(weights) - strike, 0.0)
+        df = math.exp(-0.02)
+        stepwise, stepwise_se = df * values.mean(), df * values.std(ddof=1) / math.sqrt(values.size)
+        assert result.standard_error > 0 and stepwise_se > 0
+        assert abs(result.price - stepwise) <= 4 * math.hypot(result.standard_error, stepwise_se)
+
+    def test_tiny_strike_prices_the_forward_sum_on_a_piecewise_grid(self, three_ccy_snapshot):
+        weights = {EURUSD: 2.0, EURJPY: 0.01}
+        config = SimulationConfig(400_000, 97, MONTHLY)
+        result = price(BasketPayoff(weights, 1e-8, "call"), three_ccy_snapshot, config,
+                       vols=PIECEWISE_VOLS, corr=TWO_BUCKET_CORR)
+        fwd_usd = 1.25 * math.exp(0.02 - 0.03)
+        fwd_jpy = 125.0 * math.exp(0.02 - 0.0)
+        expected = math.exp(-0.02) * (2.0 * fwd_usd + 0.01 * fwd_jpy - 1e-8)
+        assert abs(result.price - expected) <= 4 * result.standard_error
+
+    def test_zero_vol_leg(self, three_ccy_snapshot):
+        # a zero-vol EUR/JPY ends at its forward, so the basket call is a
+        # EUR/USD call with the strike lowered by 0.01 EUR/JPY forwards
+        vols = {**PIECEWISE_VOLS, EURJPY: PiecewiseConstant((0.0, 1.0), (0.0,))}
+        config = SimulationConfig(200_000, 101, MONTHLY)
+        steps = _terminal_steps(
+            _prepare_steps((EURJPY, EURUSD), vols, TWO_BUCKET_CORR, config, three_ccy_snapshot.rates)
+        )
+        assert np.isfinite(steps.factors[0]).all() and steps.scale[0, 0, 0] == 0.0
+        payoff = BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call")
+        result = price(payoff, three_ccy_snapshot, config, vols=vols, corr=TWO_BUCKET_CORR)
+        strike = 2.5 - 0.01 * 125.0 * math.exp(0.02)
+        sigma = math.sqrt(total_variance(vols[EURUSD], 1.0))
+        analytic = gk_price(VanillaSpec(EURUSD, strike, 1.0, "call"), PricingInputs(1.25, 0.02, 0.03, sigma))
+        assert result.standard_error > 0
+        assert abs(result.price - analytic) <= 4 * result.standard_error
+
+
+class TestVolOverrides:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.2])
+    @pytest.mark.parametrize("name", ["vanilla", "basket"])
+    def test_non_finite_or_negative_vol_rejected(self, three_ccy_snapshot, name, bad):
+        payoff = PINNED_PAYOFFS[name]
+        vols = {**PIECEWISE_VOLS, EURUSD: PiecewiseConstant((0.0, 0.5, 1.0), (0.2, bad))}
+        config = SimulationConfig(1000, 1, MONTHLY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"vol of EUR/USD on bucket 1 \(0\.5, 1\.0\]"):
+                price(payoff, three_ccy_snapshot, config, vols=vols, corr=TWO_BUCKET_CORR)
+
+    def test_zero_vol_prices_the_discounted_intrinsic(self, three_ccy_snapshot):
+        vols = {EURUSD: PiecewiseConstant((0.0, 1.0), (0.0,))}
+        result = price(VanillaPayoff(EURUSD, 1.2, "call"), three_ccy_snapshot,
+                       SimulationConfig(1000, 1, (0.5, 1.0)), vols=vols)
+        expected = math.exp(-0.02) * (1.25 * math.exp(0.02 - 0.03) - 1.2)
+        assert result.price == pytest.approx(expected, rel=1e-14)
+        assert result.standard_error < 1e-12
+
+
 class TestPriceBarrier:
     def payoff(self, style, level, monitoring=None):
         return BarrierPayoff(
@@ -401,11 +514,11 @@ class TestBitsArePinned:
         (40_000, True): "dd53360ce35cf483072e30bc9f5544fd05783ff1e00a2e0cbcf6452310776224",
     }
     PRICES = {
-        ("basket", 5, False): ("0x1.818534504557bp-4", "0x1.818534504557bp-4"),
-        ("basket", 37_002, False): ("0x1.6bfaf68d7ec28p-3", "0x1.7da07d25f1b0fp-10"),
-        ("basket", 40_000, False): ("0x1.6b40f6037e51cp-3", "0x1.6edb26ac2e45ep-10"),
-        ("basket", 37_002, True): ("0x1.6e0b551365c98p-3", "0x1.2bb98102e1255p-10"),
-        ("basket", 40_000, True): ("0x1.6bca262062114p-3", "0x1.1ed9c119c9a44p-10"),
+        ("basket", 5, False): ("0x1.94be7fd6f4408p-3", "0x1.afe3613e7019ep-4"),
+        ("basket", 37_002, False): ("0x1.6e33c68e7a587p-3", "0x1.81387d3ef3b11p-10"),
+        ("basket", 40_000, False): ("0x1.6e0371ec0b8f0p-3", "0x1.72e61bc8b121fp-10"),
+        ("basket", 37_002, True): ("0x1.67ccafbefd164p-3", "0x1.2a027a5ce2ce7p-10"),
+        ("basket", 40_000, True): ("0x1.684852d3e5c77p-3", "0x1.1eb1db4344337p-10"),
         ("down-in-cross", 5, False): ("0x1.2b46bd4bf1848p-5", "0x1.722d6e81d778ep-6"),
         ("down-in-cross", 37_002, False): ("0x1.23a24f96bceb3p-5", "0x1.d98462c7cd7eap-12"),
         ("down-in-cross", 40_000, False): ("0x1.249af1b7e1ee8p-5", "0x1.c94fb1160b3e2p-12"),
