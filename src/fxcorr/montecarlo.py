@@ -27,16 +27,16 @@ results bit-identical for any worker count.
 
 Layout: no block is held whole.  A block streams one grid step at a time:
 each pair slot's stream draws the step's normals into a reused
-(n_pairs, size) buffer, a second one receives the increments, and the
-payoff folds them into running sums, so a worker's memory does not grow
-with the number of steps.
+(n_pairs, size) buffer, a second one receives the increments, and one
+payoff evaluator folds them left to right into a running (n_pairs, size)
+log-level, so a worker's memory does not grow with the number of steps.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
@@ -69,13 +69,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValidationError(f"n_paths must be positive, got {self.n_paths}")
-        if not self.grid:
-            raise ValidationError("grid must contain at least one time")
-        prev = 0.0
-        for t in self.grid:
-            if t <= prev:
-                raise ValidationError(f"grid must be strictly increasing and > 0, got {self.grid}")
-            prev = t
+        _check_times(self.grid, "grid")
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic sampling requires an even n_paths")
 
@@ -137,28 +131,30 @@ class BarrierPayoff:
 
     def __post_init__(self):
         _check_strike_kind(self.strike, self.kind)
-        if not self.barrier_level > 0:
-            raise ValidationError(f"barrier level must be positive, got {self.barrier_level}")
+        if not 0 < self.barrier_level < math.inf:
+            raise ValidationError(f"barrier level must be positive and finite, got {self.barrier_level}")
         if self.direction not in ("up", "down"):
             raise ValidationError(f"direction must be 'up' or 'down', got {self.direction!r}")
         if self.style not in ("knock-in", "knock-out"):
             raise ValidationError(f"style must be 'knock-in' or 'knock-out', got {self.style!r}")
         if self.monitoring is not None:
-            if not self.monitoring:
-                raise ValidationError("monitoring times must be non-empty when given")
-            prev = 0.0
-            for t in self.monitoring:
-                if t <= prev:
-                    raise ValidationError("monitoring times must be strictly increasing and > 0")
-                prev = t
+            _check_times(self.monitoring, "monitoring times")
 
 
 PayoffSpec = VanillaPayoff | BasketPayoff | BarrierPayoff
 
 
+def _check_times(times: Sequence[float], what: str) -> None:
+    if not times:
+        raise ValidationError(f"{what} must contain at least one time")
+    for prev, t in zip((0.0, *times), times):
+        if not prev < t < math.inf:
+            raise ValidationError(f"{what} must be finite, > 0 and strictly increasing, got {times}")
+
+
 def _check_strike_kind(strike: float, kind: str) -> None:
-    if not strike > 0:
-        raise ValidationError(f"strike must be positive, got {strike}")
+    if not 0 < strike < math.inf:
+        raise ValidationError(f"strike must be positive and finite, got {strike}")
     if kind not in ("call", "put"):
         raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
 
@@ -414,78 +410,53 @@ def _monitoring_indices(payoff: BarrierPayoff, grid: tuple[float, ...]) -> set[i
     return indices
 
 
-def _pairwise_sum(rows: Iterator[np.ndarray], n: int) -> np.ndarray:
-    """Sum the next ``n`` rows in numpy's float64 pairwise order: bit for bit
-    the rows stacked as a contiguous (paths, n) array and summed on axis 1."""
-    if n > 128:  # numpy's block size; the split point is a multiple of 8
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(rows, half) + _pairwise_sum(rows, n - half)
-    total, rest = 0.0, n  # below 8 rows: left to right from 0.0
-    if n >= 8:
-        acc = [next(rows).copy() for _ in range(8)]  # copies: the rows may share one buffer
-        for i in range(8, n - n % 8):
-            acc[i % 8] += next(rows)
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        rest = n % 8
-    for _ in range(rest):
-        total += next(rows)  # a new array when total is still 0.0
-    return total
-
-
 def _payoff_evaluator(
     payoff: PayoffSpec,
     pairs: tuple[FxPair, ...],
     spots: np.ndarray,
     config: SimulationConfig,
 ) -> Callable[[int, Iterator[np.ndarray]], np.ndarray]:
+    """One evaluator for every payoff: fold a block's step increments left
+    to right into one running (n_pairs, size) log-level, test the barrier
+    slot's level at monitoring steps, then pay on the terminal levels."""
     index = {pair: p for p, pair in enumerate(pairs)}
     sign = 1.0 if payoff.kind == "call" else -1.0
-    n_steps = len(config.grid)
-
-    if isinstance(payoff, VanillaPayoff):
-        p = index[payoff.pair]
-
-        def evaluate(size: int, step_increments: Iterator[np.ndarray]) -> np.ndarray:
-            terminal = spots[p] * np.exp(_pairwise_sum((y[p] for y in step_increments), n_steps))
-            return np.maximum(sign * (terminal - payoff.strike), 0.0)
-
-        return evaluate
-
-    if isinstance(payoff, BasketPayoff):
+    is_basket = isinstance(payoff, BasketPayoff)
+    is_barrier = isinstance(payoff, BarrierPayoff)
+    monitor: set[int] = set()
+    if is_basket:
         weights = np.array([payoff.weights[pair] for pair in pairs])
-
-        def evaluate(size: int, step_increments: Iterator[np.ndarray]) -> np.ndarray:
-            total = np.zeros((len(pairs), size))
-            for y in step_increments:  # left to right: the order the pinned bits depend on
-                total += y
-            terminal = spots * np.exp(np.ascontiguousarray(total.T))  # (paths, pairs) rows for the matvec
-            basket = terminal @ weights
-            return np.maximum(sign * (basket - payoff.strike), 0.0)
-
-        return evaluate
-
-    p_pay = index[payoff.payoff_pair]
-    p_bar = index[payoff.barrier_pair]
-    monitor = _monitoring_indices(payoff, config.grid)
-    knock_in = payoff.style == "knock-in"
-    beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
+    elif is_barrier:
+        slot, watch = index[payoff.payoff_pair], index[payoff.barrier_pair]
+        monitor = _monitoring_indices(payoff, config.grid)
+        beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
+    else:
+        slot = index[payoff.pair]
 
     def evaluate(size: int, step_increments: Iterator[np.ndarray]) -> np.ndarray:
-        log_level, watched = np.zeros((2, size))
+        level = np.zeros((len(pairs), size))
         breached = np.zeros(size, dtype=bool)
-
-        def payoff_rows() -> Iterator[np.ndarray]:  # tracks the barrier pair on the way
-            for m, y in enumerate(step_increments):
-                np.add(log_level, y[p_bar], out=log_level)
-                if m in monitor:
-                    np.exp(log_level, out=watched)
-                    np.multiply(watched, spots[p_bar], out=watched)
-                    np.logical_or(breached, beyond(watched, payoff.barrier_level), out=breached)
-                yield y[p_pay]
-
-        terminal = spots[p_pay] * np.exp(_pairwise_sum(payoff_rows(), n_steps))
-        vanilla = np.maximum(sign * (terminal - payoff.strike), 0.0)
-        return vanilla * (breached if knock_in else ~breached)
+        watched = np.empty(size if monitor else 0)
+        for m, y in enumerate(step_increments):
+            level += y
+            if m in monitor:
+                np.exp(level[watch], out=watched)
+                watched *= spots[watch]
+                breached |= beyond(watched, payoff.barrier_level)
+        if is_basket:
+            terminal = np.ascontiguousarray(level.T)  # (paths, pairs) rows for the matvec
+            np.exp(terminal, out=terminal)
+            terminal *= spots
+            value = terminal @ weights
+        else:
+            value = np.exp(level[slot])
+            value *= spots[slot]
+        value -= payoff.strike
+        value *= sign
+        np.maximum(value, 0.0, out=value)
+        if is_barrier:
+            value *= breached if payoff.style == "knock-in" else ~breached
+        return value
 
     return evaluate
 
@@ -509,11 +480,16 @@ def price(
     grid as buckets.  ``vols`` must be finite and non-negative.  A basket
     draws one terminal step from the grid's summed drift and covariance;
     its grid sets the maturity and must cover every breakpoint, as for
-    the other payoffs.  Deterministic for fixed (seed, n_paths, grid,
-    antithetic), whatever ``workers`` is.
+    the other payoffs.  A barrier on the inverse of its payoff pair is
+    priced as the barrier on the payoff pair at 1/level, direction
+    flipped.  Deterministic for fixed (seed, n_paths, grid, antithetic),
+    whatever ``workers`` is.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
+    if isinstance(payoff, BarrierPayoff) and payoff.barrier_pair == payoff.payoff_pair.inverse():
+        payoff = replace(payoff, barrier_pair=payoff.payoff_pair, barrier_level=1.0 / payoff.barrier_level,
+                         direction="down" if payoff.direction == "up" else "up")
     pairs = _involved_pairs(payoff)
     disc_ccy = discount_currency(payoff)
     horizon = config.horizon

@@ -256,6 +256,19 @@ class TestPrice:
         ] + argv_tail)["result"]["price"]
         assert k_in + k_out == pytest.approx(vanilla, rel=1e-12)
 
+    def test_barrier_on_the_inverse_pair(self, capsys, tmp_path, snapshot_path):
+        payoff = {
+            "type": "barrier", "payoff_pair": "USD/EUR", "strike": 0.8, "kind": "call",
+            "barrier_pair": "EUR/USD", "barrier_level": 1.3, "direction": "up",
+            "style": "knock-in",
+        }
+        doc = run_doc(capsys, [
+            "price", snapshot_path, write(tmp_path, "inverse.json", payoff),
+            "--grid", "0.5,1.0", "--paths", "2000",
+        ])
+        assert doc["result"]["price"] > 0
+        assert doc["manifest"]["config"]["payoff"] == payoff
+
     def test_bad_payoff_type_exits_1(self, capsys, tmp_path, snapshot_path):
         payoff = write(tmp_path, "weird.json", {"type": "asian"})
         code, _, err = run(capsys, ["price", snapshot_path, payoff, "--grid", "1.0"])
@@ -408,6 +421,17 @@ class TestNonFiniteArguments:
             code, out, err = run(capsys, argv)
         assert (code, out, caught) == (1, "", [])
         assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("grid", ["0.5,inf", "0.5,nan"])
+    def test_price_grid_is_an_error_line_without_warnings(self, capsys, tmp_path, snapshot_path, grid):
+        payoff = write(tmp_path, "payoff.json", {
+            "type": "vanilla", "pair": "EUR/USD", "strike": 1.25, "kind": "call",
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["price", snapshot_path, payoff, "--grid", grid])
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error:") and "finite" in err and "Warning" not in err
 
 
 class TestHairlineBuckets:

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -24,18 +26,22 @@ from fxcorr import (
     build_matrix,
     canonicalize,
     gk_price,
+    loads_snapshot,
     payoff_from_dict,
     payoff_to_dict,
     price,
     simulate_increments,
     total_variance,
 )
-from fxcorr.montecarlo import BLOCK_PATHS, _pairwise_sum, _prepare_steps, _terminal_steps
+from fxcorr.montecarlo import BLOCK_PATHS, _prepare_steps, _terminal_steps
+
+from conftest import snapshot_doc
 
 EURUSD = FxPair.parse("EUR/USD")
 EURJPY = FxPair.parse("EUR/JPY")
 USDJPY = FxPair.parse("USD/JPY")
 JPYUSD = FxPair.parse("JPY/USD")
+USDEUR = FxPair.parse("USD/EUR")
 
 
 def manual_corr(labels, matrix, horizon=1.0):
@@ -61,6 +67,11 @@ class TestSimulationConfig:
             SimulationConfig(10, 1, ())
         with pytest.raises(ValidationError):
             SimulationConfig(11, 1, (1.0,), antithetic=True)
+
+    @pytest.mark.parametrize("grid", [(0.5, math.nan), (math.nan, 1.0), (0.5, math.inf), (math.inf,)])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValidationError, match="grid must be finite"):
+            SimulationConfig(10, 1, grid)
 
     def test_horizon_is_last_grid_time(self):
         assert SimulationConfig(10, 1, (0.5, 1.0)).horizon == 1.0
@@ -395,6 +406,17 @@ class TestPriceBarrier:
         with pytest.raises(MissingDataError, match="correlation"):
             price(self.payoff("knock-out", 0.0115), three_ccy_snapshot, config, corr=corr)
 
+    @pytest.mark.parametrize("direction, level, flipped", [("up", 1.3, "down"), ("down", 1.2, "up")])
+    @pytest.mark.parametrize("style", ["knock-in", "knock-out"])
+    def test_barrier_on_the_inverse_pair(self, three_ccy_snapshot, style, direction, level, flipped):
+        # EUR/USD is 1/(USD/EUR): EUR/USD >= 1.3 is USD/EUR <= 1/1.3
+        config = SimulationConfig(20_000, 83, (0.25, 0.5, 0.75, 1.0))
+        payoff = BarrierPayoff(USDEUR, 0.8, "call", EURUSD, level, direction, style)
+        restated = BarrierPayoff(USDEUR, 0.8, "call", USDEUR, 1.0 / level, flipped, style)
+        result = price(payoff, three_ccy_snapshot, config)
+        assert result == price(restated, three_ccy_snapshot, config)
+        assert result.price > 0
+
     def test_per_path_in_out_parity_is_exact(self, three_ccy_snapshot):
         # evaluate the three payoffs on the same simulated paths
         pairs = (EURUSD, JPYUSD)
@@ -409,6 +431,28 @@ class TestPriceBarrier:
         k_in = vanilla * breached
         k_out = vanilla * ~breached
         assert np.array_equal(k_in + k_out, vanilla)
+
+
+class TestNonFinitePayoffs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda k: VanillaPayoff(EURUSD, k, "put"),
+        lambda k: BasketPayoff({EURUSD: 1.0}, k, "put"),
+        lambda k: BarrierPayoff(EURUSD, k, "put", JPYUSD, 0.0115, "up", "knock-out"),
+    ], ids=["vanilla", "basket", "barrier"])
+    def test_strike_rejected(self, make, bad):
+        with pytest.raises(ValidationError, match="strike must be positive and finite"):
+            make(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_barrier_level_rejected(self, bad):
+        with pytest.raises(ValidationError, match="barrier level must be positive and finite"):
+            BarrierPayoff(EURUSD, 1.25, "put", JPYUSD, bad, "up", "knock-out")
+
+    @pytest.mark.parametrize("monitoring", [(0.5, math.nan), (math.nan,), (0.5, math.inf)])
+    def test_monitoring_rejected(self, monitoring):
+        with pytest.raises(ValidationError, match="monitoring times must be finite"):
+            BarrierPayoff(EURUSD, 1.25, "put", JPYUSD, 0.0115, "up", "knock-out", monitoring)
 
 
 class TestPayoffDocuments:
@@ -473,7 +517,8 @@ class TestPayoffNumbers:
 # Runs that cross block boundaries: one short block, a partial last block
 # (37,002 = 2 x 16,384 + 4,234) and a partial last block again (40,000).
 PINNED_RUNS = [(5, False), (37_002, False), (40_000, False), (37_002, True), (40_000, True)]
-# 12 steps: at 8 or more terms numpy sums pairwise, not left to right
+# 12 steps: enough for the terminal's left-to-right fold of the steps to
+# differ from a pairwise sum in the last bit
 PINNED_GRID = tuple(k / 12 for k in range(1, 13))
 PINNED_PAYOFFS = {
     "vanilla": VanillaPayoff(EURUSD, 1.25, "call"),
@@ -522,13 +567,13 @@ class TestBitsArePinned:
         ("down-in-cross", 5, False): ("0x1.2b46bd4bf1848p-5", "0x1.722d6e81d778ep-6"),
         ("down-in-cross", 37_002, False): ("0x1.23a24f96bceb3p-5", "0x1.d98462c7cd7eap-12"),
         ("down-in-cross", 40_000, False): ("0x1.249af1b7e1ee8p-5", "0x1.c94fb1160b3e2p-12"),
-        ("down-in-cross", 37_002, True): ("0x1.2c04eeaba9ef4p-5", "0x1.b7c6546bd73fap-12"),
+        ("down-in-cross", 37_002, True): ("0x1.2c04eeaba9ef3p-5", "0x1.b7c6546bd73fap-12"),
         ("down-in-cross", 40_000, True): ("0x1.290b48c5da5a8p-5", "0x1.a5173df3cc24dp-12"),
         ("up-out-own-pair", 5, False): ("0x1.b5582f72496e8p-9", "0x1.b5582f72496e8p-9"),
-        ("up-out-own-pair", 37_002, False): ("0x1.606e41e350806p-6", "0x1.10f47eb60b126p-12"),
-        ("up-out-own-pair", 40_000, False): ("0x1.607ec7515ad72p-6", "0x1.069d7dc451df0p-12"),
-        ("up-out-own-pair", 37_002, True): ("0x1.62f10d06c3641p-6", "0x1.f29034e73ada6p-13"),
-        ("up-out-own-pair", 40_000, True): ("0x1.62e8cc89299d6p-6", "0x1.dfd3150d745f4p-13"),
+        ("up-out-own-pair", 37_002, False): ("0x1.606e41e350807p-6", "0x1.10f47eb60b126p-12"),
+        ("up-out-own-pair", 40_000, False): ("0x1.607ec7515ad73p-6", "0x1.069d7dc451df0p-12"),
+        ("up-out-own-pair", 37_002, True): ("0x1.62f10d06c3640p-6", "0x1.f29034e73ada6p-13"),
+        ("up-out-own-pair", 40_000, True): ("0x1.62e8cc89299d5p-6", "0x1.dfd3150d745f5p-13"),
         ("vanilla", 5, False): ("0x1.3a5b5e64d50dbp-4", "0x1.864fb44622ee2p-5"),
         ("vanilla", 37_002, False): ("0x1.7621dcff20881p-4", "0x1.a66875fb5407ep-11"),
         ("vanilla", 40_000, False): ("0x1.7604ade32f5d5p-4", "0x1.96921286bcc03p-11"),
@@ -550,16 +595,16 @@ class TestBitsArePinned:
 
 
 class TestLongGridBitsArePinned:
-    """260 steps: above 128 terms numpy's pairwise sum splits the steps in
-    halves, which the streamed terminal sum must reproduce bit for bit."""
+    """260 steps: a long left-to-right fold of the step increments, pinned
+    bit for bit."""
 
     GRID = tuple(k / 260 for k in range(1, 261))
     INCREMENTS = "d23d7b8b4480b3e61d38563c131cb96f43191b600e30d0349060f3e0329d5d65"
     PRICES = {
         ("down-in-cross", False): ("0x1.212b5eadcc8b7p-5", "0x1.40804133ff2b7p-11"),
-        ("down-in-cross", True): ("0x1.1bd67517b340bp-5", "0x1.20256b5e62029p-11"),
+        ("down-in-cross", True): ("0x1.1bd67517b340ap-5", "0x1.20256b5e62029p-11"),
         ("up-out-own-pair", False): ("0x1.ea7bc7d795e3bp-7", "0x1.2f9c1504d163dp-12"),
-        ("up-out-own-pair", True): ("0x1.e9f82f490e9c6p-7", "0x1.171da4511310fp-12"),
+        ("up-out-own-pair", True): ("0x1.e9f82f490e9c5p-7", "0x1.171da4511310fp-12"),
         ("vanilla", False): ("0x1.734bc7ca2edd8p-4", "0x1.1e7d958c24c5cp-10"),
         ("vanilla", True): ("0x1.71da0e9c374c4p-4", "0x1.d4475bcf1d31dp-11"),
     }
@@ -601,6 +646,28 @@ class TestBlockMemory:
             tracemalloc.stop()
         assert peak <= 2.25 * block_bytes
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_nine_pair_basket_holds_four_step_arrays(self, blocks):
+        # the two step buffers, the running log-level and its transposed
+        # copy are (9, size) each; anything else must stay well below one
+        codes = ["USD", "AUD", "CAD", "CHF", "EUR", "GBP", "JPY", "NOK", "NZD", "SEK"]
+        labels = [f"{a}/{b}" for a, b in itertools.combinations(codes, 2)]
+        snapshot = loads_snapshot(json.dumps(snapshot_doc(
+            spots={label: 1.0 for label in labels},
+            vols={label: [(1.0, 0.2)] for label in labels},
+            rates={code: [(1.0, 0.01)] for code in codes},
+        )))
+        payoff = BasketPayoff({FxPair.parse(f"USD/{c}"): 1 / 9 for c in codes[1:]}, 1.0, "call")
+        config = SimulationConfig(blocks * BLOCK_PATHS, 103, self.GRID, antithetic=True)
+        step_bytes = 9 * BLOCK_PATHS * 8
+        tracemalloc.start()
+        try:
+            price(payoff, snapshot, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * step_bytes
+
 
 class TestStepMemory:
     """``price`` streams a block one grid step at a time: its peak is a
@@ -622,18 +689,3 @@ class TestStepMemory:
             tracemalloc.stop()
         assert peak <= 0.25 * block_bytes
 
-
-class TestPairwiseSum:
-    def test_matches_numpy_row_sum_bit_for_bit(self):
-        rng = np.random.default_rng(5)
-        for n in range(1, 301):
-            rows = rng.standard_normal((n, 37)) * rng.uniform(1e-3, 1e3, (n, 1))
-            buffer = np.empty(37)
-
-            def stream():  # one reused buffer, as the step stream yields it
-                for row in rows:
-                    buffer[:] = row
-                    yield buffer
-
-            expected = np.ascontiguousarray(rows.T).sum(axis=1)
-            assert _pairwise_sum(stream(), n).tobytes() == expected.tobytes(), n
