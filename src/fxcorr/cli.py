@@ -34,7 +34,7 @@ from .errors import (
     MissingDataError,
     NoImpliedVolError,
 )
-from .market_data import FxPair, _loads_json, check_spot_triangles, load_snapshot
+from .market_data import FxPair, MarketSnapshot, _loads_json, check_spot_triangles, load_snapshot
 from .montecarlo import SimulationConfig, payoff_from_dict, payoff_to_dict, price
 from .term_structure import bootstrap_piecewise_vol, total_variance
 from .vanilla import VanillaSpec, implied_vol
@@ -160,8 +160,7 @@ def _g10(x: float) -> str:
     return format(x, ".10g")
 
 
-def _cmd_implied_vol(args) -> int:
-    snapshot = load_snapshot(args.snapshot)
+def _cmd_implied_vol(args, snapshot: MarketSnapshot) -> int:
     pair = FxPair.parse(args.pair)
     spec = VanillaSpec(pair, args.strike, args.maturity, args.kind)
     spot = snapshot.spot(pair)
@@ -182,8 +181,7 @@ def _cmd_implied_vol(args) -> int:
     return EXIT_OK
 
 
-def _cmd_corr(args) -> int:
-    snapshot = load_snapshot(args.snapshot)
+def _cmd_corr(args, snapshot: MarketSnapshot) -> int:
     pair_a = FxPair.parse(args.pair_a)
     pair_b = FxPair.parse(args.pair_b)
     config = {
@@ -219,8 +217,7 @@ def _cmd_corr(args) -> int:
     return EXIT_OK
 
 
-def _cmd_corr_matrix(args) -> int:
-    snapshot = load_snapshot(args.snapshot)
+def _cmd_corr_matrix(args, snapshot: MarketSnapshot) -> int:
     pairs = [FxPair.parse(label) for label in args.pairs]
     matrix = build_matrix(pairs, snapshot, args.buckets, repair=args.repair, clamp=args.clamp)
     config = {
@@ -242,8 +239,7 @@ def _cmd_corr_matrix(args) -> int:
     return EXIT_OK
 
 
-def _cmd_price(args) -> int:
-    snapshot = load_snapshot(args.snapshot)
+def _cmd_price(args, snapshot: MarketSnapshot) -> int:
     payoff = payoff_from_dict(_loads_json(Path(args.payoff).read_bytes()))
     config_obj = SimulationConfig(args.paths, args.seed, args.grid, args.antithetic)
     result_obj = price(
@@ -270,8 +266,7 @@ def _cmd_price(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bootstrap(args) -> int:
-    snapshot = load_snapshot(args.snapshot)
+def _cmd_bootstrap(args, snapshot: MarketSnapshot) -> int:
     pair = FxPair.parse(args.pair)
     ts = snapshot.vol_structure(pair)
     pc = bootstrap_piecewise_vol(ts)
@@ -295,8 +290,7 @@ def _cmd_bootstrap(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    snapshot = load_snapshot(args.snapshot)
+def _cmd_validate(args, snapshot: MarketSnapshot) -> int:
     violations = check_spot_triangles(snapshot, args.tol)
     config = {"tol": args.tol}
     result = {
@@ -337,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: no snapshot file given and FXCORR_SNAPSHOT is not set", file=sys.stderr)
         return EXIT_ERROR
     try:
-        return _COMMANDS[args.subcommand](args)
+        return _COMMANDS[args.subcommand](args, load_snapshot(args.snapshot))
     except NoImpliedVolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_IMPLIED_VOL

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CalendarArbitrageError,
@@ -50,6 +50,15 @@ _CODE_RE = re.compile(r"^[A-Z]{3}$")
 
 SPOT_INVERSE_TOL = 1e-10
 VOL_INVERSE_TOL = 1e-10
+
+
+def _check_times(times: Sequence[float], what: str) -> None:
+    """The one check of a time list: non-empty, finite, > 0 and strictly increasing."""
+    if not times:
+        raise ValidationError(f"{what} must contain at least one time")
+    for prev, t in zip((0.0, *times), times):
+        if not prev < t < math.inf:
+            raise ValidationError(f"{what} must be finite, > 0 and strictly increasing, got {times}")
 
 
 @dataclass(frozen=True, order=True)
@@ -116,10 +125,10 @@ class VolQuote:
     implied_vol: float
 
     def __post_init__(self):
-        if not self.maturity > 0:
-            raise ValidationError(f"maturity must be > 0, got {self.maturity}")
-        if self.implied_vol < 0:
-            raise ValidationError(f"implied vol must be >= 0, got {self.implied_vol}")
+        if not 0 < self.maturity < math.inf:
+            raise ValidationError(f"maturity must be positive and finite, got {self.maturity}")
+        if not 0 <= self.implied_vol < math.inf:
+            raise ValidationError(f"implied vol must be finite and >= 0, got {self.implied_vol}")
 
 
 @dataclass(frozen=True)
@@ -135,15 +144,12 @@ class VolTermStructure:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.points:
-            raise ValidationError(f"{self.pair}: term structure needs at least one point")
+        _check_times(self.maturities, f"{self.pair} vol maturities")
         prev_t = 0.0
         prev_tv = 0.0
         for n, (t, sigma) in enumerate(self.points):
-            if t <= prev_t:
-                raise ValidationError(f"{self.pair}: maturities must be strictly increasing at point {n}")
-            if sigma < 0:
-                raise ValidationError(f"{self.pair}: negative vol {sigma} at point {n}")
+            if not 0 <= sigma < math.inf:
+                raise ValidationError(f"{self.pair}: vol must be finite and >= 0, got {sigma} at point {n}")
             tv = sigma * sigma * t
             if tv < prev_tv:
                 raise CalendarArbitrageError(
@@ -208,14 +214,12 @@ class RateCurve:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.points:
-            raise ValidationError(f"{self.currency}: rate curve needs at least one point")
-        prev_t = 0.0
-        for n, (t, _) in enumerate(self.points):
-            if t <= prev_t:
-                raise ValidationError(f"{self.currency}: maturities must be strictly increasing at point {n}")
-            prev_t = t
-        object.__setattr__(self, "_knots", ([t for t, _ in self.points], [r * t for t, r in self.points]))
+        ts = tuple(t for t, _ in self.points)
+        _check_times(ts, f"{self.currency} rate maturities")
+        for t, r in self.points:
+            if not math.isfinite(r):
+                raise ValidationError(f"{self.currency}: rate must be finite, got {r} at T={t}")
+        object.__setattr__(self, "_knots", (ts, [r * t for t, r in self.points]))
 
     def integrated(self, maturity: float) -> float:
         """Integrated rate r(T)*T, linear in T between knots, flat r outside."""
@@ -270,8 +274,8 @@ class MarketSnapshot:
     ):
         canon_spots: dict[FxPair, float] = {}
         for pair, value in spots.items():
-            if not value > 0:
-                raise ValidationError(f"spot for {pair} must be positive, got {value}")
+            if not (0 < value < math.inf and 1.0 / value < math.inf):  # both orientations are served
+                raise ValidationError(f"spot for {pair} and its inverse must be positive and finite, got {value}")
             cpair, flipped = canonicalize(pair)
             stored = 1.0 / value if flipped else value
             if cpair in canon_spots:
@@ -448,12 +452,48 @@ def _string(value, field: str) -> str:
     return value
 
 
-def _parse_pair(obj: dict, key: str, where: str = "") -> FxPair:
+def _label(obj: dict, key: str, where: str = "", parse=FxPair.parse):
+    """A pair label (or, with ``parse=Currency``, a currency code) parsed;
+    a malformed one is a SchemaError at its key path."""
     field = _path(where, key)
     try:
-        return FxPair.parse(_string(obj[key], field))
+        return parse(_string(obj[key], field))
     except ValidationError as exc:
         raise SchemaError(str(exc), field=field) from exc
+
+
+def _entries(
+    obj: dict, key: str, fields: set[str] | None, where: str = "", nonempty: bool = False
+) -> Iterator[tuple[object, str]]:
+    """Yield each entry of the list ``obj[key]`` with its key path.  Every
+    entry must be an object with exactly ``fields``; ``None`` leaves the
+    entries to the caller."""
+    path = _path(where, key)
+    items = obj[key]
+    if not isinstance(items, list) or (nonempty and not items):
+        raise SchemaError("expected a non-empty list" if nonempty else "expected a list", field=path)
+    for n, item in enumerate(items):
+        item_path = f"{path}[{n}]"
+        if fields is not None:
+            if not isinstance(item, dict):
+                raise SchemaError("expected an object", field=item_path)
+            _require_keys(item, fields, fields, item_path)
+        yield item, item_path
+
+
+def _points(entry: dict, value_key: str, where: str) -> tuple[tuple[float, float], ...]:
+    """An entry's ``points`` as (T, value) tuples."""
+    return tuple(
+        (_number(pt["T"], f"{path}.T"), _number(pt[value_key], f"{path}.{value_key}"))
+        for pt, path in _entries(entry, "points", {"T", value_key}, where)
+    )
+
+
+def _unique(seen: Mapping, key, what: str, where: str):
+    """``key`` unless an earlier entry already gave it."""
+    if key in seen:
+        raise SchemaError(f"duplicate {what} {key}", field=where)
+    return key
 
 
 def loads_snapshot(text: str | bytes, triangle_tol: float | None = None) -> MarketSnapshot:
@@ -469,49 +509,19 @@ def loads_snapshot(text: str | bytes, triangle_tol: float | None = None) -> Mark
     as_of = _string(doc.get("as_of", ""), "as_of")
 
     spots: dict[FxPair, float] = {}
-    for n, entry in enumerate(_expect_list(doc, "spots")):
-        where = f"spots[{n}]"
-        _expect_obj(entry, where)
-        _require_keys(entry, {"pair", "value"}, {"pair", "value"}, where)
-        pair = _parse_pair(entry, "pair", where)
-        if pair in spots:
-            raise SchemaError(f"duplicate spot for {pair}", field=where)
+    for entry, where in _entries(doc, "spots", {"pair", "value"}):
+        pair = _unique(spots, _label(entry, "pair", where), "spot for", where)
         spots[pair] = _number(entry["value"], f"{where}.value")
 
     vols: dict[FxPair, VolTermStructure] = {}
-    for n, entry in enumerate(_expect_list(doc, "vols")):
-        where = f"vols[{n}]"
-        _expect_obj(entry, where)
-        _require_keys(entry, {"pair", "points"}, {"pair", "points"}, where)
-        pair = _parse_pair(entry, "pair", where)
-        if pair in vols:
-            raise SchemaError(f"duplicate vol structure for {pair}", field=where)
-        points = []
-        for m, pt in enumerate(_expect_list(entry, "points", where)):
-            pwhere = f"{where}.points[{m}]"
-            _expect_obj(pt, pwhere)
-            _require_keys(pt, {"T", "sigma"}, {"T", "sigma"}, pwhere)
-            points.append((_number(pt["T"], f"{pwhere}.T"), _number(pt["sigma"], f"{pwhere}.sigma")))
-        vols[pair] = VolTermStructure(pair, tuple(points))
+    for entry, where in _entries(doc, "vols", {"pair", "points"}):
+        pair = _unique(vols, _label(entry, "pair", where), "vol structure for", where)
+        vols[pair] = VolTermStructure(pair, _points(entry, "sigma", where))
 
     rates: dict[Currency, RateCurve] = {}
-    for n, entry in enumerate(_expect_list(doc, "rates")):
-        where = f"rates[{n}]"
-        _expect_obj(entry, where)
-        _require_keys(entry, {"currency", "points"}, {"currency", "points"}, where)
-        try:
-            ccy = Currency(_string(entry["currency"], f"{where}.currency"))
-        except ValidationError as exc:
-            raise SchemaError(str(exc), field=f"{where}.currency") from exc
-        if ccy in rates:
-            raise SchemaError(f"duplicate rate curve for {ccy}", field=where)
-        points = []
-        for m, pt in enumerate(_expect_list(entry, "points", where)):
-            pwhere = f"{where}.points[{m}]"
-            _expect_obj(pt, pwhere)
-            _require_keys(pt, {"T", "r"}, {"T", "r"}, pwhere)
-            points.append((_number(pt["T"], f"{pwhere}.T"), _number(pt["r"], f"{pwhere}.r")))
-        rates[ccy] = RateCurve(ccy, tuple(points))
+    for entry, where in _entries(doc, "rates", {"currency", "points"}):
+        ccy = _unique(rates, _label(entry, "currency", where, Currency), "rate curve for", where)
+        rates[ccy] = RateCurve(ccy, _points(entry, "r", where))
 
     snapshot = MarketSnapshot(spots, vols, rates, as_of=as_of)
     if triangle_tol is not None:
@@ -529,19 +539,6 @@ def loads_snapshot(text: str | bytes, triangle_tol: float | None = None) -> Mark
 def load_snapshot(source: str | Path, triangle_tol: float | None = None) -> MarketSnapshot:
     """Load a snapshot from a file path (see loads_snapshot)."""
     return loads_snapshot(Path(source).read_bytes(), triangle_tol=triangle_tol)
-
-
-def _expect_list(obj: dict, key: str, prefix: str = "") -> list:
-    value = obj[key]
-    where = f"{prefix}.{key}" if prefix else key
-    if not isinstance(value, list):
-        raise SchemaError("expected a list", field=where)
-    return value
-
-
-def _expect_obj(value, where: str) -> None:
-    if not isinstance(value, dict):
-        raise SchemaError("expected an object", field=where)
 
 
 def check_spot_triangles(snapshot: MarketSnapshot, tol: float) -> list[TriangleViolation]:

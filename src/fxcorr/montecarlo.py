@@ -45,7 +45,7 @@ from .correlation import PSD_TOL, BucketedCorrelationMatrix, build_matrix, canon
 from .errors import FactorizationError, MissingDataError, SchemaError, ValidationError
 from .market_data import (
     Currency, FxPair, MarketSnapshot, RateCurve,
-    _expect_list, _expect_obj, _number, _parse_pair, _require_keys, _string,
+    _check_times, _entries, _label, _number, _require_keys, _string, _unique,
 )
 from .term_structure import PiecewiseConstant, horizon_vol
 
@@ -142,14 +142,6 @@ class BarrierPayoff:
 
 
 PayoffSpec = VanillaPayoff | BasketPayoff | BarrierPayoff
-
-
-def _check_times(times: Sequence[float], what: str) -> None:
-    if not times:
-        raise ValidationError(f"{what} must contain at least one time")
-    for prev, t in zip((0.0, *times), times):
-        if not prev < t < math.inf:
-            raise ValidationError(f"{what} must be finite, > 0 and strictly increasing, got {times}")
 
 
 def _check_strike_kind(strike: float, kind: str) -> None:
@@ -443,6 +435,7 @@ def _payoff_evaluator(
                 np.exp(level[watch], out=watched)
                 watched *= spots[watch]
                 breached |= beyond(watched, payoff.barrier_level)
+        del y  # a view of the step buffers: free them before the terminal payoff
         if is_basket:
             terminal = np.ascontiguousarray(level.T)  # (paths, pairs) rows for the matvec
             np.exp(terminal, out=terminal)
@@ -562,22 +555,14 @@ def payoff_from_dict(doc: dict) -> PayoffSpec:
         keys = {"type", "pair", "strike", "kind"}
         _require_keys(doc, keys, keys)
         return VanillaPayoff(
-            _parse_pair(doc, "pair"), _number(doc["strike"], "strike"), _string(doc["kind"], "kind")
+            _label(doc, "pair"), _number(doc["strike"], "strike"), _string(doc["kind"], "kind")
         )
     if kind_of == "basket":
         keys = {"type", "weights", "strike", "kind"}
         _require_keys(doc, keys, keys)
-        entries = doc["weights"]
-        if not isinstance(entries, list) or not entries:
-            raise SchemaError("expected a non-empty list", field="weights")
         weights: dict[FxPair, float] = {}
-        for n, entry in enumerate(entries):
-            where = f"weights[{n}]"
-            _expect_obj(entry, where)
-            _require_keys(entry, {"pair", "weight"}, {"pair", "weight"}, where)
-            pair = _parse_pair(entry, "pair", where)
-            if pair in weights:
-                raise SchemaError(f"duplicate basket pair {pair}", field=where)
+        for entry, where in _entries(doc, "weights", {"pair", "weight"}, nonempty=True):
+            pair = _unique(weights, _label(entry, "pair", where), "basket pair", where)
             weights[pair] = _number(entry["weight"], f"{where}.weight")
         return BasketPayoff(weights, _number(doc["strike"], "strike"), _string(doc["kind"], "kind"))
     if kind_of == "barrier":
@@ -586,13 +571,12 @@ def payoff_from_dict(doc: dict) -> PayoffSpec:
         _require_keys(doc, keys | {"monitoring"}, keys)
         monitoring = None
         if "monitoring" in doc:
-            times = _expect_list(doc, "monitoring")
-            monitoring = tuple(_number(t, f"monitoring[{n}]") for n, t in enumerate(times))
+            monitoring = tuple(_number(t, where) for t, where in _entries(doc, "monitoring", None))
         return BarrierPayoff(
-            _parse_pair(doc, "payoff_pair"),
+            _label(doc, "payoff_pair"),
             _number(doc["strike"], "strike"),
             _string(doc["kind"], "kind"),
-            _parse_pair(doc, "barrier_pair"),
+            _label(doc, "barrier_pair"),
             _number(doc["barrier_level"], "barrier_level"),
             _string(doc["direction"], "direction"),
             _string(doc["style"], "style"),

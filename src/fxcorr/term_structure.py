@@ -23,7 +23,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .market_data import VolTermStructure
+from .market_data import VolTermStructure, _check_times
 
 MIN_BUCKET_WIDTH = 1e-12
 
@@ -48,6 +48,7 @@ class PiecewiseConstant:
         if self.breakpoints[0] != 0.0:
             raise ValidationError(f"breakpoints must start at 0, got {self.breakpoints[0]}")
         _check_bucket_widths(self.breakpoints)
+        _check_times(self.breakpoints[1:], "breakpoints")
         if len(self.values) != len(self.breakpoints) - 1:
             raise ValidationError(
                 f"{len(self.breakpoints) - 1} buckets need {len(self.breakpoints) - 1} values, "
@@ -78,10 +79,10 @@ def forward_vol(sigma_near: float, sigma_far: float, t_near: float, t_far: float
     Raises CalendarArbitrageError when the forward variance is negative;
     an exactly zero forward variance is allowed and yields 0.
     """
-    if not 0 <= t_near < t_far:
-        raise ValidationError(f"need 0 <= t_near < t_far, got ({t_near}, {t_far})")
-    if sigma_near < 0 or sigma_far < 0:
-        raise ValidationError("vols must be >= 0")
+    if not 0 <= t_near < t_far < math.inf:
+        raise ValidationError(f"need 0 <= t_near < t_far < inf, got ({t_near}, {t_far})")
+    if not (0 <= sigma_near < math.inf and 0 <= sigma_far < math.inf):
+        raise ValidationError(f"vols must be finite and >= 0, got {sigma_near} and {sigma_far}")
     tv_near = sigma_near * sigma_near * t_near
     tv_far = sigma_far * sigma_far * t_far
     if tv_far < tv_near:

@@ -120,17 +120,6 @@ def _price_with_vega(spec: VanillaSpec, terms: tuple[float, ...], sigma: float) 
     return price, vega
 
 
-def no_arb_bounds(
-    spec: VanillaSpec, spot: float, rate_dom: float, rate_fgn: float
-) -> tuple[float, float]:
-    """Open no-arbitrage price band (discounted intrinsic, discounted cap)."""
-    fwd = forward(spot, rate_dom, rate_fgn, spec.maturity)
-    df = math.exp(-rate_dom * spec.maturity)
-    if spec.kind == "call":
-        return df * max(fwd - spec.strike, 0.0), df * fwd
-    return df * max(spec.strike - fwd, 0.0), df * spec.strike
-
-
 def implied_vol(
     spec: VanillaSpec,
     market_price: float,
@@ -146,8 +135,11 @@ def implied_vol(
     """
     if not math.isfinite(market_price):
         raise ValidationError(f"market price must be finite, got {market_price}")
-    market = PricingInputs(spot, rate_dom, rate_fgn, 0.0)  # checks that spot and rates are finite
-    lower, upper = no_arb_bounds(spec, spot, rate_dom, rate_fgn)
+    terms = _terms(spec, PricingInputs(spot, rate_dom, rate_fgn, 0.0))  # checks spot and rates
+    # open no-arbitrage band: discounted intrinsic (the sigma = 0 price), discounted cap
+    fwd, df = terms[:2]
+    lower = _price_with_vega(spec, terms, 0.0)[0]
+    upper = df * (fwd if spec.kind == "call" else spec.strike)
     if market_price <= lower:
         raise NoImpliedVolError(
             f"no implied vol: below intrinsic (price {market_price:.12g} <= {lower:.12g})",
@@ -158,8 +150,6 @@ def implied_vol(
             f"no implied vol: above cap (price {market_price:.12g} >= {upper:.12g})",
             reason="above_cap",
         )
-
-    terms = _terms(spec, market)
 
     def value(sigma: float) -> tuple[float, float]:
         price, vega = _price_with_vega(spec, terms, sigma)

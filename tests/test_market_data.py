@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -360,3 +361,95 @@ class TestUndecodableFile:
         path.write_bytes(b"\xff" + json.dumps(three_ccy_doc()).encode())
         with pytest.raises(SchemaError, match="invalid JSON"):
             load_snapshot(path)
+
+
+class TestNonFiniteConstructors:
+    """The Python constructors reject what the document reader rejects."""
+
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_rate(self, bad):
+        with pytest.raises(ValidationError, match="rate must be finite"):
+            RateCurve(EUR, ((1.0, 0.02), (2.0, bad)))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_rate_maturity(self, bad):
+        with pytest.raises(ValidationError, match="EUR rate maturities must be finite"):
+            RateCurve(EUR, ((1.0, 0.02), (bad, 0.03)))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_vol_maturity(self, bad):
+        with pytest.raises(ValidationError, match="EUR/USD vol maturities must be finite"):
+            VolTermStructure(FxPair(EUR, USD), ((1.0, 0.1), (bad, 0.1)))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_vol(self, bad):
+        with pytest.raises(ValidationError, match="vol must be finite and >= 0"):
+            VolTermStructure(FxPair(EUR, USD), ((1.0, 0.1), (2.0, bad)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_quote_vol(self, bad):
+        with pytest.raises(ValidationError, match="implied vol must be finite"):
+            VolQuote(FxPair(EUR, USD), 1.0, bad)
+
+    def test_quote_maturity(self):
+        with pytest.raises(ValidationError, match="maturity must be positive and finite"):
+            VolQuote(FxPair(EUR, USD), math.inf, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, 1e-310])  # 1 / 1e-310 overflows
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_spot(self, flip, bad):
+        pair = FxPair(USD, EUR) if flip else FxPair(EUR, USD)
+        rates = {c: RateCurve(c, ((1.0, 0.0),)) for c in (EUR, USD)}
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            MarketSnapshot({pair: bad}, {}, rates)
+
+    def test_empty_curves(self):
+        with pytest.raises(ValidationError, match="EUR rate maturities must contain at least one time"):
+            RateCurve(EUR, ())
+        with pytest.raises(ValidationError, match="EUR/USD vol maturities must contain at least one time"):
+            VolTermStructure(FxPair(EUR, USD), ())
+
+
+class TestEntryLists:
+    """The record walker's messages and key paths, in both documents."""
+
+    @pytest.mark.parametrize("parse, message, field", [
+        pytest.param(_parse_edited_snapshot(lambda d: d.update(spots={})),
+                     "expected a list", "spots", id="spots-not-a-list"),
+        pytest.param(_parse_edited_snapshot(lambda d: d["rates"].__setitem__(1, 5)),
+                     "expected an object", "rates[1]", id="rate-not-an-object"),
+        pytest.param(_parse_edited_snapshot(lambda d: d["vols"][2].update(points=None)),
+                     "expected a list", "vols[2].points", id="points-not-a-list"),
+        pytest.param(_parse_edited_snapshot(lambda d: d["vols"][0]["points"].__setitem__(1, [])),
+                     "expected an object", "vols[0].points[1]", id="point-not-an-object"),
+        pytest.param(_parse_edited_snapshot(lambda d: d["rates"][0]["points"][0].pop("r")),
+                     "missing key 'r'", "rates[0].points[0].r", id="point-missing-key"),
+        pytest.param(_parse_edited_snapshot(lambda d: d["vols"].append(d["vols"][0])),
+                     "duplicate vol structure for EUR/USD", "vols[3]", id="duplicate-vols"),
+        pytest.param(_parse_edited_snapshot(lambda d: d["rates"].append(d["rates"][2])),
+                     "duplicate rate curve for JPY", "rates[3]", id="duplicate-rates"),
+        pytest.param(_parse_edited_snapshot(lambda d: d["rates"][0].update(currency="eur")),
+                     "currency code must be", "rates[0].currency", id="bad-currency"),
+        pytest.param(_parse_payoff({"type": "basket", "strike": 1.0, "kind": "call", "weights": []}),
+                     "expected a non-empty list", "weights", id="weights-empty"),
+        pytest.param(_parse_payoff({"type": "basket", "strike": 1.0, "kind": "call", "weights": 5}),
+                     "expected a non-empty list", "weights", id="weights-not-a-list"),
+        pytest.param(_parse_payoff({"type": "basket", "strike": 1.0, "kind": "call",
+                                    "weights": [{"pair": "EUR/USD", "weight": 1.0}, "EUR/JPY"]}),
+                     "expected an object", "weights[1]", id="weight-not-an-object"),
+        pytest.param(_parse_payoff({"type": "basket", "strike": 1.0, "kind": "call",
+                                    "weights": [{"pair": "EUR/USD", "weight": 1.0},
+                                                {"pair": "EUR/USD", "weight": 2.0}]}),
+                     "duplicate basket pair EUR/USD", "weights[1]", id="duplicate-weights"),
+        pytest.param(_parse_payoff({"type": "barrier", "payoff_pair": "EUR/USD", "strike": 1.25,
+                                    "kind": "call", "barrier_pair": "JPY/USD",
+                                    "barrier_level": 0.0115, "direction": "up",
+                                    "style": "knock-out", "monitoring": 1.0}),
+                     "expected a list", "monitoring", id="monitoring-not-a-list"),
+    ])
+    def test_message_and_field(self, parse, message, field):
+        with pytest.raises(SchemaError, match=message) as exc:
+            parse()
+        assert exc.value.field == field

@@ -60,6 +60,11 @@ class TestPiecewiseConstant:
         with pytest.warns(ExtrapolationWarning):
             assert pc.value_at(3.0) == 0.1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_breakpoints(self, bad):
+        with pytest.raises(ValidationError, match="breakpoints must be finite"):
+            PiecewiseConstant((0.0, 1.0, bad), (0.1, 0.2))
+
 
 class TestForwardVol:
     def test_flat_structure_returns_same_vol(self):
@@ -73,6 +78,15 @@ class TestForwardVol:
     def test_calendar_arbitrage_reports_both_variances(self):
         with pytest.raises(CalendarArbitrageError, match="0.02"):
             forward_vol(0.20, 0.10, 1.0, 2.0)
+
+    @pytest.mark.parametrize("near, far", [(math.nan, 0.1), (0.1, math.nan), (0.1, math.inf)])
+    def test_rejects_non_finite_vols(self, near, far):
+        with pytest.raises(ValidationError, match="vols must be finite"):
+            forward_vol(near, far, 1.0, 2.0)
+
+    def test_rejects_infinite_far_time(self):
+        with pytest.raises(ValidationError, match="t_far < inf"):
+            forward_vol(0.1, 0.1, 1.0, math.inf)
 
     def test_zero_forward_variance_allowed(self):
         # dyadic values make the two total variances exactly equal
