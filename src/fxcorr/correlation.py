@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -314,10 +315,7 @@ class BucketedCorrelationMatrix:
     def bucket_index(self, t: float) -> int:
         if not 0 < t <= self.breakpoints[-1]:
             raise ValidationError(f"t={t} outside ({self.breakpoints[0]}, {self.breakpoints[-1]}]")
-        for n in range(self.n_buckets):
-            if t <= self.breakpoints[n + 1]:
-                return n
-        raise AssertionError("unreachable")
+        return bisect_left(self.breakpoints, t, 1) - 1  # t <= breakpoints[0] falls in bucket 0
 
     def to_dict(self) -> dict:
         return {

@@ -89,7 +89,7 @@ class FxPair:
     @classmethod
     def parse(cls, label: str) -> "FxPair":
         """Parse a ``"EUR/USD"`` label (denominating first)."""
-        parts = label.split("/")
+        parts = label.split("/") if isinstance(label, str) else ()
         if len(parts) != 2:
             raise ValidationError(f"pair label must look like 'EUR/USD', got {label!r}")
         return cls(Currency(parts[0]), Currency(parts[1]))
@@ -347,9 +347,6 @@ class MarketSnapshot:
         value = self._spots[cpair]
         return 1.0 / value if flipped else value
 
-    def has_vol(self, pair: FxPair) -> bool:
-        return (pair.denominating.code, pair.foreign.code) in self._vol_index
-
     def vol_structure(self, pair: FxPair) -> VolTermStructure:
         """Vol term structure for a pair in either orientation (vols are invariant)."""
         return self._vol_by_code(pair.denominating.code, pair.foreign.code)
@@ -496,12 +493,8 @@ def _unique(seen: Mapping, key, what: str, where: str):
     return key
 
 
-def loads_snapshot(text: str | bytes, triangle_tol: float | None = None) -> MarketSnapshot:
-    """Parse and fully validate a snapshot document from JSON text.
-
-    With ``triangle_tol`` set, spot triangles are also checked and any
-    violation raises ValidationError.
-    """
+def loads_snapshot(text: str | bytes) -> MarketSnapshot:
+    """Parse and fully validate a snapshot document from JSON text."""
     doc = _loads_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object", field="$")
@@ -523,22 +516,12 @@ def loads_snapshot(text: str | bytes, triangle_tol: float | None = None) -> Mark
         ccy = _unique(rates, _label(entry, "currency", where, Currency), "rate curve for", where)
         rates[ccy] = RateCurve(ccy, _points(entry, "r", where))
 
-    snapshot = MarketSnapshot(spots, vols, rates, as_of=as_of)
-    if triangle_tol is not None:
-        violations = check_spot_triangles(snapshot, triangle_tol)
-        if violations:
-            worst = max(violations, key=lambda v: v.magnitude)
-            names = "/".join(c.code for c in worst.currencies)
-            raise ValidationError(
-                f"spot triangle violation for {names}: magnitude {worst.magnitude:.6g} "
-                f"exceeds tolerance {triangle_tol:.6g}"
-            )
-    return snapshot
+    return MarketSnapshot(spots, vols, rates, as_of=as_of)
 
 
-def load_snapshot(source: str | Path, triangle_tol: float | None = None) -> MarketSnapshot:
+def load_snapshot(source: str | Path) -> MarketSnapshot:
     """Load a snapshot from a file path (see loads_snapshot)."""
-    return loads_snapshot(Path(source).read_bytes(), triangle_tol=triangle_tol)
+    return loads_snapshot(Path(source).read_bytes())
 
 
 def check_spot_triangles(snapshot: MarketSnapshot, tol: float) -> list[TriangleViolation]:

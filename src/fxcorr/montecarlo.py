@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
@@ -102,6 +102,9 @@ class BasketPayoff:
         _check_strike_kind(self.strike, self.kind)
         if not self.weights:
             raise ValidationError("basket weights must be non-empty")
+        for pair, weight in self.weights.items():
+            if not math.isfinite(weight):
+                raise ValidationError(f"basket weight of {pair} must be finite, got {weight}")
         denoms = {p.denominating for p in self.weights}
         if len(denoms) != 1:
             raise ValidationError(
@@ -160,13 +163,7 @@ class PricingResult:
     discount_rate: float
 
     def to_dict(self) -> dict:
-        return {
-            "price": self.price,
-            "standard_error": self.standard_error,
-            "n_paths": self.n_paths,
-            "discount_currency": self.discount_currency,
-            "discount_rate": self.discount_rate,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +179,14 @@ class _Steps:
     factors: tuple[np.ndarray, ...]  # per step, (P, P) with L L^T = C
 
 
+def _grid_index(grid: tuple[float, ...], t: float) -> int | None:
+    """Index of the first grid time within ``_GRID_TOL`` of t, or None."""
+    return next((m for m, g in enumerate(grid) if abs(g - t) <= _GRID_TOL), None)
+
+
 def _require_grid_covers(grid: tuple[float, ...], breakpoints: Sequence[float], what: str) -> None:
-    horizon = grid[-1]
-    for b in breakpoints:
-        if b <= _GRID_TOL or b >= horizon - _GRID_TOL:
-            continue
-        if not any(abs(g - b) <= _GRID_TOL for g in grid):
+    for b in breakpoints:  # the skip test is false for NaN, so NaN raises
+        if not (b <= _GRID_TOL or b >= grid[-1] - _GRID_TOL) and _grid_index(grid, b) is None:
             raise ValidationError(f"grid must include breakpoint {b} of {what}")
 
 
@@ -232,28 +231,19 @@ def _prepare_steps(
     if corr is not None:
         _require_grid_covers(config.grid, corr.breakpoints, "the correlation matrix")
 
-    grid = (0.0,) + config.grid
-    n_steps = len(config.grid)
-    dt = np.diff(np.asarray(grid))
-    sigma = np.empty((n_steps, n_pairs))
-    drift = np.empty((n_steps, n_pairs))
-    for m in range(n_steps):
-        mid = 0.5 * (grid[m] + grid[m + 1])
-        for p, pair in enumerate(pairs):
-            s = vols[pair].value_at(mid)
-            sigma[m, p] = s
-            rate_diff = 0.0
-            if rates is not None:
-                r_dom = rates[pair.denominating]
-                r_fgn = rates[pair.foreign]
-                rate_diff = (r_dom.integrated(grid[m + 1]) - _integrated(r_dom, grid[m])) - (
-                    r_fgn.integrated(grid[m + 1]) - _integrated(r_fgn, grid[m])
-                )
-            drift[m, p] = rate_diff - 0.5 * s * s * dt[m]
+    grid = np.array((0.0,) + config.grid)
+    dt = np.diff(grid)
+    mids = (0.5 * (grid[:-1] + grid[1:])).tolist()
+    sigma = np.array([[vols[pair].value_at(t) for pair in pairs] for t in mids])
+    rate_diff = 0.0
+    if rates is not None:
+        currencies = dict.fromkeys(c for pair in pairs for c in (pair.denominating, pair.foreign))
+        integrated = {c: np.diff([0.0] + [rates[c].integrated(t) for t in config.grid]) for c in currencies}
+        rate_diff = np.stack([integrated[p.denominating] - integrated[p.foreign] for p in pairs], axis=1)
+    drift = rate_diff - 0.5 * sigma * sigma * dt[:, None]
 
     if corr is None:
-        identity = np.eye(n_pairs)
-        factors = tuple(identity for _ in range(n_steps))
+        factors = (np.eye(n_pairs),) * len(mids)
     else:
         labels = list(corr.pairs)
         indices = []
@@ -264,29 +254,15 @@ def _prepare_steps(
                 raise MissingDataError(f"missing correlation entry for pair {pair}")
             indices.append(labels.index(cpair.label))
             signs[p] = -1.0 if flipped else 1.0
-        bucket_factors: dict[int, np.ndarray] = {}
-        factor_list = []
-        for m in range(n_steps):
-            mid = 0.5 * (grid[m] + grid[m + 1])
-            bucket = corr.bucket_index(min(mid, corr.breakpoints[-1]))
-            if bucket not in bucket_factors:
-                status = corr.statuses[bucket]
-                if status.status == "indefinite":
-                    raise FactorizationError(
-                        f"correlation matrix bucket {bucket} is indefinite "
-                        f"(min eigenvalue {status.min_eigenvalue:.3g}) and repair is disabled"
-                    )
-                sub = corr.matrices[bucket][np.ix_(indices, indices)]
-                oriented = sub * np.outer(signs, signs)
-                bucket_factors[bucket] = _factor_matrix(oriented, f"bucket {bucket}")
-            factor_list.append(bucket_factors[bucket])
-        factors = tuple(factor_list)
+        buckets = [corr.bucket_index(min(t, corr.breakpoints[-1])) for t in mids]
+        block = np.ix_(indices, indices)
+        bucket_factors = {  # the one PSD gate, on the block that is simulated
+            n: _factor_matrix(corr.matrices[n][block] * np.outer(signs, signs), f"bucket {n}")
+            for n in dict.fromkeys(buckets)
+        }
+        factors = tuple(bucket_factors[n] for n in buckets)
 
     return _Steps((sigma * np.sqrt(dt)[:, None])[..., None], drift[..., None], factors)
-
-
-def _integrated(curve: RateCurve, t: float) -> float:
-    return curve.integrated(t) if t > 0 else 0.0
 
 
 def _terminal_steps(steps: _Steps) -> _Steps:
@@ -356,8 +332,10 @@ def simulate_increments(
 ) -> np.ndarray:
     """Simulate log-increments, shaped (n_paths, n_steps, n_pairs).
 
-    ``corr=None`` simulates independent pairs.  ``rates=None`` drops the
-    rate-differential part of the drift (pure -sigma^2/2 dt).
+    ``corr=None`` simulates independent pairs; otherwise only the block of
+    ``pairs`` in each bucket is factorized, and it must be PSD.
+    ``rates=None`` drops the rate-differential part of the drift (pure
+    -sigma^2/2 dt).
     """
     steps = _prepare_steps(pairs, vols, corr, config, rates)
     out = np.empty((config.n_paths,) + steps.drift.shape[:2])
@@ -371,6 +349,7 @@ def simulate_increments(
 
 
 def _involved_pairs(payoff: PayoffSpec) -> tuple[FxPair, ...]:
+    """The simulated pairs, the paying pair first (basket legs all pay in one currency)."""
     if isinstance(payoff, VanillaPayoff):
         return (payoff.pair,)
     if isinstance(payoff, BasketPayoff):
@@ -381,24 +360,14 @@ def _involved_pairs(payoff: PayoffSpec) -> tuple[FxPair, ...]:
     return tuple(pairs)
 
 
-def discount_currency(payoff: PayoffSpec) -> Currency:
-    """The single currency the payoff pays in (and is discounted with)."""
-    if isinstance(payoff, VanillaPayoff):
-        return payoff.pair.denominating
-    if isinstance(payoff, BasketPayoff):
-        return next(iter(payoff.weights)).denominating
-    return payoff.payoff_pair.denominating
-
-
 def _monitoring_indices(payoff: BarrierPayoff, grid: tuple[float, ...]) -> set[int]:
     if payoff.monitoring is None:
         return set(range(len(grid)))
     indices = set()
     for t in payoff.monitoring:
-        matches = [m for m, g in enumerate(grid) if abs(g - t) <= _GRID_TOL]
-        if not matches:
+        if (m := _grid_index(grid, t)) is None:
             raise ValidationError(f"barrier monitoring time {t} is not a grid time")
-        indices.add(matches[0])
+        indices.add(m)
     return indices
 
 
@@ -484,7 +453,7 @@ def price(
         payoff = replace(payoff, barrier_pair=payoff.payoff_pair, barrier_level=1.0 / payoff.barrier_level,
                          direction="down" if payoff.direction == "up" else "up")
     pairs = _involved_pairs(payoff)
-    disc_ccy = discount_currency(payoff)
+    disc_ccy = pairs[0].denominating
     horizon = config.horizon
 
     if vols is None:

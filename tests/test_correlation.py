@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from fxcorr import (
+    BucketedCorrelationMatrix,
+    BucketStatus,
     CorrelationClampWarning,
     CorrelationRangeError,
     CorrQuery,
@@ -412,6 +414,27 @@ class TestBuildMatrix:
             build_matrix(
                 [pair("EUR/USD"), pair("USD/EUR")], three_ccy_snapshot, [1.0]
             )
+
+
+def _scanned_bucket(breakpoints, t):
+    """The bucket of t by a linear scan over the right ends."""
+    return next(n for n in range(len(breakpoints) - 1) if t <= breakpoints[n + 1])
+
+
+class TestBucketIndex:
+    @pytest.mark.parametrize("breakpoints", [(0.0, 0.25, 0.5, 1.0, 2.0), (0.0, 1.0), (0.5, 1.0, 2.0)])
+    def test_matches_a_linear_scan(self, breakpoints):
+        n = len(breakpoints) - 1
+        matrix = BucketedCorrelationMatrix(
+            ("EUR/USD",), breakpoints, (np.eye(1),) * n, (BucketStatus("psd", 1.0),) * n
+        )
+        times = [t for b in breakpoints for t in (b, math.nextafter(b, math.inf))]
+        times = [t for t in times if 0 < t <= breakpoints[-1]] + [0.1]
+        for t in times:
+            assert matrix.bucket_index(t) == _scanned_bucket(breakpoints, t), t
+        for t in (0.0, math.nextafter(breakpoints[-1], math.inf), math.nan):
+            with pytest.raises(ValidationError, match="outside"):
+                matrix.bucket_index(t)
 
 
 class TestNonFiniteVols:

@@ -49,6 +49,18 @@ class TestCurrencyAndPair:
         with pytest.raises(ValidationError):
             FxPair.parse("EURUSD")
 
+    @pytest.mark.parametrize("bad", [5, None, ("EUR", "USD")])
+    def test_pair_parse_rejects_a_non_string(self, bad):
+        with pytest.raises(ValidationError, match="pair label must look like 'EUR/USD'"):
+            FxPair.parse(bad)
+
+    def test_document_pair_must_be_a_string(self):
+        doc = three_ccy_doc()
+        doc["spots"][0]["pair"] = 5
+        with pytest.raises(SchemaError, match="expected a string") as info:
+            loads_snapshot(json.dumps(doc))
+        assert info.value.field == "spots[0].pair"
+
     def test_double_inverse_is_identity(self):
         pair = FxPair(EUR, USD)
         assert pair.inverse().inverse() == pair
@@ -249,14 +261,6 @@ class TestSnapshotDocument:
         )
         with pytest.raises(CalendarArbitrageError, match="calendar arbitrage"):
             loads_snapshot(json.dumps(doc))
-
-    def test_triangle_check_on_load_when_enabled(self):
-        doc = three_ccy_doc()
-        doc["spots"][1]["value"] = 130.0  # EUR/JPY off by 4%
-        text = json.dumps(doc)
-        loads_snapshot(text)  # fine without the check
-        with pytest.raises(ValidationError, match="triangle"):
-            loads_snapshot(text, triangle_tol=1e-8)
 
 
 class TestSpotTriangles:

@@ -162,6 +162,40 @@ class TestSimulateIncrements:
         with pytest.raises(FactorizationError, match="bucket 0"):
             simulate_increments([EURUSD, EURJPY, JPYUSD], vols, bad, config)
 
+    def test_psd_block_of_an_indefinite_matrix_simulates(self):
+        # Only the block of the simulated pairs is factorized, so a pair set
+        # whose block is PSD simulates even when the whole matrix is not.
+        labels = ["EUR/JPY", "EUR/USD", "JPY/USD"]
+        full = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+        bad = manual_corr(labels, full)
+        assert bad.statuses[0].status == "indefinite"
+        block = manual_corr(labels[:2], [row[:2] for row in full[:2]])
+        config = SimulationConfig(100, 3, (0.5, 1.0))
+        vols = {p: flat_vol(0.2) for p in [EURUSD, EURJPY]}
+        a = simulate_increments([EURUSD, EURJPY], vols, bad, config)
+        b = simulate_increments([EURUSD, EURJPY], vols, block, config)
+        assert a.tobytes() == b.tobytes()
+
+    def test_indefinite_block_names_its_bucket(self):
+        bad = manual_corr(
+            ["EUR/JPY", "EUR/USD", "JPY/USD"],
+            [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]],
+        )
+        config = SimulationConfig(100, 3, (1.0,))
+        vols = {p: flat_vol(0.2) for p in [EURUSD, EURJPY, JPYUSD]}
+        with pytest.raises(FactorizationError, match=r"for bucket 0 is indefinite .*repair it before simulating"):
+            simulate_increments([EURUSD, EURJPY, JPYUSD], vols, bad, config)
+
+    def test_nan_correlation_breakpoint_rejected(self):
+        # BucketedCorrelationMatrix does not validate its breakpoints
+        corr = BucketedCorrelationMatrix(
+            ("EUR/USD",), (0.0, math.nan, 1.0), (np.eye(1), np.eye(1)),
+            (BucketStatus("psd", 1.0), BucketStatus("psd", 1.0)),
+        )
+        config = SimulationConfig(100, 3, (0.5, 1.0))
+        with pytest.raises(ValidationError, match="grid must include breakpoint nan"):
+            simulate_increments([EURUSD], {EURUSD: flat_vol(0.2)}, corr, config)
+
 
 class TestPriceVanilla:
     def test_matches_analytic_within_4_se(self, three_ccy_snapshot):
@@ -443,6 +477,14 @@ class TestNonFinitePayoffs:
     def test_strike_rejected(self, make, bad):
         with pytest.raises(ValidationError, match="strike must be positive and finite"):
             make(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_basket_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="basket weight of EUR/JPY must be finite"):
+            BasketPayoff({EURUSD: 1.0, EURJPY: bad}, 1.25, "call")
+
+    def test_negative_basket_weight_allowed(self):
+        assert BasketPayoff({EURUSD: 1.0, EURJPY: -0.5}, 1.25, "call").weights[EURJPY] == -0.5
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_barrier_level_rejected(self, bad):
