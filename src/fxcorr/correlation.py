@@ -32,7 +32,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .market_data import FxPair, MarketSnapshot, canonicalize
+from .market_data import FxPair, MarketSnapshot, _check_times, canonicalize
 from .term_structure import PiecewiseConstant, _check_bucket_widths, horizon_vol
 
 RANGE_SNAP = 1e-12
@@ -228,19 +228,10 @@ def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = Fa
 
 def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
     """Sorted bucket boundaries with a leading 0 (added when absent)."""
-    points = sorted(set(float(b) for b in buckets))
-    if not points:
-        raise ValidationError("need at least one bucket boundary")
-    if not all(map(math.isfinite, points)):
-        raise ValidationError(f"bucket boundaries must be finite, got {points}")
-    if points[0] < 0:
-        raise ValidationError(f"bucket boundaries must be >= 0, got {points[0]}")
-    if points[0] != 0.0:
-        points.insert(0, 0.0)
-    if len(points) < 2:
-        raise ValidationError("need at least one bucket past 0")
+    points = (0.0, *sorted({float(b) for b in buckets} - {0.0}))
+    _check_times(points[1:], "bucket boundaries")
     _check_bucket_widths(points)
-    return tuple(points)
+    return points
 
 
 def bucket_corrs(

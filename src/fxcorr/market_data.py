@@ -5,9 +5,9 @@ Pair convention (important): a pair is written ``"EUR/USD"`` with the
 costs 1.25 euros.  This matches the rate X_{denominating/foreign} used by
 every formula in the library, and is the opposite of the interbank ticker
 convention for some pairs.  All storage is canonical (denominating =
-lexicographically smaller code); lookups in either orientation are
-answered via the identity X_{j/i} = 1/X_{i/j}, and implied vols are
-orientation-invariant.
+lexicographically smaller code); both orientations are indexed when the
+snapshot is built, through the identity X_{j/i} = 1/X_{i/j}, and implied
+vols are orientation-invariant.
 
 Snapshot file schema (JSON, strict — unknown keys are rejected)::
 
@@ -50,6 +50,15 @@ _CODE_RE = re.compile(r"^[A-Z]{3}$")
 
 SPOT_INVERSE_TOL = 1e-10
 VOL_INVERSE_TOL = 1e-10
+
+
+def _interpolate(ts: Sequence[float], ys: Sequence[float], t: float) -> float:
+    """Linear interpolation of the knots (ts, ys) at ts[0] < t <= ts[-1]."""
+    n = bisect_left(ts, t)
+    if ts[n] == t:
+        return ys[n]
+    w = (t - ts[n - 1]) / (ts[n] - ts[n - 1])
+    return ys[n - 1] + w * (ys[n] - ys[n - 1])
 
 
 def _check_times(times: Sequence[float], what: str) -> None:
@@ -190,16 +199,9 @@ class VolTermStructure:
                 ExtrapolationWarning,
                 stacklevel=2,
             )
-            if len(ts) == 1:
-                slope = tvs[0] / ts[0]
-            else:
-                slope = (tvs[-1] - tvs[-2]) / (ts[-1] - ts[-2])
-            return tvs[-1] + slope * (maturity - ts[-1])
-        n = bisect_left(ts, maturity)
-        if ts[n] == maturity:
-            return tvs[n]
-        w = (maturity - ts[n - 1]) / (ts[n] - ts[n - 1])
-        return tvs[n - 1] + w * (tvs[n] - tvs[n - 1])
+            t0, tv0 = (ts[-2], tvs[-2]) if len(ts) > 1 else (0.0, 0.0)  # the last bucket starts at 0 or a knot
+            return tvs[-1] + (tvs[-1] - tv0) / (ts[-1] - t0) * (maturity - ts[-1])
+        return _interpolate(ts, tvs, maturity)
 
     def vol(self, maturity: float) -> float:
         """Spot implied vol sigma(0,T) at any T > 0 (see total_variance)."""
@@ -230,11 +232,7 @@ class RateCurve:
             return self.points[0][1] * maturity
         if maturity >= ts[-1]:
             return self.points[-1][1] * maturity
-        n = bisect_left(ts, maturity)
-        if ts[n] == maturity:
-            return rts[n]
-        w = (maturity - ts[n - 1]) / (ts[n] - ts[n - 1])
-        return rts[n - 1] + w * (rts[n] - rts[n - 1])
+        return _interpolate(ts, rts, maturity)
 
     def average(self, maturity: float) -> float:
         """Average rate r(T) = integrated(T)/T."""
@@ -272,53 +270,25 @@ class MarketSnapshot:
         rates: Mapping[Currency, RateCurve],
         as_of: str = "",
     ):
-        canon_spots: dict[FxPair, float] = {}
         for pair, value in spots.items():
             if not (0 < value < math.inf and 1.0 / value < math.inf):  # both orientations are served
                 raise ValidationError(f"spot for {pair} and its inverse must be positive and finite, got {value}")
-            cpair, flipped = canonicalize(pair)
-            stored = 1.0 / value if flipped else value
-            if cpair in canon_spots:
-                existing = canon_spots[cpair]
-                if abs(stored / existing - 1.0) > SPOT_INVERSE_TOL:
-                    raise ValidationError(
-                        f"inconsistent spots for {cpair} and its inverse: "
-                        f"{existing:.12g} vs {stored:.12g} (relative tolerance {SPOT_INVERSE_TOL})"
-                    )
-                if not flipped:
-                    canon_spots[cpair] = stored
-            else:
-                canon_spots[cpair] = stored
-
-        canon_vols: dict[FxPair, VolTermStructure] = {}
         for pair, ts in vols.items():
             if ts.pair != pair:
                 raise ValidationError(f"term structure for {ts.pair} registered under {pair}")
-            cpair, flipped = canonicalize(pair)
-            restated = VolTermStructure(cpair, ts.points) if flipped else ts
-            if cpair in canon_vols:
-                existing = canon_vols[cpair]
-                _check_inverse_vols(cpair, existing, restated)
-                if not flipped:
-                    canon_vols[cpair] = restated
-            else:
-                canon_vols[cpair] = restated
+        canon_spots = _canonical(spots, lambda cpair, value: 1.0 / value, _check_inverse_spots)
+        canon_vols = _canonical(vols, lambda cpair, ts: VolTermStructure(cpair, ts.points), _check_inverse_vols)
 
-        referenced: set[Currency] = set()
-        for pair in list(canon_spots) + list(canon_vols):
-            referenced.add(pair.denominating)
-            referenced.add(pair.foreign)
+        referenced = {c for pair in (*canon_spots, *canon_vols) for c in (pair.denominating, pair.foreign)}
         missing = sorted(c.code for c in referenced if c not in rates)
         if missing:
             raise ValidationError(f"no rate curve for referenced currencies: {', '.join(missing)}")
 
         self._spots = MappingProxyType(canon_spots)
         self._vols = MappingProxyType(canon_vols)
-        # the one vol lookup: (code, code) in both orientations, built once
-        self._vol_index: dict[tuple[str, str], VolTermStructure] = {}
-        for pair, ts in canon_vols.items():
-            a, b = pair.denominating.code, pair.foreign.code
-            self._vol_index[a, b] = self._vol_index[b, a] = ts
+        # the one lookup of each: (code, code) in both orientations, built once
+        self._spot_index = _both_ways(canon_spots, lambda value: 1.0 / value)
+        self._vol_index = _both_ways(canon_vols, lambda ts: ts)
         self._rates = MappingProxyType(dict(rates))
         self.as_of = as_of
 
@@ -341,11 +311,10 @@ class MarketSnapshot:
         return tuple(sorted(self._vols, key=lambda p: p.label))
 
     def spot(self, pair: FxPair) -> float:
-        cpair, flipped = canonicalize(pair)
-        if cpair not in self._spots:
+        value = self._spot_index.get((pair.denominating.code, pair.foreign.code))
+        if value is None:
             raise MissingDataError(f"no spot for pair {pair}")
-        value = self._spots[cpair]
-        return 1.0 / value if flipped else value
+        return value
 
     def vol_structure(self, pair: FxPair) -> VolTermStructure:
         """Vol term structure for a pair in either orientation (vols are invariant)."""
@@ -392,8 +361,38 @@ class MarketSnapshot:
     def dumps(self) -> str:
         return json.dumps(self.to_document(), indent=2)
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps() + "\n")
+
+def _canonical(entries: Mapping[FxPair, object], restate, agree) -> dict:
+    """Entries under their canonical pairs.  A flipped entry is restated,
+    a pair given in both orientations must agree, and the canonical entry
+    is kept."""
+    canon: dict = {}
+    for pair, value in entries.items():
+        cpair, flipped = canonicalize(pair)
+        if flipped:
+            value = restate(cpair, value)
+        if cpair in canon:
+            agree(cpair, canon[cpair], value)
+        if not (flipped and cpair in canon):
+            canon[cpair] = value
+    return canon
+
+
+def _both_ways(canon: Mapping[FxPair, object], invert) -> dict[tuple[str, str], object]:
+    """Canonical entries keyed by (code, code) in both orientations."""
+    index = {}
+    for pair, value in canon.items():
+        a, b = pair.denominating.code, pair.foreign.code
+        index[a, b], index[b, a] = value, invert(value)
+    return index
+
+
+def _check_inverse_spots(pair: FxPair, a: float, b: float) -> None:
+    if abs(b / a - 1.0) > SPOT_INVERSE_TOL:
+        raise ValidationError(
+            f"inconsistent spots for {pair} and its inverse: "
+            f"{a:.12g} vs {b:.12g} (relative tolerance {SPOT_INVERSE_TOL})"
+        )
 
 
 def _check_inverse_vols(pair: FxPair, a: VolTermStructure, b: VolTermStructure) -> None:
@@ -531,25 +530,13 @@ def check_spot_triangles(snapshot: MarketSnapshot, tol: float) -> list[TriangleV
     |X_{i/j} * X_{j/k} / X_{i/k} - 1| when it exceeds ``tol``.  An empty
     list means the spots are arbitrage-consistent at that tolerance.
     """
-    currencies: set[Currency] = set()
-    for pair in snapshot.spots:
-        currencies.add(pair.denominating)
-        currencies.add(pair.foreign)
-
-    def spot_or_none(a: Currency, b: Currency) -> float | None:
-        try:
-            return snapshot.spot(FxPair(a, b))
-        except MissingDataError:
-            return None
-
+    index = snapshot._spot_index
     violations = []
-    for i, j, k in combinations(sorted(currencies), 3):
-        x_ij = spot_or_none(i, j)
-        x_jk = spot_or_none(j, k)
-        x_ik = spot_or_none(i, k)
+    for i, j, k in combinations(sorted({a for a, _ in index}), 3):
+        x_ij, x_jk, x_ik = index.get((i, j)), index.get((j, k)), index.get((i, k))
         if x_ij is None or x_jk is None or x_ik is None:
             continue
         magnitude = abs(x_ij * x_jk / x_ik - 1.0)
         if magnitude > tol:
-            violations.append(TriangleViolation((i, j, k), magnitude))
+            violations.append(TriangleViolation((Currency(i), Currency(j), Currency(k)), magnitude))
     return violations

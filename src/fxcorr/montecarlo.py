@@ -238,6 +238,8 @@ def _prepare_steps(
     rate_diff = 0.0
     if rates is not None:
         currencies = dict.fromkeys(c for pair in pairs for c in (pair.denominating, pair.foreign))
+        if missing := [c for c in currencies if c not in rates]:
+            raise MissingDataError(f"no rate curve for currency {missing[0]}")
         integrated = {c: np.diff([0.0] + [rates[c].integrated(t) for t in config.grid]) for c in currencies}
         rate_diff = np.stack([integrated[p.denominating] - integrated[p.foreign] for p in pairs], axis=1)
     drift = rate_diff - 0.5 * sigma * sigma * dt[:, None]

@@ -69,8 +69,10 @@ class PiecewiseConstant:
                 ExtrapolationWarning,
                 stacklevel=2,
             )
-            return self.values[-1]
-        return self.values[bisect_left(self.breakpoints, t) - 1]
+        return self._value(t)
+
+    def _value(self, t: float) -> float:
+        return self.values[-1] if t > self.horizon else self.values[bisect_left(self.breakpoints, t) - 1]
 
 
 def forward_vol(sigma_near: float, sigma_far: float, t_near: float, t_far: float) -> float:
@@ -122,23 +124,18 @@ def total_variance(sigma: PiecewiseConstant, horizon: float) -> float:
             stacklevel=2,
         )
     total = 0.0
-    for n, value in enumerate(sigma.values):
-        left = sigma.breakpoints[n]
-        right = sigma.breakpoints[n + 1]
-        width = min(horizon, right) - left
-        if width <= 0:
-            break
+    for _, width, value in _merged_buckets((sigma,), horizon):
         total += value * value * width
-    if horizon > sigma.horizon:
-        total += sigma.values[-1] ** 2 * (horizon - sigma.horizon)
     return total
 
 
-def merged_breakpoints(structures: list[PiecewiseConstant], horizon: float) -> list[float]:
-    points = {0.0, horizon}
-    for s in structures:
-        points.update(b for b in s.breakpoints if 0.0 < b < horizon)
-    return sorted(points)
+def _merged_buckets(structures: Sequence[PiecewiseConstant], horizon: float):
+    """Yield (mid, width, *values) for each bucket of the structures' merged
+    breakpoints on (0, horizon], each structure flat beyond its own horizon."""
+    points = sorted({0.0, horizon, *(b for s in structures for b in s.breakpoints if 0.0 < b < horizon)})
+    for left, right in zip(points, points[1:]):
+        mid = 0.5 * (left + right)
+        yield (mid, right - left, *(s._value(mid) for s in structures))
 
 
 def integrated_correlation(
@@ -157,33 +154,25 @@ def integrated_correlation(
     """
     if not horizon > 0:
         raise ValidationError(f"horizon must be > 0, got {horizon}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        tv_a = total_variance(sigma_a, horizon)
-        tv_b = total_variance(sigma_b, horizon)
+    tv_a = tv_b = covariance = 0.0
+    for mid, width, r, a, b in _merged_buckets((rho, sigma_a, sigma_b), horizon):
+        if abs(r) > 1.0:
+            raise ValidationError(f"|rho| > 1 on bucket around t={mid}: {r}")
+        tv_a += a * a * width
+        tv_b += b * b * width
+        covariance += r * a * b * width
     if tv_a == 0.0 or tv_b == 0.0:
         which = "both legs" if tv_a == tv_b == 0.0 else "one leg"
         raise UndefinedCorrelationError(
             f"correlation undefined over (0, {horizon}]: {which} of zero total variance"
         )
-    for grid_warn in (rho, sigma_a, sigma_b):
-        if horizon > grid_warn.horizon:
-            warnings.warn(
-                f"integrated correlation extrapolates an input flat beyond T={grid_warn.horizon}",
-                ExtrapolationWarning,
-                stacklevel=2,
-            )
-            break
-    grid = merged_breakpoints([rho, sigma_a, sigma_b], horizon)
-    covariance = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        for left, right in zip(grid, grid[1:]):
-            mid = 0.5 * (left + right)
-            r = rho.value_at(mid)
-            if abs(r) > 1.0:
-                raise ValidationError(f"|rho| > 1 on bucket around t={mid}: {r}")
-            covariance += r * sigma_a.value_at(mid) * sigma_b.value_at(mid) * (right - left)
+    beyond = [s.horizon for s in (rho, sigma_a, sigma_b) if horizon > s.horizon]
+    if beyond:
+        warnings.warn(
+            f"integrated correlation extrapolates an input flat beyond T={beyond[0]}",
+            ExtrapolationWarning,
+            stacklevel=2,
+        )
     result = covariance / math.sqrt(tv_a * tv_b)
     return max(-1.0, min(1.0, result))
 

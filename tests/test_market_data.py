@@ -207,6 +207,44 @@ class TestMarketSnapshot:
         with pytest.raises(ValidationError, match="inverse-pair vols"):
             loads_snapshot(json.dumps(doc))
 
+    def test_canonical_entry_listed_second_is_kept(self):
+        # USD/EUR is listed first and agrees within tolerance; the canonical
+        # EUR/USD entries that follow replace it, spot and vol alike.
+        doc = snapshot_doc(
+            spots={"USD/EUR": 0.8000000000001, "EUR/USD": 1.25},
+            vols={"USD/EUR": [(1.0, 0.1000000000001)], "EUR/USD": [(1.0, 0.1)]},
+            rates={"EUR": [(1.0, 0.0)], "USD": [(1.0, 0.0)]},
+        )
+        snap = loads_snapshot(json.dumps(doc))
+        assert snap.spots == {FxPair(EUR, USD): 1.25}
+        assert snap.spot(FxPair(EUR, USD)) == 1.25
+        assert snap.spot(FxPair(USD, EUR)) == 1 / 1.25
+        assert snap.vols[FxPair(EUR, USD)].points == ((1.0, 0.1),)
+        assert snap.vol_structure(FxPair(USD, EUR)).points == ((1.0, 0.1),)
+
+    def test_flipped_vol_structure_is_restated_canonically(self):
+        doc = snapshot_doc(
+            spots={"EUR/USD": 1.25},
+            vols={"USD/EUR": [(1.0, 0.1)]},
+            rates={"EUR": [(1.0, 0.0)], "USD": [(1.0, 0.0)]},
+        )
+        snap = loads_snapshot(json.dumps(doc))
+        assert list(snap.vols) == [FxPair(EUR, USD)]
+        assert snap.vols[FxPair(EUR, USD)].pair == FxPair(EUR, USD)
+
+    def test_invalid_entry_is_reported_before_disagreeing_orientations(self):
+        ts = VolTermStructure(FxPair(EUR, JPY), ((1.0, 0.1),))
+        rates = {c: RateCurve(c, ((1.0, 0.0),)) for c in (EUR, USD, JPY)}
+        spots = {FxPair(EUR, USD): 1.25, FxPair(USD, EUR): 0.9}
+        with pytest.raises(ValidationError, match="registered under"):
+            MarketSnapshot(spots, {FxPair(EUR, USD): ts}, rates)
+
+    def test_structure_registered_under_another_pair_rejected(self):
+        ts = VolTermStructure(FxPair(EUR, JPY), ((1.0, 0.1),))
+        rates = {c: RateCurve(c, ((1.0, 0.0),)) for c in (EUR, USD, JPY)}
+        with pytest.raises(ValidationError, match="term structure for EUR/JPY registered under EUR/USD"):
+            MarketSnapshot({}, {FxPair(EUR, USD): ts}, rates)
+
 
 class TestSnapshotDocument:
     def test_round_trip_is_bit_identical(self):

@@ -196,6 +196,26 @@ class TestSimulateIncrements:
         with pytest.raises(ValidationError, match="grid must include breakpoint nan"):
             simulate_increments([EURUSD], {EURUSD: flat_vol(0.2)}, corr, config)
 
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ValidationError, match="at least one pair"):
+            simulate_increments([], {}, None, SimulationConfig(100, 3, (1.0,)))
+
+    def test_repeated_pair_rejected(self):
+        vols = {EURUSD: flat_vol(0.2)}
+        with pytest.raises(ValidationError, match="pairs must be distinct"):
+            simulate_increments([EURUSD, EURUSD], vols, None, SimulationConfig(100, 3, (1.0,)))
+
+    def test_pair_without_vols_rejected(self):
+        vols = {EURUSD: flat_vol(0.2)}
+        with pytest.raises(MissingDataError, match="no vol structure supplied for pair EUR/JPY"):
+            simulate_increments([EURUSD, EURJPY], vols, None, SimulationConfig(100, 3, (1.0,)))
+
+    def test_missing_rate_curve_names_the_currency(self, three_ccy_snapshot):
+        rates = {c: curve for c, curve in three_ccy_snapshot.rates.items() if c.code != "USD"}
+        config = SimulationConfig(100, 3, (1.0,))
+        with pytest.raises(MissingDataError, match="no rate curve for currency USD"):
+            simulate_increments([EURUSD], {EURUSD: flat_vol(0.2)}, None, config, rates=rates)
+
 
 class TestPriceVanilla:
     def test_matches_analytic_within_4_se(self, three_ccy_snapshot):
