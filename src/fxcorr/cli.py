@@ -97,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_snapshot(p)
     p.add_argument("--pair-a", required=True)
     p.add_argument("--pair-b", required=True)
+    p.add_argument("--clamp", action="store_true", help="clamp out-of-range results to +/-1")
+    p.add_argument("--audit", action="store_true", help="include the full provenance record")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--maturity", type=float, help="total horizon (0, T]")
     group.add_argument("--buckets", type=_comma_floats, help="bucket boundaries, e.g. 0.5,1,2")
-    p.add_argument("--clamp", action="store_true", help="clamp out-of-range results to +/-1")
-    p.add_argument("--audit", action="store_true", help="include the full provenance record")
 
     p = sub.add_parser("corr-matrix", help="bucketed correlation matrix across pairs")
     add_snapshot(p)
@@ -133,11 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(args: argparse.Namespace, config: dict) -> dict:
-    """Embedded in every output document: what produced the result."""
+def _manifest(args: argparse.Namespace, resolved: dict) -> dict:
+    """Embedded in every output document: what produced the result.
+
+    ``config`` is every option as parsed, in declaration order, with the
+    values a command resolved (normalized buckets, the payoff document) in
+    place of what was typed."""
     inputs = {"snapshot": args.snapshot}
     if hasattr(args, "payoff"):
         inputs["payoff"] = args.payoff
+    config = {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in {**vars(args), **resolved}.items()
+        if key not in ("subcommand", "snapshot", "pretty") and value is not None
+    }
     return {
         "subcommand": args.subcommand,
         "inputs": inputs,
@@ -147,12 +156,12 @@ def _manifest(args: argparse.Namespace, config: dict) -> dict:
     }
 
 
-def _emit(result: dict, args: argparse.Namespace, config: dict, pretty_lines: list[str]) -> None:
+def _emit(result: dict, args: argparse.Namespace, pretty_lines: list[str], **resolved) -> None:
     if args.pretty:
         for line in pretty_lines:
             print(line)
     else:
-        doc = {"result": result, "manifest": _manifest(args, config)}
+        doc = {"result": result, "manifest": _manifest(args, resolved)}
         print(json.dumps(doc, indent=2))
 
 
@@ -167,29 +176,21 @@ def _cmd_implied_vol(args, snapshot: MarketSnapshot) -> int:
     rate_dom = snapshot.average_rate(pair.denominating, args.maturity)
     rate_fgn = snapshot.average_rate(pair.foreign, args.maturity)
     sigma = implied_vol(spec, args.price, spot, rate_dom, rate_fgn)
-    config = {
-        "pair": pair.label, "strike": args.strike, "maturity": args.maturity,
-        "price": args.price, "kind": args.kind,
-    }
     result = {
         "implied_vol": sigma,
         "spot": spot,
         "rate_dom": rate_dom,
         "rate_fgn": rate_fgn,
     }
-    _emit(result, args, config, [_g10(sigma)])
+    _emit(result, args, [_g10(sigma)])
     return EXIT_OK
 
 
 def _cmd_corr(args, snapshot: MarketSnapshot) -> int:
     pair_a = FxPair.parse(args.pair_a)
     pair_b = FxPair.parse(args.pair_b)
-    config = {
-        "pair_a": pair_a.label, "pair_b": pair_b.label,
-        "clamp": args.clamp, "audit": args.audit,
-    }
+    resolved = {}
     if args.maturity is not None:
-        config["maturity"] = args.maturity
         res = implied_corr(CorrQuery.total(pair_a, pair_b, args.maturity), snapshot, clamp=args.clamp)
         result = {"correlation": res.value, "degenerate": res.degenerate}
         if args.audit:
@@ -200,8 +201,7 @@ def _cmd_corr(args, snapshot: MarketSnapshot) -> int:
             for v in res.provenance.vols:
                 pretty.append(f"  {v.role} [{v.pair}] ({_g10(v.start)}, {_g10(v.end)}]: {_g10(v.sigma)}")
     else:
-        breakpoints = normalize_breakpoints(args.buckets)
-        config["buckets"] = list(breakpoints)
+        breakpoints = resolved["buckets"] = normalize_breakpoints(args.buckets)
         query = CorrQuery.total(pair_a, pair_b, breakpoints[-1])
         results = bucket_corrs(query, snapshot, breakpoints, clamp=args.clamp)
         result = {"buckets": [
@@ -213,19 +213,13 @@ def _cmd_corr(args, snapshot: MarketSnapshot) -> int:
             f"  ({_g10(r.provenance.start)}, {_g10(r.provenance.end)}]: {_g10(r.value)}"
             for r in results
         ]
-    _emit(result, args, config, pretty)
+    _emit(result, args, pretty, **resolved)
     return EXIT_OK
 
 
 def _cmd_corr_matrix(args, snapshot: MarketSnapshot) -> int:
     pairs = [FxPair.parse(label) for label in args.pairs]
     matrix = build_matrix(pairs, snapshot, args.buckets, repair=args.repair, clamp=args.clamp)
-    config = {
-        "pairs": [p.label for p in pairs],
-        "buckets": list(matrix.breakpoints),
-        "repair": args.repair,
-        "clamp": args.clamp,
-    }
     result = matrix.to_dict()
     pretty = [f"pairs: {', '.join(matrix.pairs)}"]
     for bucket in result["buckets"]:
@@ -235,34 +229,23 @@ def _cmd_corr_matrix(args, snapshot: MarketSnapshot) -> int:
         )
         for row in bucket["matrix"]:
             pretty.append("  " + "  ".join(_g10(x) for x in row))
-    _emit(result, args, config, pretty)
+    _emit(result, args, pretty, buckets=matrix.breakpoints)
     return EXIT_OK
 
 
 def _cmd_price(args, snapshot: MarketSnapshot) -> int:
     payoff = payoff_from_dict(_loads_json(Path(args.payoff).read_bytes()))
-    config_obj = SimulationConfig(args.paths, args.seed, args.grid, args.antithetic)
     result_obj = price(
-        payoff, snapshot, config_obj,
+        payoff, snapshot, SimulationConfig(args.paths, args.seed, args.grid, args.antithetic),
         workers=args.workers, repair=args.repair, clamp=args.clamp,
     )
-    config = {
-        "payoff": payoff_to_dict(payoff),
-        "grid": list(args.grid),
-        "paths": args.paths,
-        "seed": args.seed,
-        "antithetic": args.antithetic,
-        "workers": args.workers,
-        "repair": args.repair,
-        "clamp": args.clamp,
-    }
     result = result_obj.to_dict()
     pretty = [
         f"price = {_g10(result_obj.price)} {result_obj.discount_currency}",
         f"standard error = {_g10(result_obj.standard_error)}",
         f"paths = {result_obj.n_paths}",
     ]
-    _emit(result, args, config, pretty)
+    _emit(result, args, pretty, payoff=payoff_to_dict(payoff))
     return EXIT_OK
 
 
@@ -274,7 +257,6 @@ def _cmd_bootstrap(args, snapshot: MarketSnapshot) -> int:
     residuals = [
         total_variance(pc, t) - sigma * sigma * t for t, sigma in ts.points
     ]
-    config = {"pair": pair.label}
     result = {
         "pair": ts.pair.label,
         "buckets": [
@@ -286,13 +268,12 @@ def _cmd_bootstrap(args, snapshot: MarketSnapshot) -> int:
     for start, end, sigma in buckets:
         pretty.append(f"  ({_g10(start)}, {_g10(end)}]: {_g10(sigma)}")
     pretty.append(f"max reconstruction residual: {_g10(max(abs(r) for r in residuals))}")
-    _emit(result, args, config, pretty)
+    _emit(result, args, pretty)
     return EXIT_OK
 
 
 def _cmd_validate(args, snapshot: MarketSnapshot) -> int:
     violations = check_spot_triangles(snapshot, args.tol)
-    config = {"tol": args.tol}
     result = {
         "as_of": snapshot.as_of,
         "pairs": [p.label for p in snapshot.pairs()],
@@ -311,7 +292,7 @@ def _cmd_validate(args, snapshot: MarketSnapshot) -> int:
             pretty.append(f"  triangle violation {names}: {_g10(v.magnitude)}")
     else:
         pretty.append("  spot triangles consistent")
-    _emit(result, args, config, pretty)
+    _emit(result, args, pretty)
     return EXIT_OK if not violations else EXIT_ERROR
 
 
@@ -324,6 +305,15 @@ _COMMANDS = {
     "validate": _cmd_validate,
 }
 
+# (error class, exit status, stderr prefix): the first matching row applies
+_EXITS = (
+    (NoImpliedVolError, EXIT_NO_IMPLIED_VOL, ""),
+    (MissingDataError, EXIT_MISSING_DATA, "missing data: "),
+    (CorrelationRangeError, EXIT_CORR_RANGE, "correlation out of range: "),
+    (CalendarArbitrageError, EXIT_CALENDAR, "calendar arbitrage: "),
+    ((FxCorrError, OSError), EXIT_ERROR, ""),
+)
+
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
@@ -332,21 +322,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         return _COMMANDS[args.subcommand](args, load_snapshot(args.snapshot))
-    except NoImpliedVolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_IMPLIED_VOL
-    except MissingDataError as exc:
-        print(f"error: missing data: {exc}", file=sys.stderr)
-        return EXIT_MISSING_DATA
-    except CorrelationRangeError as exc:
-        print(f"error: correlation out of range: {exc}", file=sys.stderr)
-        return EXIT_CORR_RANGE
-    except CalendarArbitrageError as exc:
-        print(f"error: calendar arbitrage: {exc}", file=sys.stderr)
-        return EXIT_CALENDAR
     except (FxCorrError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        status, prefix = next((status, prefix) for cls, status, prefix in _EXITS if isinstance(exc, cls))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

@@ -295,9 +295,11 @@ class BucketedCorrelationMatrix:
         if len(self.statuses) != len(self.matrices):
             raise ValidationError("one status per bucket required")
         n = len(self.pairs)
-        for mat in self.matrices:
+        for k, mat in enumerate(self.matrices):
             if mat.shape != (n, n):
                 raise ValidationError(f"matrix shape {mat.shape} does not match {n} pairs")
+            if not np.isfinite(mat).all():
+                raise ValidationError(f"bucket {k} has a non-finite entry")
 
     @property
     def n_buckets(self) -> int:

@@ -528,8 +528,11 @@ def check_spot_triangles(snapshot: MarketSnapshot, tol: float) -> list[TriangleV
 
     For each sorted triple (i, j, k) with all three spots present, reports
     |X_{i/j} * X_{j/k} / X_{i/k} - 1| when it exceeds ``tol``.  An empty
-    list means the spots are arbitrage-consistent at that tolerance.
+    list means the spots are arbitrage-consistent at that tolerance, which
+    must be finite and >= 0.
     """
+    if not 0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     index = snapshot._spot_index
     violations = []
     for i, j, k in combinations(sorted({a for a, _ in index}), 3):

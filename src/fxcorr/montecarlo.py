@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ from .market_data import (
     Currency, FxPair, MarketSnapshot, RateCurve,
     _check_times, _entries, _label, _number, _require_keys, _string, _unique,
 )
-from .term_structure import PiecewiseConstant, horizon_vol
+from .term_structure import PiecewiseConstant, _bucket_vols
 
 BLOCK_PATHS = 16384
 _GRID_TOL = 1e-12
@@ -57,8 +57,9 @@ _GRID_TOL = 1e-12
 class SimulationConfig:
     """Path count, seed, monitoring grid, and the antithetic flag.
 
-    The grid must contain every breakpoint of every piecewise-constant
-    input below its last point (checked at simulation time).
+    The seed is an integer in [0, 2**128), the Philox key range.  The grid
+    must contain every breakpoint of every piecewise-constant input below
+    its last point (checked at simulation time).
     """
 
     n_paths: int
@@ -69,6 +70,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValidationError(f"n_paths must be positive, got {self.n_paths}")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and 0 <= self.seed < 2**128):
+            raise ValidationError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         _check_times(self.grid, "grid")
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic sampling requires an even n_paths")
@@ -459,14 +462,7 @@ def price(
     horizon = config.horizon
 
     if vols is None:
-        vols = {}
-        boundaries = (0.0,) + config.grid
-        for pair in pairs:
-            ts = snapshot.vol_structure(pair)
-            values = tuple(
-                horizon_vol(ts, a, b) for a, b in zip(boundaries, boundaries[1:])
-            )
-            vols[pair] = PiecewiseConstant(boundaries, values)
+        vols = {pair: _bucket_vols(snapshot.vol_structure(pair), config.grid) for pair in pairs}
     if corr is None and len(pairs) > 1:
         corr = build_matrix(pairs, snapshot, config.grid, repair=repair, clamp=clamp)
 
@@ -507,8 +503,12 @@ def price(
 # Payoff document parsing (JSON, strict keys)
 
 
+_PAYOFF_TYPES = {"vanilla": VanillaPayoff, "basket": BasketPayoff, "barrier": BarrierPayoff}
+
+
 def payoff_from_dict(doc: dict) -> PayoffSpec:
-    """Build a payoff from its document form.
+    """Build a payoff from its document form: ``type`` and the payoff's
+    fields, each required unless it has a default.
 
     Schemas::
 
@@ -522,66 +522,46 @@ def payoff_from_dict(doc: dict) -> PayoffSpec:
     if not isinstance(doc, dict):
         raise SchemaError("payoff document must be an object", field="$")
     kind_of = doc.get("type")
-    if kind_of == "vanilla":
-        keys = {"type", "pair", "strike", "kind"}
-        _require_keys(doc, keys, keys)
-        return VanillaPayoff(
-            _label(doc, "pair"), _number(doc["strike"], "strike"), _string(doc["kind"], "kind")
+    cls = _PAYOFF_TYPES.get(kind_of) if isinstance(kind_of, str) else None
+    if cls is None:
+        raise SchemaError(
+            f"unknown payoff type {kind_of!r} (expected vanilla, basket, or barrier)", field="type"
         )
-    if kind_of == "basket":
-        keys = {"type", "weights", "strike", "kind"}
-        _require_keys(doc, keys, keys)
+    names = [f.name for f in fields(cls)]  # read in field order: the first bad key is reported
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    _require_keys(doc, {"type", *names}, {"type", *required})
+    return cls(**{name: _payoff_field(doc, name) for name in names if name in doc})
+
+
+def _payoff_field(doc: dict, key: str):
+    if key.endswith("pair"):
+        return _label(doc, key)
+    if key in ("strike", "barrier_level"):
+        return _number(doc[key], key)
+    if key == "monitoring":
+        return tuple(_number(t, where) for t, where in _entries(doc, key, None))
+    if key == "weights":
         weights: dict[FxPair, float] = {}
-        for entry, where in _entries(doc, "weights", {"pair", "weight"}, nonempty=True):
+        for entry, where in _entries(doc, key, {"pair", "weight"}, nonempty=True):
             pair = _unique(weights, _label(entry, "pair", where), "basket pair", where)
             weights[pair] = _number(entry["weight"], f"{where}.weight")
-        return BasketPayoff(weights, _number(doc["strike"], "strike"), _string(doc["kind"], "kind"))
-    if kind_of == "barrier":
-        keys = {"type", "payoff_pair", "strike", "kind",
-                "barrier_pair", "barrier_level", "direction", "style"}
-        _require_keys(doc, keys | {"monitoring"}, keys)
-        monitoring = None
-        if "monitoring" in doc:
-            monitoring = tuple(_number(t, where) for t, where in _entries(doc, "monitoring", None))
-        return BarrierPayoff(
-            _label(doc, "payoff_pair"),
-            _number(doc["strike"], "strike"),
-            _string(doc["kind"], "kind"),
-            _label(doc, "barrier_pair"),
-            _number(doc["barrier_level"], "barrier_level"),
-            _string(doc["direction"], "direction"),
-            _string(doc["style"], "style"),
-            monitoring,
-        )
-    raise SchemaError(
-        f"unknown payoff type {kind_of!r} (expected vanilla, basket, or barrier)", field="type"
-    )
+        return weights
+    return _string(doc[key], key)
 
 
 def payoff_to_dict(payoff: PayoffSpec) -> dict:
-    if isinstance(payoff, VanillaPayoff):
-        return {"type": "vanilla", "pair": payoff.pair.label,
-                "strike": payoff.strike, "kind": payoff.kind}
-    if isinstance(payoff, BasketPayoff):
-        return {
-            "type": "basket",
-            "weights": [
-                {"pair": pair.label, "weight": weight}
-                for pair, weight in sorted(payoff.weights.items(), key=lambda kv: kv[0].label)
-            ],
-            "strike": payoff.strike,
-            "kind": payoff.kind,
-        }
-    doc = {
-        "type": "barrier",
-        "payoff_pair": payoff.payoff_pair.label,
-        "strike": payoff.strike,
-        "kind": payoff.kind,
-        "barrier_pair": payoff.barrier_pair.label,
-        "barrier_level": payoff.barrier_level,
-        "direction": payoff.direction,
-        "style": payoff.style,
-    }
-    if payoff.monitoring is not None:
-        doc["monitoring"] = list(payoff.monitoring)
+    """The document ``payoff_from_dict`` reads: pairs as labels, weights
+    sorted by label, and an unset ``monitoring`` left out."""
+    doc = {"type": next(name for name, cls in _PAYOFF_TYPES.items() if isinstance(payoff, cls))}
+    for f in fields(payoff):
+        value = getattr(payoff, f.name)
+        if isinstance(value, FxPair):
+            value = value.label
+        elif f.name == "weights":
+            value = [{"pair": pair.label, "weight": weight}
+                     for pair, weight in sorted(value.items(), key=lambda kv: kv[0].label)]
+        elif isinstance(value, tuple):
+            value = list(value)
+        if value is not None:
+            doc[f.name] = value
     return doc

@@ -17,12 +17,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import (
-    CalendarArbitrageError,
-    ExtrapolationWarning,
-    UndefinedCorrelationError,
-    ValidationError,
-)
+from .errors import CalendarArbitrageError, ExtrapolationWarning, UndefinedCorrelationError, ValidationError
 from .market_data import VolTermStructure, _check_times
 
 MIN_BUCKET_WIDTH = 1e-12
@@ -101,22 +96,19 @@ def bootstrap_piecewise_vol(ts: VolTermStructure) -> PiecewiseConstant:
     The result reproduces every quoted total variance exactly:
     total_variance(result, T_n) == sigma(0,T_n)^2 * T_n.
     """
-    breakpoints = (0.0,) + ts.maturities
-    values = []
-    prev_t, prev_sigma = 0.0, 0.0
-    for n, (t, sigma) in enumerate(ts.points):
-        try:
-            values.append(forward_vol(prev_sigma, sigma, prev_t, t))
-        except CalendarArbitrageError as exc:
-            raise CalendarArbitrageError(f"{ts.pair} bucket {n}: {exc}") from exc
-        prev_t, prev_sigma = t, sigma
-    return PiecewiseConstant(breakpoints, tuple(values))
+    return _bucket_vols(ts, ts.maturities)
+
+
+def _bucket_vols(ts: VolTermStructure, times: Sequence[float]) -> PiecewiseConstant:
+    """``horizon_vol`` of each bucket of (0, *times), as a step function."""
+    breakpoints = (0.0, *times)
+    values = tuple(horizon_vol(ts, a, b) for a, b in zip(breakpoints, breakpoints[1:]))
+    return PiecewiseConstant(breakpoints, values)
 
 
 def total_variance(sigma: PiecewiseConstant, horizon: float) -> float:
     """Integral of sigma(t)^2 over (0, horizon], exact bucket sums."""
-    if not horizon > 0:
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    _check_horizon(horizon)
     if horizon > sigma.horizon:
         warnings.warn(
             f"total variance extrapolated flat beyond T={sigma.horizon} to T={horizon}",
@@ -127,6 +119,13 @@ def total_variance(sigma: PiecewiseConstant, horizon: float) -> float:
     for _, width, value in _merged_buckets((sigma,), horizon):
         total += value * value * width
     return total
+
+
+def _check_horizon(horizon: float) -> None:
+    if not horizon > 0:
+        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    if horizon == math.inf:
+        raise ValidationError("horizon must be finite, got inf")
 
 
 def _merged_buckets(structures: Sequence[PiecewiseConstant], horizon: float):
@@ -152,12 +151,13 @@ def integrated_correlation(
     Exact on the merged bucket grid.  Bounded by max |rho(t)|, hence in
     [-1, 1]; only floating-point headroom is clipped.
     """
-    if not horizon > 0:
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    _check_horizon(horizon)
     tv_a = tv_b = covariance = 0.0
     for mid, width, r, a, b in _merged_buckets((rho, sigma_a, sigma_b), horizon):
-        if abs(r) > 1.0:
+        if not abs(r) <= 1.0:
             raise ValidationError(f"|rho| > 1 on bucket around t={mid}: {r}")
+        if not (0 <= a < math.inf and 0 <= b < math.inf):
+            raise ValidationError(f"vol must be finite and >= 0 on bucket around t={mid}: {a}, {b}")
         tv_a += a * a * width
         tv_b += b * b * width
         covariance += r * a * b * width
@@ -182,6 +182,8 @@ def horizon_vol(ts: VolTermStructure, start: float, end: float) -> float:
     total variance at non-quoted horizons."""
     if not 0 <= start < end:
         raise ValidationError(f"need 0 <= start < end, got ({start}, {end})")
+    if end == math.inf:
+        raise ValidationError(f"need 0 <= start < end < inf, got ({start}, {end})")
     tv_end = ts.total_variance(end)
     tv_start = ts.total_variance(start) if start > 0 else 0.0
     if tv_end < tv_start:

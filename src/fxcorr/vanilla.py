@@ -82,6 +82,9 @@ def forward(spot: float, rate_dom: float, rate_fgn: float, maturity: float) -> f
         raise ValidationError(f"spot must be positive, got {spot}")
     if not maturity > 0:
         raise ValidationError(f"maturity must be positive, got {maturity}")
+    inputs = (spot, rate_dom, rate_fgn, maturity)
+    if not all(map(math.isfinite, inputs)):
+        raise ValidationError(f"spot, rates and maturity must be finite, got {inputs}")
     return spot * math.exp((rate_dom - rate_fgn) * maturity)
 
 

@@ -331,6 +331,49 @@ class TestExitCodes:
         assert code == 1
 
 
+def exit_table_case(tmp_path, status):
+    """An argv whose error maps to ``status``, and the stderr line it must print."""
+    if status == 2:
+        argv = ["implied-vol", write(tmp_path, "snap.json", oracle_doc()), "--pair", "EUR/USD",
+                "--strike", "1.0", "--maturity", "1.0", "--price", "0.01", "--kind", "call"]
+        return argv, "error: no implied vol: below intrinsic (price 0.01 <= 0.267116758638)"
+    if status == 3:
+        argv = ["corr", write(tmp_path, "snap.json", three_ccy_doc()),
+                "--pair-a", "EUR/USD", "--pair-b", "EUR/GBP", "--maturity", "1.0"]
+        return argv, ("error: missing data: no vol term structure for pair EUR/GBP "
+                      "(needed over (0.0, 1.0])")
+    if status == 4:
+        doc = snapshot_doc(
+            spots={"EUR/USD": 1.25, "EUR/JPY": 125.0, "USD/JPY": 100.0},
+            vols={"EUR/USD": [(1.0, 0.3)], "EUR/JPY": [(1.0, 0.4)], "USD/JPY": [(1.0, 0.05)]},
+            rates={"EUR": [(1.0, 0.0)], "USD": [(1.0, 0.0)], "JPY": [(1.0, 0.0)]},
+        )
+        argv = ["corr", write(tmp_path, "arb.json", doc),
+                "--pair-a", "EUR/USD", "--pair-b", "EUR/JPY", "--maturity", "1.0"]
+        return argv, ("error: correlation out of range: implied correlation 1.03125 outside "
+                      "[-1, 1]: EUR/USD vs EUR/JPY over (0.0, 1.0]; the input vols admit "
+                      "arbitrage (pass clamp to force the nearest bound)")
+    if status == 5:
+        doc = snapshot_doc(
+            spots={"EUR/USD": 1.25},
+            vols={"EUR/USD": [(1.0, 0.20), (2.0, 0.10)]},
+            rates={"EUR": [(2.0, 0.0)], "USD": [(2.0, 0.0)]},
+        )
+        argv = ["bootstrap", write(tmp_path, "cal.json", doc), "--pair", "EUR/USD"]
+        return argv, ("error: calendar arbitrage: EUR/USD: calendar arbitrage at point 1: "
+                      "total variance falls from 0.04 (T=1.0) to 0.02 (T=2.0)")
+    absent = tmp_path / "absent.json"  # an OSError
+    return ["validate", str(absent)], f"error: [Errno 2] No such file or directory: '{absent}'"
+
+
+class TestExitTable:
+    @pytest.mark.parametrize("status", [2, 3, 4, 5, 1])
+    def test_first_stderr_line_and_status(self, capsys, tmp_path, status):
+        argv, line = exit_table_case(tmp_path, status)
+        code, out, err = run(capsys, argv)
+        assert (code, out, err.splitlines()[0]) == (status, "", line)
+
+
 class TestManifest:
     def test_every_output_embeds_the_manifest(self, capsys, snapshot_path):
         doc = run_doc(capsys, ["validate", snapshot_path])
@@ -432,6 +475,26 @@ class TestNonFiniteArguments:
             code, out, err = run(capsys, ["price", snapshot_path, payoff, "--grid", grid])
         assert (code, out, caught) == (1, "", [])
         assert err.startswith("error:") and "finite" in err and "Warning" not in err
+
+
+class TestOutOfRangeOptions:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_validate_tol_is_an_error_line(self, capsys, tmp_path, tol):
+        doc = three_ccy_doc()
+        doc["spots"][1]["value"] = 130.0  # violates the triangle at any tolerance below 0.04
+        code, out, err = run(capsys, ["validate", write(tmp_path, "bad.json", doc), "--tol", tol])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: tol must be finite and >= 0") and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128), str(2**130)])
+    def test_price_seed_is_an_error_line(self, capsys, tmp_path, snapshot_path, seed):
+        payoff = write(tmp_path, "payoff.json", {
+            "type": "vanilla", "pair": "EUR/USD", "strike": 1.25, "kind": "call",
+        })
+        argv = ["price", snapshot_path, payoff, "--grid", "0.5,1.0", "--paths", "1000", "--seed", seed]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: seed must be an integer in") and "Traceback" not in err
 
 
 class TestHairlineBuckets:

@@ -494,6 +494,17 @@ def outcome(fn):
     return result, clamps
 
 
+class TestNonFiniteMatrixEntries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_entry_rejected_naming_its_bucket(self, bad):
+        matrix = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValidationError, match="bucket 1 has a non-finite entry"):
+            BucketedCorrelationMatrix(
+                ("EUR/USD", "EUR/JPY"), (0.0, 0.5, 1.0), (np.eye(2), matrix),
+                (BucketStatus("psd", 1.0),) * 2,
+            )
+
+
 class TestMatrixMatchesQueries:
     CODES = ["AAA", "BBB", "CCC", "DDD", "EEE"]
 

@@ -1,9 +1,12 @@
 """Golden CLI results: the ``result`` section of a fixed set of commands,
 compared byte for byte with files stored under ``tests/data/golden``.
 
-The manifest is dropped (it holds paths and a timestamp).  A change that
-claims to keep behaviour must leave every stored result as it is.  After a
-change that is meant to alter a result, regenerate the files with
+The manifest's paths and timestamp are dropped: its ``config`` is compared
+with ``manifest-config.json``.  The ``--pretty`` rendering, with the golden
+directory stripped from the paths it names, is compared with
+``pretty.json``.  A change that claims to keep behaviour must leave every
+stored file as it is.  After a change that is meant to alter an output,
+regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -12,6 +15,7 @@ and explain the difference.
 
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -60,13 +64,25 @@ def _argv(case: str) -> list[str]:
     return [str(DATA / a) if a.endswith(".json") else a for a in CASES[case]]
 
 
-def result_text(case: str) -> str:
-    """The command's ``result`` section, serialised as the CLI serialises it."""
+def stdout_of(case: str, *flags: str) -> str:
     out = io.StringIO()
     with redirect_stdout(out):
-        code = cli.main(_argv(case))
+        code = cli.main(_argv(case) + list(flags))
     assert code == EXIT_CODES.get(case, 0), case
-    return json.dumps(json.loads(out.getvalue())["result"], indent=2) + "\n"
+    return out.getvalue()
+
+
+def result_text(case: str) -> str:
+    """The command's ``result`` section, serialised as the CLI serialises it."""
+    return json.dumps(json.loads(stdout_of(case))["result"], indent=2) + "\n"
+
+
+def manifest_config(case: str) -> dict:
+    return json.loads(stdout_of(case))["manifest"]["config"]
+
+
+def pretty_text(case: str) -> str:
+    return stdout_of(case, "--pretty").replace(f"{DATA}{os.sep}", "")
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -75,9 +91,32 @@ def test_result_matches_golden(case):
     assert result_text(case) == (DATA / f"{case}.result.json").read_text()
 
 
+def _stored(name: str) -> dict:
+    return json.loads((DATA / name).read_text())
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_manifest_config_matches_golden(case):
+    # compared as text, so the key order is pinned too
+    expected = _stored("manifest-config.json")[case]
+    assert json.dumps(manifest_config(case), indent=2) == json.dumps(expected, indent=2)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pretty_output_matches_golden(case):
+    assert pretty_text(case) == _stored("pretty.json")[case]
+
+
 if __name__ == "__main__":
     import warnings
 
     warnings.simplefilter("ignore")
-    for name in sys.argv[1:] or sorted(CASES):
+    names = sys.argv[1:] or sorted(CASES)
+    for name in names:
         (DATA / f"{name}.result.json").write_text(result_text(name))
+    for stored, render in [("manifest-config.json", manifest_config), ("pretty.json", pretty_text)]:
+        docs = _stored(stored) if (DATA / stored).exists() else {}
+        docs.update((name, render(name)) for name in names)
+        (DATA / stored).write_text(json.dumps(dict(sorted(docs.items())), indent=2) + "\n")

@@ -314,6 +314,11 @@ class TestSpotTriangles:
         assert len(violations) == 1
         assert violations[0].magnitude == pytest.approx(0.04, rel=1e-12)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, three_ccy_snapshot, tol):
+        with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+            check_spot_triangles(three_ccy_snapshot, tol)
+
     def test_two_pairs_no_complete_triangle(self):
         doc = snapshot_doc(
             spots={"EUR/USD": 1.25, "EUR/JPY": 125.0},

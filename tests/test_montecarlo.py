@@ -73,6 +73,15 @@ class TestSimulationConfig:
         with pytest.raises(ValidationError, match="grid must be finite"):
             SimulationConfig(10, 1, grid)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**130, 1.0, "7", None, True])
+    def test_seed_outside_the_philox_key_range_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer in"):
+            SimulationConfig(10, seed, (1.0,))
+
+    def test_largest_seed_prices(self):
+        config = SimulationConfig(10, 2**128 - 1, (1.0,))
+        assert config.seed == 2**128 - 1
+
     def test_horizon_is_last_grid_time(self):
         assert SimulationConfig(10, 1, (0.5, 1.0)).horizon == 1.0
 
@@ -570,6 +579,12 @@ class TestPayoffNumbers:
     def test_monitoring_entries_must_be_numbers(self, bad):
         with pytest.raises(SchemaError, match=r"monitoring\[1\]"):
             payoff_from_dict({**self.BARRIER, "monitoring": [0.5, bad]})
+
+    def test_first_bad_key_in_field_order_is_reported(self):
+        # monitoring is the barrier's last field, so a bad strike is reported first
+        with pytest.raises(SchemaError) as exc:
+            payoff_from_dict({**self.BARRIER, "strike": "high", "monitoring": ["soon"]})
+        assert exc.value.field == "strike"
 
     def test_integer_monitoring_time_accepted(self):
         payoff = payoff_from_dict({**self.BARRIER, "monitoring": [0.5, 1]})

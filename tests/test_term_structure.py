@@ -210,6 +210,39 @@ class TestIntegratedCorrelation:
         assert integrated_correlation(rho, s1, s2, 2.0) == pytest.approx(expected, rel=1e-14)
 
 
+class TestNonFiniteIntegrals:
+    RHO = PiecewiseConstant((0.0, 1.0), (0.5,))
+    SIGMA = PiecewiseConstant((0.0, 1.0), (0.2,))
+
+    def test_nan_rho_rejected(self):
+        rho = PiecewiseConstant((0.0, 1.0), (math.nan,))
+        with pytest.raises(ValidationError, match="rho"):
+            integrated_correlation(rho, self.SIGMA, self.SIGMA, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.2])
+    @pytest.mark.parametrize("leg", [0, 1])
+    def test_bad_vol_leg_rejected(self, bad, leg):
+        legs = [self.SIGMA, self.SIGMA]
+        legs[leg] = PiecewiseConstant((0.0, 0.5, 1.0), (0.2, bad))
+        with pytest.raises(ValidationError, match="vol must be finite and >= 0"):
+            integrated_correlation(self.RHO, *legs, 1.0)
+
+    def test_infinite_correlation_horizon_rejected(self):
+        with pytest.raises(ValidationError, match="horizon"):
+            integrated_correlation(self.RHO, self.SIGMA, self.SIGMA, math.inf)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_infinite_total_variance_horizon_rejected(self, horizon):
+        with pytest.raises(ValidationError, match="horizon"):
+            total_variance(self.SIGMA, horizon)
+
+    @pytest.mark.parametrize("start,end", [(0.0, math.inf), (0.5, math.inf), (math.nan, 1.0)])
+    def test_infinite_horizon_vol_end_rejected(self, start, end):
+        ts = VolTermStructure(PAIR, ((1.0, 0.10),))
+        with pytest.raises(ValidationError, match="need 0 <= start < end"):
+            horizon_vol(ts, start, end)
+
+
 class TestHorizonVol:
     def test_at_quoted_maturities(self):
         ts = VolTermStructure(PAIR, ((1.0, 0.10), (2.0, 0.12)))

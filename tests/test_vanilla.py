@@ -61,6 +61,19 @@ class TestForward:
             forward(1.0, 0.0, 0.0, 0.0)
 
 
+    @pytest.mark.parametrize("spot,rate_dom,rate_fgn,maturity", [
+        (1.0, 0.0, 0.0, math.inf),
+        (1.0, math.nan, 0.0, 1.0),
+        (1.0, 0.0, math.nan, 1.0),
+        (1.0, math.inf, 0.0, 1.0),
+        (math.inf, 0.0, 0.0, 1.0),
+        (math.nan, 0.0, 0.0, 1.0),
+    ])
+    def test_non_finite_inputs_rejected(self, spot, rate_dom, rate_fgn, maturity):
+        with pytest.raises(ValidationError):
+            forward(spot, rate_dom, rate_fgn, maturity)
+
+
 class TestGkPrice:
     def test_zero_vol_call_is_discounted_intrinsic(self):
         spec = VanillaSpec(PAIR, 1.0, 2.0, "call")
