@@ -214,16 +214,19 @@ def _prepare_steps(
     corr: BucketedCorrelationMatrix | None,
     config: SimulationConfig,
     rates: Mapping[Currency, RateCurve] | None,
+    measure: Currency | None = None,
 ) -> _Steps:
     n_pairs = len(pairs)
     if n_pairs == 0:
         raise ValidationError("need at least one pair")
     if len(set(pairs)) != n_pairs:
         raise ValidationError("pairs must be distinct")
-    for pair in pairs:
-        if pair not in vols:
+    links = _links(pairs, measure)
+    structures = []
+    for pair in (*pairs, *links):  # a vol is the same in either orientation
+        structure = vols.get(pair, vols.get(pair.inverse()))
+        if structure is None:
             raise MissingDataError(f"no vol structure supplied for pair {pair}")
-        structure = vols[pair]
         _require_grid_covers(config.grid, structure.breakpoints, f"vols of {pair}")
         for n, s in enumerate(structure.values):
             if not 0.0 <= s < math.inf:
@@ -231,13 +234,14 @@ def _prepare_steps(
                 raise ValidationError(
                     f"vol of {pair} on bucket {n} ({left}, {right}] must be finite and >= 0, got {s}"
                 )
+        structures.append(structure)
     if corr is not None:
         _require_grid_covers(config.grid, corr.breakpoints, "the correlation matrix")
 
     grid = np.array((0.0,) + config.grid)
     dt = np.diff(grid)
     mids = (0.5 * (grid[:-1] + grid[1:])).tolist()
-    sigma = np.array([[vols[pair].value_at(t) for pair in pairs] for t in mids])
+    sigma = np.array([[structure.value_at(t) for structure in structures] for t in mids])
     rate_diff = 0.0
     if rates is not None:
         currencies = dict.fromkeys(c for pair in pairs for c in (pair.denominating, pair.foreign))
@@ -245,7 +249,12 @@ def _prepare_steps(
             raise MissingDataError(f"no rate curve for currency {missing[0]}")
         integrated = {c: np.diff([0.0] + [rates[c].integrated(t) for t in config.grid]) for c in currencies}
         rate_diff = np.stack([integrated[p.denominating] - integrated[p.foreign] for p in pairs], axis=1)
-    drift = rate_diff - 0.5 * sigma * sigma * dt[:, None]
+    variance = sigma * sigma * dt[:, None]  # per step: the simulated pairs, then the links
+    drift = rate_diff - 0.5 * variance[:, :n_pairs]
+    to_measure = {link.denominating: v for link, v in zip(links, variance[:, n_pairs:].T)}
+    for p, pair in enumerate(pairs):  # X_{a/b}, a != d: + (s_ab^2 + s_ad^2 - s_bd^2) dt / 2
+        if measure not in (None, pair.denominating):
+            drift[:, p] += 0.5 * (variance[:, p] + to_measure[pair.denominating] - to_measure.get(pair.foreign, 0.0))
 
     if corr is None:
         factors = (np.eye(n_pairs),) * len(mids)
@@ -267,7 +276,15 @@ def _prepare_steps(
         }
         factors = tuple(bucket_factors[n] for n in buckets)
 
-    return _Steps((sigma * np.sqrt(dt)[:, None])[..., None], drift[..., None], factors)
+    return _Steps((sigma[:, :n_pairs] * np.sqrt(dt)[:, None])[..., None], drift[..., None], factors)
+
+
+def _links(pairs: Sequence[FxPair], measure: Currency | None) -> list[FxPair]:
+    """The pairs c/d whose vols set the quanto drift of the pairs that are
+    not denominated in the measure currency d."""
+    return [FxPair(c, measure) for c in dict.fromkeys(
+        c for pair in pairs if measure not in (None, pair.denominating)
+        for c in (pair.denominating, pair.foreign) if c != measure)]
 
 
 def _terminal_steps(steps: _Steps) -> _Steps:
@@ -334,15 +351,20 @@ def simulate_increments(
     corr: BucketedCorrelationMatrix | None,
     config: SimulationConfig,
     rates: Mapping[Currency, RateCurve] | None = None,
+    measure: Currency | None = None,
 ) -> np.ndarray:
     """Simulate log-increments, shaped (n_paths, n_steps, n_pairs).
 
     ``corr=None`` simulates independent pairs; otherwise only the block of
     ``pairs`` in each bucket is factorized, and it must be PSD.
     ``rates=None`` drops the rate-differential part of the drift (pure
-    -sigma^2/2 dt).
+    -sigma^2/2 dt).  ``measure=None`` gives each pair a/b the drift of its
+    own measure, that of a.  With a ``measure`` currency d, every pair is
+    simulated under d's measure: a pair with a != d gains the quanto drift
+    (s_ab^2 + s_ad^2 - s_bd^2) dt / 2, which needs ``vols`` for a/d and
+    for b/d (unless b is d), in either orientation.
     """
-    steps = _prepare_steps(pairs, vols, corr, config, rates)
+    steps = _prepare_steps(pairs, vols, corr, config, rates, measure)
     out = np.empty((config.n_paths,) + steps.drift.shape[:2])
 
     def store(start: int, size: int, step_increments: Iterator[np.ndarray]) -> None:
@@ -449,7 +471,15 @@ def price(
     its grid sets the maturity and must cover every breakpoint, as for
     the other payoffs.  A barrier on the inverse of its payoff pair is
     priced as the barrier on the payoff pair at 1/level, direction
-    flipped.  Deterministic for fixed (seed, n_paths, grid, antithetic),
+    flipped.
+
+    Every pair is simulated under the measure of the paying pair's
+    denominating currency d, the currency the price is paid in.  A
+    barrier pair a/b with a != d gains the quanto drift
+    (s_ab^2 + s_ad^2 - s_bd^2) dt / 2 (see ``simulate_increments``).  The
+    vols of a/d and b/d come from ``vols`` when it holds them (in either
+    orientation), and otherwise from the snapshot's per-step forward vols
+    on the grid, even when ``vols`` is given.  Deterministic for fixed (seed, n_paths, grid, antithetic),
     whatever ``workers`` is.
     """
     if workers < 1:
@@ -461,12 +491,14 @@ def price(
     disc_ccy = pairs[0].denominating
     horizon = config.horizon
 
-    if vols is None:
-        vols = {pair: _bucket_vols(snapshot.vol_structure(pair), config.grid) for pair in pairs}
+    given = {} if vols is None else vols
+    vols = {**{pair: _bucket_vols(snapshot.vol_structure(pair), config.grid)
+               for pair in (*(pairs if vols is None else ()), *_links(pairs, disc_ccy))
+               if pair not in given and pair.inverse() not in given}, **given}
     if corr is None and len(pairs) > 1:
         corr = build_matrix(pairs, snapshot, config.grid, repair=repair, clamp=clamp)
 
-    steps = _prepare_steps(pairs, vols, corr, config, snapshot.rates)
+    steps = _prepare_steps(pairs, vols, corr, config, snapshot.rates, disc_ccy)
     if isinstance(payoff, BasketPayoff):
         steps = _terminal_steps(steps)
     spots = np.array([snapshot.spot(pair) for pair in pairs])

@@ -13,6 +13,7 @@ from fxcorr import (
     BasketPayoff,
     BucketedCorrelationMatrix,
     BucketStatus,
+    Currency,
     FactorizationError,
     FxPair,
     MissingDataError,
@@ -34,6 +35,7 @@ from fxcorr import (
     total_variance,
 )
 from fxcorr.montecarlo import BLOCK_PATHS, _prepare_steps, _terminal_steps
+from fxcorr.term_structure import _bucket_vols
 
 from conftest import snapshot_doc
 
@@ -224,6 +226,58 @@ class TestSimulateIncrements:
         config = SimulationConfig(100, 3, (1.0,))
         with pytest.raises(MissingDataError, match="no rate curve for currency USD"):
             simulate_increments([EURUSD], {EURUSD: flat_vol(0.2)}, None, config, rates=rates)
+
+
+class TestPricingMeasure:
+    """With ``measure=d`` every pair is simulated under d's measure: a pair
+    X_{a/b} with a != d gains the quanto drift (s_ab^2 + s_ad^2 - s_bd^2) dt / 2."""
+
+    def simulate(self, snapshot, pairs, config, measure):
+        corr = build_matrix(pairs, snapshot, config.grid)
+        vols = {p: flat_vol(0.2) for p in (EURJPY, EURUSD, USDJPY)}  # the snapshot's vols
+        return simulate_increments(pairs, vols, corr, config, rates=snapshot.rates, measure=measure)
+
+    def test_product_is_a_martingale(self, three_ccy_snapshot):
+        # E^EUR[X_EUR/USD(T) X_USD/JPY(T)] = F_EUR/JPY(T), the product being EUR/JPY
+        n = 400_000
+        y = self.simulate(three_ccy_snapshot, [EURUSD, USDJPY], SimulationConfig(n, 107, (0.5, 1.0)), Currency("EUR"))
+        product = 1.25 * 100.0 * np.exp(y.sum(axis=(1, 2)))
+        se = product.std(ddof=1) / math.sqrt(n)
+        assert abs(product.mean() - 125.0 * math.exp(0.02)) <= 4 * se
+
+    @pytest.mark.parametrize("measure", ["EUR", "USD", "JPY"])
+    def test_triangle_closes_path_by_path(self, three_ccy_snapshot, measure):
+        # ln X_EUR/JPY = ln X_EUR/USD + ln X_USD/JPY at every step of every path
+        pairs = [EURJPY, EURUSD, USDJPY]
+        config = SimulationConfig(20_000, 109, MONTHLY)
+        y = self.simulate(three_ccy_snapshot, pairs, config, Currency(measure))
+        residual = np.cumsum(y[:, :, 0] - y[:, :, 1] - y[:, :, 2], axis=1)
+        assert np.abs(residual).max() <= 1e-12
+
+    def test_missing_link_vol_names_the_pair(self):
+        config = SimulationConfig(100, 3, (1.0,))
+        with pytest.raises(MissingDataError, match="no vol structure supplied for pair USD/EUR"):
+            simulate_increments([USDJPY], {USDJPY: flat_vol(0.2)}, None, config, measure=Currency("EUR"))
+
+    def test_link_vol_is_read_in_either_orientation(self):
+        config = SimulationConfig(100, 3, (1.0,))
+        eur = Currency("EUR")
+        vols = {USDJPY: flat_vol(0.2), EURJPY: flat_vol(0.1)}
+        a = simulate_increments([USDJPY], {**vols, EURUSD: flat_vol(0.3)}, None, config, measure=eur)
+        b = simulate_increments([USDJPY], {**vols, USDEUR: flat_vol(0.3)}, None, config, measure=eur)
+        assert a.tobytes() == b.tobytes()
+        # (0.2^2 + 0.3^2 - 0.1^2) / 2 more drift than under USD's own measure
+        own = simulate_increments([USDJPY], vols, None, config)
+        np.testing.assert_allclose(a - own, 0.06, rtol=1e-12)
+
+    def test_price_reads_link_vols_from_the_snapshot_under_an_override(self, three_ccy_snapshot):
+        payoff = PINNED_PAYOFFS["down-in-cross"]
+        config = SimulationConfig(20_000, 113, (0.5, 1.0))
+        pairs = (EURUSD, USDJPY)
+        bucket = {p: _bucket_vols(three_ccy_snapshot.vol_structure(p), config.grid) for p in pairs}
+        assert price(payoff, three_ccy_snapshot, config, vols=bucket) == price(payoff, three_ccy_snapshot, config)
+        link = {**bucket, USDEUR: flat_vol(0.4)}  # a link, overriding the snapshot
+        assert price(payoff, three_ccy_snapshot, config, vols=link) != price(payoff, three_ccy_snapshot, config)
 
 
 class TestPriceVanilla:
@@ -642,10 +696,10 @@ class TestBitsArePinned:
         ("basket", 37_002, True): ("0x1.67ccafbefd164p-3", "0x1.2a027a5ce2ce7p-10"),
         ("basket", 40_000, True): ("0x1.684852d3e5c77p-3", "0x1.1eb1db4344337p-10"),
         ("down-in-cross", 5, False): ("0x1.2b46bd4bf1848p-5", "0x1.722d6e81d778ep-6"),
-        ("down-in-cross", 37_002, False): ("0x1.23a24f96bceb3p-5", "0x1.d98462c7cd7eap-12"),
-        ("down-in-cross", 40_000, False): ("0x1.249af1b7e1ee8p-5", "0x1.c94fb1160b3e2p-12"),
-        ("down-in-cross", 37_002, True): ("0x1.2c04eeaba9ef3p-5", "0x1.b7c6546bd73fap-12"),
-        ("down-in-cross", 40_000, True): ("0x1.290b48c5da5a8p-5", "0x1.a5173df3cc24dp-12"),
+        ("down-in-cross", 37_002, False): ("0x1.060dd4908f154p-5", "0x1.c3873fa7dc441p-12"),
+        ("down-in-cross", 40_000, False): ("0x1.06538b3f31fb0p-5", "0x1.b3b88e626b644p-12"),
+        ("down-in-cross", 37_002, True): ("0x1.0a803262af870p-5", "0x1.a530c3be0348cp-12"),
+        ("down-in-cross", 40_000, True): ("0x1.07bdf8aa171bdp-5", "0x1.92a3717cef5ccp-12"),
         ("up-out-own-pair", 5, False): ("0x1.b5582f72496e8p-9", "0x1.b5582f72496e8p-9"),
         ("up-out-own-pair", 37_002, False): ("0x1.606e41e350807p-6", "0x1.10f47eb60b126p-12"),
         ("up-out-own-pair", 40_000, False): ("0x1.607ec7515ad73p-6", "0x1.069d7dc451df0p-12"),
@@ -678,8 +732,8 @@ class TestLongGridBitsArePinned:
     GRID = tuple(k / 260 for k in range(1, 261))
     INCREMENTS = "d23d7b8b4480b3e61d38563c131cb96f43191b600e30d0349060f3e0329d5d65"
     PRICES = {
-        ("down-in-cross", False): ("0x1.212b5eadcc8b7p-5", "0x1.40804133ff2b7p-11"),
-        ("down-in-cross", True): ("0x1.1bd67517b340ap-5", "0x1.20256b5e62029p-11"),
+        ("down-in-cross", False): ("0x1.02031190458f7p-5", "0x1.30d1d12d90b5cp-11"),
+        ("down-in-cross", True): ("0x1.f896ea52df248p-6", "0x1.13b921da7577bp-11"),
         ("up-out-own-pair", False): ("0x1.ea7bc7d795e3bp-7", "0x1.2f9c1504d163dp-12"),
         ("up-out-own-pair", True): ("0x1.e9f82f490e9c5p-7", "0x1.171da4511310fp-12"),
         ("vanilla", False): ("0x1.734bc7ca2edd8p-4", "0x1.1e7d958c24c5cp-10"),

@@ -2,8 +2,9 @@
 the snapshot document's quotes and shares no code with the library.
 
 Each Monte Carlo price must land within 4 standard errors of its closed
-form at every seed.  These cases simulate pairs that share the paying
-currency, so the pricing measure needs no quanto drift.
+form at every seed.  The closed forms hold under the measure of the paying
+currency, so the cross-barrier cases, whose barrier pair is denominated in
+another currency, check the quanto drift.
 """
 
 import json
@@ -63,6 +64,24 @@ def test_same_pair_barrier_monitored_once(world, snapshot, style, seed):
                            level, "up", style, monitoring=(t1,))
     result = price(payoff, snapshot, SimulationConfig(N_PATHS, seed, (t1, t)))
     want = world.one_date_barrier_call("EUR/USD", strike, "EUR/USD", level, "up", style, t1, t)
+    assert abs(result.price - want) <= 4 * result.standard_error
+
+
+@pytest.mark.parametrize("seed", [7, 11, 42])
+@pytest.mark.parametrize("style", ["knock-out", "knock-in"])
+@pytest.mark.parametrize("barrier", ["JPY/USD", "GBP/EUR"])
+def test_cross_barrier_monitored_once(world, snapshot, barrier, style, seed):
+    # EUR/USD call struck at the forward, paid in EUR, with a barrier on a
+    # pair not denominated in EUR half an SD above its t1 forward,
+    # monitored at t1 = 0.5 only, expiry T = 1.
+    t1, t = 0.5, 1.0
+    a, b = barrier.split("/")
+    strike = math.exp(world.log_forward("EUR", "USD", t))
+    level = math.exp(world.log_forward(a, b, t1) + 0.5 * math.sqrt(world.variance(a, b, t1)))
+    payoff = BarrierPayoff(FxPair.parse("EUR/USD"), strike, "call", FxPair.parse(barrier),
+                           level, "up", style, monitoring=(t1,))
+    result = price(payoff, snapshot, SimulationConfig(N_PATHS, seed, (t1, t)))
+    want = world.one_date_barrier_call("EUR/USD", strike, barrier, level, "up", style, t1, t)
     assert abs(result.price - want) <= 4 * result.standard_error
 
 
