@@ -8,28 +8,25 @@ with per-step constant vols and correlation factor L, so the stepping is
 exact in the marginals (no discretization bias).  Rates enter as exact
 integrated-rate differences over the step.
 
-A basket reads only X(T), and the sum of a grid's steps is one Gaussian
-step with drift sum_m drift_m and covariance sum_m D_m C_m D_m, where
-D_m = diag(sigma_m sqrt(dt_m)) and C_m is step m's correlation.  So
-``price`` draws a basket in that one step; its grid still sets the
-maturity and the breakpoint checks.  Vanillas and barriers are stepped on
-the grid, which keeps an unreachable barrier equal to the vanilla.
+Vanillas and baskets read only X(T), and the sum of a grid's steps is one
+Gaussian step with drift sum_m drift_m and covariance sum_m D_m C_m D_m,
+where D_m = diag(sigma_m sqrt(dt_m)) and C_m is step m's correlation.  So
+``price`` draws them in that one step; the grid still sets the maturity
+and the breakpoint checks.  A barrier draws its paying pair the same way,
+from the same stream, and then its barrier pair step by step given that
+draw (a Brownian bridge), so an unreachable barrier is the vanilla bit for
+bit.  Every pair is simulated under the measure of the paying currency.
 
 Determinism: paths are partitioned into fixed-size blocks and every
 (block, pair-slot) draws its own segment of a counter-based generator
 keyed by the seed, so path p is identical no matter how blocks are
-scheduled across workers, and the first listed pair's driving stream does
-not depend on how many pairs are simulated alongside it (with a Cholesky
-factor its paths are bit-identical too, which is what makes an
-unreachable barrier reproduce the plain vanilla price exactly).
-Reductions accumulate per-block partial sums in block order, which keeps
-results bit-identical for any worker count.
+scheduled across workers.  Reductions accumulate per-block partial sums
+in block order, which keeps results bit-identical for any worker count.
 
-Layout: no block is held whole.  A block streams one grid step at a time:
-each pair slot's stream draws the step's normals into a reused
-(n_pairs, size) buffer, a second one receives the increments, and one
-payoff evaluator folds them left to right into a running (n_pairs, size)
-log-level, so a worker's memory does not grow with the number of steps.
+Layout: no block is held whole.  A block streams one grid step at a time
+through two reused (rows, size) buffers, the normals and the increments
+(a barrier's log-levels), so a worker's memory does not grow with the
+number of steps.
 """
 
 from __future__ import annotations
@@ -180,6 +177,7 @@ class _Steps:
     scale: np.ndarray       # (M, P, 1), sigma sqrt(dt)
     drift: np.ndarray       # (M, P, 1), includes the dt factor
     factors: tuple[np.ndarray, ...]  # per step, (P, P) with L L^T = C
+    bridge: np.ndarray | None = None  # (M, 5): a barrier pair's q, L_mm, u (see _bridge), scale, drift
 
 
 def _grid_index(grid: tuple[float, ...], t: float) -> int | None:
@@ -287,10 +285,16 @@ def _links(pairs: Sequence[FxPair], measure: Currency | None) -> list[FxPair]:
         for c in (pair.denominating, pair.foreign) if c != measure)]
 
 
-def _terminal_steps(steps: _Steps) -> _Steps:
+def _terminal_steps(steps: _Steps, bridged: bool = False) -> _Steps:
     """The grid's steps as one step with the same terminal law, for payoffs
-    that read only X(T): drift sum_m drift_m and covariance
-    sum_m D_m C_m D_m, where D_m = diag(sigma_m sqrt(dt_m))."""
+    that read only X(T): drift sum_m drift_m and covariance sum_m D_m C_m D_m,
+    D_m = diag(sigma_m sqrt(dt_m)).  ``bridged`` (a barrier, paying pair first)
+    collapses the paying pair alone, as for a vanilla, and bridges the last."""
+    if bridged:
+        pay = _terminal_steps(_Steps(steps.scale[:, :1], steps.drift[:, :1], (np.eye(1),) * len(steps.factors)))
+        rho = np.clip([f[0] @ f[-1] for f in steps.factors], -1.0, 1.0)  # 1 for a barrier on the paying pair
+        return replace(pay, bridge=np.stack([*_bridge(rho, steps.scale[:, 0, 0]), steps.scale[:, -1, 0],
+                                             steps.drift[:, -1, 0]], axis=1))
     if len(steps.factors) == 1:
         return steps
     covariance = sum(root @ root.T for root in (s * f for s, f in zip(steps.scale, steps.factors)))
@@ -302,25 +306,50 @@ def _terminal_steps(steps: _Steps) -> _Steps:
     return _Steps(scale[None, :, None], steps.drift.sum(axis=0, keepdims=True), (factor,))
 
 
+def _bridge(rho: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standardized barrier-pair steps x = q Z + L w given the paying pair's
+    terminal normal Z, whose steps have sd s and correlation rho with them:
+    q = rho s / |s| and L L^T = I - q q^T (Glasserman 2003, 3.1), L_mm =
+    sqrt(t_m / t_m-1), L_mk = -q_m u_k, u_k = q_k / sqrt(t_k t_k-1) or 0, for
+    t_m = 1 - sum_{k<=m} q_k^2 (summed from the tail: an own-pair barrier's
+    t_M is exactly 0).  Returns q, diag(L) and u."""
+    share = np.divide(s * s, s @ s, out=np.zeros_like(s), where=s @ s > 0)  # 0 for a zero-vol paying pair
+    q, q2 = rho * np.sqrt(share), rho * rho * share
+    t = np.append(np.cumsum(q2[:0:-1])[::-1], 0.0) + ((1.0 - rho * rho) * share).sum()
+    diagonal = np.sqrt(np.divide(t, t + q2, out=np.ones_like(t), where=t + q2 > 0))  # t_m-1 = t_m + q_m^2
+    return q, diagonal, np.divide(q, np.sqrt(t * (t + q2)), out=np.zeros_like(q), where=t * (t + q2) > 0)
+
+
 def _block_steps(
     steps: _Steps, config: SimulationConfig, block: int, size: int
 ) -> Iterator[np.ndarray]:
-    """Yield one path block's (n_pairs, size) increments grid step by grid
-    step, in one reused buffer: read each step before asking for the next."""
+    """Yield one path block's (rows, size) increments grid step by grid
+    step, in one reused buffer: read each step before asking for the next.
+    With a bridge, yield at each step the paying pair's terminal increment
+    and the barrier pair's log-level, moved by x_m = q_m (Z - S_m) + L_mm w_m."""
     n_steps, n_pairs = steps.drift.shape[:2]
     n_draw = size // 2 if config.antithetic else size
     # counter layout: bits 128+ block, bits 96..127 pair slot, rest stream
     rngs = [np.random.Generator(np.random.Philox(key=config.seed, counter=(block << 128) | (slot << 96)))
-            for slot in range(n_pairs)]
-    z, y = np.empty((2, n_pairs, size))
+            for slot in range(n_pairs + (steps.bridge is not None))]
+    z, y = np.empty((2, len(rngs), size))
+    y[n_pairs:] = 0.0  # a bridged barrier pair's log-level
     for m in range(n_steps):
-        for slot, rng in enumerate(rngs):  # each slot's stream continues step by step
+        for slot, rng in enumerate(rngs[:n_pairs]):  # each slot's stream continues step by step
             rng.standard_normal(out=z[slot, :n_draw])
         if config.antithetic:
-            np.negative(z[:, :n_draw], out=z[:, n_draw:])
-        np.matmul(steps.factors[m], z, out=y)
-        y *= steps.scale[m]
-        y += steps.drift[m]
+            np.negative(z[:n_pairs, :n_draw], out=z[:n_pairs, n_draw:])
+        np.matmul(steps.factors[m], z[:n_pairs], out=y[:n_pairs])
+        y[:n_pairs] *= steps.scale[m]
+        y[:n_pairs] += steps.drift[m]
+        if steps.bridge is None:
+            yield y
+    for q, diagonal, u, scale, drift in () if steps.bridge is None else steps.bridge:
+        rngs[1].standard_normal(out=z[1, :n_draw])  # w_m; z[0] is Z - S_m, with S_m+1 = S_m + u_m w_m
+        if config.antithetic:
+            np.negative(z[1, :n_draw], out=z[1, n_draw:])
+        y[1] += scale * (q * z[0] + diagonal * z[1]) + drift
+        z[0] -= u * z[1]
         yield y
 
 
@@ -404,10 +433,9 @@ def _payoff_evaluator(
     spots: np.ndarray,
     config: SimulationConfig,
 ) -> Callable[[int, Iterator[np.ndarray]], np.ndarray]:
-    """One evaluator for every payoff: fold a block's step increments left
-    to right into one running (n_pairs, size) log-level, test the barrier
-    slot's level at monitoring steps, then pay on the terminal levels."""
-    index = {pair: p for p, pair in enumerate(pairs)}
+    """One evaluator for every payoff, on the blocks ``price`` draws: test the
+    barrier pair's log-level (last row) at monitoring steps, then pay on the
+    terminal log-levels (first rows) after the last step."""
     sign = 1.0 if payoff.kind == "call" else -1.0
     is_basket = isinstance(payoff, BasketPayoff)
     is_barrier = isinstance(payoff, BarrierPayoff)
@@ -415,31 +443,24 @@ def _payoff_evaluator(
     if is_basket:
         weights = np.array([payoff.weights[pair] for pair in pairs])
     elif is_barrier:
-        slot, watch = index[payoff.payoff_pair], index[payoff.barrier_pair]
         monitor = _monitoring_indices(payoff, config.grid)
         beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
-    else:
-        slot = index[payoff.pair]
+        threshold = math.log(payoff.barrier_level) - math.log(spots[-1])
 
-    def evaluate(size: int, step_increments: Iterator[np.ndarray]) -> np.ndarray:
-        level = np.zeros((len(pairs), size))
+    def evaluate(size: int, step_levels: Iterator[np.ndarray]) -> np.ndarray:
         breached = np.zeros(size, dtype=bool)
-        watched = np.empty(size if monitor else 0)
-        for m, y in enumerate(step_increments):
-            level += y
+        for m, y in enumerate(step_levels):
             if m in monitor:
-                np.exp(level[watch], out=watched)
-                watched *= spots[watch]
-                breached |= beyond(watched, payoff.barrier_level)
-        del y  # a view of the step buffers: free them before the terminal payoff
+                breached |= beyond(y[-1], threshold)
         if is_basket:
-            terminal = np.ascontiguousarray(level.T)  # (paths, pairs) rows for the matvec
+            terminal = np.ascontiguousarray(y.T)  # (paths, pairs) rows for the matvec
+            del y  # a view of the step buffers: free them before the payoff
             np.exp(terminal, out=terminal)
             terminal *= spots
             value = terminal @ weights
         else:
-            value = np.exp(level[slot])
-            value *= spots[slot]
+            value = np.exp(y[0])
+            value *= spots[0]
         value -= payoff.strike
         value *= sign
         np.maximum(value, 0.0, out=value)
@@ -466,12 +487,12 @@ def price(
     Maturity is the last grid time.  When ``vols``/``corr`` are not given
     they are derived from the snapshot: per-step forward vols on the grid,
     and the implied correlation matrix across the payoff's pairs with the
-    grid as buckets.  ``vols`` must be finite and non-negative.  A basket
-    draws one terminal step from the grid's summed drift and covariance;
-    its grid sets the maturity and must cover every breakpoint, as for
-    the other payoffs.  A barrier on the inverse of its payoff pair is
-    priced as the barrier on the payoff pair at 1/level, direction
-    flipped.
+    grid as buckets.  ``vols`` must be finite and non-negative.  A vanilla
+    or basket draws one terminal step from the grid's summed drift and
+    covariance, and a barrier draws its paying pair so and its barrier pair
+    step by step given that draw; the grid sets the maturity and must cover
+    every breakpoint.  A barrier on the inverse of its payoff pair is
+    priced as the barrier on the payoff pair at 1/level, direction flipped.
 
     Every pair is simulated under the measure of the paying pair's
     denominating currency d, the currency the price is paid in.  A
@@ -479,8 +500,8 @@ def price(
     (s_ab^2 + s_ad^2 - s_bd^2) dt / 2 (see ``simulate_increments``).  The
     vols of a/d and b/d come from ``vols`` when it holds them (in either
     orientation), and otherwise from the snapshot's per-step forward vols
-    on the grid, even when ``vols`` is given.  Deterministic for fixed (seed, n_paths, grid, antithetic),
-    whatever ``workers`` is.
+    on the grid, even when ``vols`` is given.  Deterministic for fixed
+    (seed, n_paths, grid, antithetic), whatever ``workers`` is.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
@@ -499,8 +520,7 @@ def price(
         corr = build_matrix(pairs, snapshot, config.grid, repair=repair, clamp=clamp)
 
     steps = _prepare_steps(pairs, vols, corr, config, snapshot.rates, disc_ccy)
-    if isinstance(payoff, BasketPayoff):
-        steps = _terminal_steps(steps)
+    steps = _terminal_steps(steps, bridged=isinstance(payoff, BarrierPayoff))
     spots = np.array([snapshot.spot(pair) for pair in pairs])
     evaluate = _payoff_evaluator(payoff, pairs, spots, config)
 

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from fxcorr import (
     simulate_increments,
     total_variance,
 )
-from fxcorr.montecarlo import BLOCK_PATHS, _prepare_steps, _terminal_steps
+from fxcorr.montecarlo import (
+    BLOCK_PATHS, _bridge, _payoff_evaluator, _prepare_steps, _run_blocks, _terminal_steps,
+)
 from fxcorr.term_structure import _bucket_vols
 
 from conftest import snapshot_doc
@@ -534,20 +537,73 @@ class TestPriceBarrier:
         assert result == price(restated, three_ccy_snapshot, config)
         assert result.price > 0
 
-    def test_per_path_in_out_parity_is_exact(self, three_ccy_snapshot):
-        # evaluate the three payoffs on the same simulated paths
-        pairs = (EURUSD, JPYUSD)
-        corr = build_matrix(pairs, three_ccy_snapshot, [1.0])
-        config = SimulationConfig(20_000, 79, (0.5, 1.0))
-        vols = {p: flat_vol(0.2) for p in pairs}
-        y = simulate_increments(pairs, vols, corr, config, rates=three_ccy_snapshot.rates)
-        terminal = 1.25 * np.exp(y[:, :, 0].sum(axis=1))
-        vanilla = np.maximum(terminal - 1.25, 0.0)
-        barrier_path = 0.01 * np.exp(np.cumsum(y[:, :, 1], axis=1))
-        breached = (barrier_path >= 0.0115).any(axis=1)
-        k_in = vanilla * breached
-        k_out = vanilla * ~breached
+    @pytest.mark.parametrize("barrier", [JPYUSD, EURUSD], ids=["cross", "own-pair"])
+    def test_per_path_in_out_parity_is_exact(self, three_ccy_snapshot, barrier):
+        # the three payoffs evaluated on the paths ``price`` draws for the barrier
+        pairs = (EURUSD,) if barrier == EURUSD else (EURUSD, barrier)
+        config = SimulationConfig(20_000, 79, (0.25, 0.5, 0.75, 1.0))
+        level = 1.3 if barrier == EURUSD else 0.0115
+        corr = build_matrix(pairs, three_ccy_snapshot, [1.0]) if len(pairs) > 1 else None
+        vols = {p: flat_vol(0.2) for p in (EURUSD, JPYUSD, EURJPY)}
+        steps = _terminal_steps(_prepare_steps(pairs, vols, corr, config, three_ccy_snapshot.rates,
+                                               EURUSD.denominating), bridged=True)
+        spots = np.array([three_ccy_snapshot.spot(p) for p in pairs])
+
+        def values(payoff, steps=steps, pairs=pairs, spots=spots):
+            evaluate = _payoff_evaluator(payoff, pairs, spots, config)
+            return np.concatenate(_run_blocks(steps, config, lambda start, size, it: evaluate(size, it)))
+
+        k_in, k_out = (values(replace(self.payoff(style, level), barrier_pair=barrier))
+                       for style in ("knock-in", "knock-out"))
+        vanilla = values(VanillaPayoff(EURUSD, 1.25, "call"))
+        assert (k_in > 0).any() and (k_out > 0).any()
         assert np.array_equal(k_in + k_out, vanilla)
+        # the vanilla's own draw gives the same paying leg, path by path
+        alone = _terminal_steps(_prepare_steps((EURUSD,), vols, None, config, three_ccy_snapshot.rates))
+        assert np.array_equal(values(VanillaPayoff(EURUSD, 1.25, "call"), alone, (EURUSD,), spots[:1]), vanilla)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("barrier", [JPYUSD, EURUSD], ids=["cross", "own-pair"])
+    def test_unreachable_barrier_is_the_vanilla_bit_for_bit(self, three_ccy_snapshot, barrier, antithetic, workers):
+        config = SimulationConfig(37_002, 131, PINNED_GRID, antithetic)
+        payoff = BarrierPayoff(EURUSD, 1.25, "call", barrier, 1e4, "up", "knock-out")
+        vanilla = price(VanillaPayoff(EURUSD, 1.25, "call"), three_ccy_snapshot, config)
+        assert price(payoff, three_ccy_snapshot, config, workers=workers) == vanilla
+
+    def test_agrees_with_stepped_increments(self, three_ccy_snapshot):
+        # the bridged barrier pair against a stepped simulation of both pairs,
+        # with piecewise vols and a correlation that changes sign
+        payoff = BarrierPayoff(EURUSD, 1.25, "call", JPYUSD, 0.0104, "up", "knock-out")
+        result = price(payoff, three_ccy_snapshot, SimulationConfig(200_000, 137, MONTHLY),
+                       vols=PIECEWISE_VOLS, corr=TWO_BUCKET_CORR)
+        y = simulate_increments((EURUSD, JPYUSD), PIECEWISE_VOLS, TWO_BUCKET_CORR,
+                                SimulationConfig(200_000, 139, MONTHLY), rates=three_ccy_snapshot.rates,
+                                measure=EURUSD.denominating)
+        knocked = (0.01 * np.exp(np.cumsum(y[:, :, 1], axis=1)) >= 0.0104).any(axis=1)
+        values = np.maximum(1.25 * np.exp(y[:, :, 0].sum(axis=1)) - 1.25, 0.0) * ~knocked
+        df = math.exp(-0.02)
+        stepped, stepped_se = df * values.mean(), df * values.std(ddof=1) / math.sqrt(values.size)
+        assert 0.2 < knocked.mean() < 0.8 and result.standard_error > 0
+        assert abs(result.price - stepped) <= 4 * math.hypot(result.standard_error, stepped_se)
+
+
+class TestBridge:
+    """The barrier pair's steps given the paying pair's terminal normal use
+    the closed-form Cholesky factor of I - q q^T."""
+
+    @pytest.mark.parametrize("case", ["cross", "own-pair", "zero-correlation", "zero-vol"])
+    def test_factor_is_the_conditional_covariance(self, case):
+        rng = np.random.default_rng(17)
+        s = rng.uniform(0.05, 0.4, 52) * np.sqrt(np.diff(np.sort(rng.uniform(0.0, 1.0, 53))))
+        rho = rng.uniform(-0.95, 0.95, 52) if case == "cross" else np.full(52, float(case == "own-pair"))
+        q, diagonal, weight = _bridge(rho, 0.0 * s if case == "zero-vol" else s)
+        factor = np.diag(diagonal) + np.tril(-np.outer(q, weight), -1)
+        np.testing.assert_allclose(factor @ factor.T, np.eye(52) - np.outer(q, q), rtol=0, atol=1e-15)
+        if case == "own-pair":  # Z fixes the last step
+            assert diagonal[-1] == 0.0
+        if case.startswith("zero"):
+            assert not q.any() and (factor == np.eye(52)).all()
 
 
 class TestNonFinitePayoffs:
@@ -695,21 +751,21 @@ class TestBitsArePinned:
         ("basket", 40_000, False): ("0x1.6e0371ec0b8f0p-3", "0x1.72e61bc8b121fp-10"),
         ("basket", 37_002, True): ("0x1.67ccafbefd164p-3", "0x1.2a027a5ce2ce7p-10"),
         ("basket", 40_000, True): ("0x1.684852d3e5c77p-3", "0x1.1eb1db4344337p-10"),
-        ("down-in-cross", 5, False): ("0x1.2b46bd4bf1848p-5", "0x1.722d6e81d778ep-6"),
-        ("down-in-cross", 37_002, False): ("0x1.060dd4908f154p-5", "0x1.c3873fa7dc441p-12"),
-        ("down-in-cross", 40_000, False): ("0x1.06538b3f31fb0p-5", "0x1.b3b88e626b644p-12"),
-        ("down-in-cross", 37_002, True): ("0x1.0a803262af870p-5", "0x1.a530c3be0348cp-12"),
-        ("down-in-cross", 40_000, True): ("0x1.07bdf8aa171bdp-5", "0x1.92a3717cef5ccp-12"),
-        ("up-out-own-pair", 5, False): ("0x1.b5582f72496e8p-9", "0x1.b5582f72496e8p-9"),
-        ("up-out-own-pair", 37_002, False): ("0x1.606e41e350807p-6", "0x1.10f47eb60b126p-12"),
-        ("up-out-own-pair", 40_000, False): ("0x1.607ec7515ad73p-6", "0x1.069d7dc451df0p-12"),
-        ("up-out-own-pair", 37_002, True): ("0x1.62f10d06c3640p-6", "0x1.f29034e73ada6p-13"),
-        ("up-out-own-pair", 40_000, True): ("0x1.62e8cc89299d5p-6", "0x1.dfd3150d745f5p-13"),
-        ("vanilla", 5, False): ("0x1.3a5b5e64d50dbp-4", "0x1.864fb44622ee2p-5"),
-        ("vanilla", 37_002, False): ("0x1.7621dcff20881p-4", "0x1.a66875fb5407ep-11"),
-        ("vanilla", 40_000, False): ("0x1.7604ade32f5d5p-4", "0x1.96921286bcc03p-11"),
-        ("vanilla", 37_002, True): ("0x1.756d0701c1bf9p-4", "0x1.564b9006da6a5p-11"),
-        ("vanilla", 40_000, True): ("0x1.75314129d8cb6p-4", "0x1.49eab1ff48542p-11"),
+        ("down-in-cross", 5, False): ("0x1.e19ea3fb6406cp-6", "0x1.e19ea3fb6406dp-6"),
+        ("down-in-cross", 37_002, False): ("0x1.03e04995ff869p-5", "0x1.bf5bdd7ba97f5p-12"),
+        ("down-in-cross", 40_000, False): ("0x1.03e9afd24828cp-5", "0x1.af107e5d18ac8p-12"),
+        ("down-in-cross", 37_002, True): ("0x1.0a6eb05ed31fcp-5", "0x1.a03e542fa9f3ep-12"),
+        ("down-in-cross", 40_000, True): ("0x1.06ef8c3a9f686p-5", "0x1.8e55bade27bacp-12"),
+        ("up-out-own-pair", 5, False): ("0x1.0bff427343a7ap-5", "0x1.0bff427343a7ap-5"),
+        ("up-out-own-pair", 37_002, False): ("0x1.5a23211d34cbbp-6", "0x1.0e51308b3ce0ap-12"),
+        ("up-out-own-pair", 40_000, False): ("0x1.5c4b3dd968a25p-6", "0x1.05081a69c5d46p-12"),
+        ("up-out-own-pair", 37_002, True): ("0x1.57ccb878374bfp-6", "0x1.e91c3e5537a97p-13"),
+        ("up-out-own-pair", 40_000, True): ("0x1.59fd4bcf3a06ap-6", "0x1.d7f52f9b3c14ap-13"),
+        ("vanilla", 5, False): ("0x1.157d2f44ad089p-3", "0x1.42f7eeee8d14fp-4"),
+        ("vanilla", 37_002, False): ("0x1.79c0fb49aea9fp-4", "0x1.aa7dc2766efd4p-11"),
+        ("vanilla", 40_000, False): ("0x1.79382dc62b0bdp-4", "0x1.9a95908d344adp-11"),
+        ("vanilla", 37_002, True): ("0x1.723c07beffa6fp-4", "0x1.58586e7d2da26p-11"),
+        ("vanilla", 40_000, True): ("0x1.73a2d7646c2a8p-4", "0x1.4bab3af76bcdcp-11"),
     }
 
     @pytest.mark.parametrize("n_paths, antithetic", PINNED_RUNS)
@@ -732,12 +788,12 @@ class TestLongGridBitsArePinned:
     GRID = tuple(k / 260 for k in range(1, 261))
     INCREMENTS = "d23d7b8b4480b3e61d38563c131cb96f43191b600e30d0349060f3e0329d5d65"
     PRICES = {
-        ("down-in-cross", False): ("0x1.02031190458f7p-5", "0x1.30d1d12d90b5cp-11"),
-        ("down-in-cross", True): ("0x1.f896ea52df248p-6", "0x1.13b921da7577bp-11"),
-        ("up-out-own-pair", False): ("0x1.ea7bc7d795e3bp-7", "0x1.2f9c1504d163dp-12"),
-        ("up-out-own-pair", True): ("0x1.e9f82f490e9c5p-7", "0x1.171da4511310fp-12"),
-        ("vanilla", False): ("0x1.734bc7ca2edd8p-4", "0x1.1e7d958c24c5cp-10"),
-        ("vanilla", True): ("0x1.71da0e9c374c4p-4", "0x1.d4475bcf1d31dp-11"),
+        ("down-in-cross", False): ("0x1.f68961803dbd8p-6", "0x1.2a4d9421f694cp-11"),
+        ("down-in-cross", True): ("0x1.0d3be7476c227p-5", "0x1.1ea637fcc12dep-11"),
+        ("up-out-own-pair", False): ("0x1.f1ccc660c1739p-7", "0x1.3322556a23464p-12"),
+        ("up-out-own-pair", True): ("0x1.dd1bae7f9830cp-7", "0x1.155794bed47b1p-12"),
+        ("vanilla", False): ("0x1.7bb14919c7d4cp-4", "0x1.22256bb0593c1p-10"),
+        ("vanilla", True): ("0x1.74c05e152e60fp-4", "0x1.d1521ab22b0b7p-11"),
     }
 
     def test_increments(self, three_ccy_snapshot):
