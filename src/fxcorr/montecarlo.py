@@ -54,7 +54,8 @@ _GRID_TOL = 1e-12
 class SimulationConfig:
     """Path count, seed, monitoring grid, and the antithetic flag.
 
-    The seed is an integer in [0, 2**128), the Philox key range.  The grid
+    The path count is an integer >= 1 (not a bool).  The seed is an
+    integer in [0, 2**128), the Philox key range.  The grid
     must contain every breakpoint of every piecewise-constant input below
     its last point (checked at simulation time).
     """
@@ -65,8 +66,8 @@ class SimulationConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValidationError(f"n_paths must be positive, got {self.n_paths}")
+        if isinstance(self.n_paths, bool) or not (isinstance(self.n_paths, int) and self.n_paths >= 1):
+            raise ValidationError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and 0 <= self.seed < 2**128):
             raise ValidationError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         _check_times(self.grid, "grid")

@@ -78,6 +78,11 @@ class TestSimulationConfig:
         with pytest.raises(ValidationError, match="grid must be finite"):
             SimulationConfig(10, 1, grid)
 
+    @pytest.mark.parametrize("n_paths", [0, -5, 100.5, 2.0, True, "100", None])
+    def test_path_count_must_be_a_positive_integer(self, n_paths):
+        with pytest.raises(ValidationError, match="n_paths must be an integer >= 1"):
+            SimulationConfig(n_paths, 1, (1.0,))
+
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**130, 1.0, "7", None, True])
     def test_seed_outside_the_philox_key_range_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed must be an integer in"):
@@ -243,7 +248,8 @@ class TestPricingMeasure:
     def test_product_is_a_martingale(self, three_ccy_snapshot):
         # E^EUR[X_EUR/USD(T) X_USD/JPY(T)] = F_EUR/JPY(T), the product being EUR/JPY
         n = 400_000
-        y = self.simulate(three_ccy_snapshot, [EURUSD, USDJPY], SimulationConfig(n, 107, (0.5, 1.0)), Currency("EUR"))
+        config = SimulationConfig(n, 107, (0.5, 1.0))
+        y = self.simulate(three_ccy_snapshot, [EURUSD, USDJPY], config, Currency("EUR"))
         product = 1.25 * 100.0 * np.exp(y.sum(axis=(1, 2)))
         se = product.std(ddof=1) / math.sqrt(n)
         assert abs(product.mean() - 125.0 * math.exp(0.02)) <= 4 * se
@@ -537,30 +543,28 @@ class TestPriceBarrier:
         assert result == price(restated, three_ccy_snapshot, config)
         assert result.price > 0
 
-    @pytest.mark.parametrize("barrier", [JPYUSD, EURUSD], ids=["cross", "own-pair"])
-    def test_per_path_in_out_parity_is_exact(self, three_ccy_snapshot, barrier):
-        # the three payoffs evaluated on the paths ``price`` draws for the barrier
-        pairs = (EURUSD,) if barrier == EURUSD else (EURUSD, barrier)
+    def test_per_path_in_out_parity_is_exact(self, three_ccy_snapshot):
+        # the three payoffs evaluated on the paths ``price`` draws for a cross
+        # and for an own-pair barrier
         config = SimulationConfig(20_000, 79, (0.25, 0.5, 0.75, 1.0))
-        level = 1.3 if barrier == EURUSD else 0.0115
-        corr = build_matrix(pairs, three_ccy_snapshot, [1.0]) if len(pairs) > 1 else None
         vols = {p: flat_vol(0.2) for p in (EURUSD, JPYUSD, EURJPY)}
-        steps = _terminal_steps(_prepare_steps(pairs, vols, corr, config, three_ccy_snapshot.rates,
-                                               EURUSD.denominating), bridged=True)
-        spots = np.array([three_ccy_snapshot.spot(p) for p in pairs])
+        spots = {p: three_ccy_snapshot.spot(p) for p in vols}
 
-        def values(payoff, steps=steps, pairs=pairs, spots=spots):
-            evaluate = _payoff_evaluator(payoff, pairs, spots, config)
+        def values(payoff, pairs, bridged=True):
+            corr = build_matrix(pairs, three_ccy_snapshot, [1.0]) if len(pairs) > 1 else None
+            steps = _terminal_steps(_prepare_steps(pairs, vols, corr, config, three_ccy_snapshot.rates,
+                                                   EURUSD.denominating), bridged)
+            evaluate = _payoff_evaluator(payoff, pairs, np.array([spots[p] for p in pairs]), config)
             return np.concatenate(_run_blocks(steps, config, lambda start, size, it: evaluate(size, it)))
 
-        k_in, k_out = (values(replace(self.payoff(style, level), barrier_pair=barrier))
-                       for style in ("knock-in", "knock-out"))
-        vanilla = values(VanillaPayoff(EURUSD, 1.25, "call"))
-        assert (k_in > 0).any() and (k_out > 0).any()
-        assert np.array_equal(k_in + k_out, vanilla)
-        # the vanilla's own draw gives the same paying leg, path by path
-        alone = _terminal_steps(_prepare_steps((EURUSD,), vols, None, config, three_ccy_snapshot.rates))
-        assert np.array_equal(values(VanillaPayoff(EURUSD, 1.25, "call"), alone, (EURUSD,), spots[:1]), vanilla)
+        vanilla = VanillaPayoff(EURUSD, 1.25, "call")
+        alone = values(vanilla, (EURUSD,), bridged=False)  # the vanilla's own draw
+        for pairs, level in [((EURUSD, JPYUSD), 0.0115), ((EURUSD,), 1.3)]:
+            k_in, k_out = (values(replace(self.payoff(style, level), barrier_pair=pairs[-1]), pairs)
+                           for style in ("knock-in", "knock-out"))
+            assert (k_in > 0).any() and (k_out > 0).any()
+            assert np.array_equal(k_in + k_out, values(vanilla, pairs))
+            assert np.array_equal(values(vanilla, pairs), alone)  # the same paying leg, path by path
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("antithetic", [False, True])
@@ -571,16 +575,25 @@ class TestPriceBarrier:
         vanilla = price(VanillaPayoff(EURUSD, 1.25, "call"), three_ccy_snapshot, config)
         assert price(payoff, three_ccy_snapshot, config, workers=workers) == vanilla
 
-    def test_agrees_with_stepped_increments(self, three_ccy_snapshot):
+    def test_smallest_level_is_compared_in_logs(self, three_ccy_snapshot):
+        # 5e-324 / 125 underflows to 0, so the level is compared as ln(level) - ln(spot)
+        config = SimulationConfig(1000, 139, (0.5, 1.0))
+        payoff = BarrierPayoff(EURUSD, 1.25, "call", EURJPY, 5e-324, "down", "knock-out")
+        vanilla = price(VanillaPayoff(EURUSD, 1.25, "call"), three_ccy_snapshot, config)
+        assert price(payoff, three_ccy_snapshot, config) == vanilla
+
+    @pytest.mark.parametrize("barrier, level", [(JPYUSD, 0.0104), (EURUSD, 1.3)], ids=["cross", "own-pair"])
+    def test_agrees_with_stepped_increments(self, three_ccy_snapshot, barrier, level):
         # the bridged barrier pair against a stepped simulation of both pairs,
         # with piecewise vols and a correlation that changes sign
-        payoff = BarrierPayoff(EURUSD, 1.25, "call", JPYUSD, 0.0104, "up", "knock-out")
+        payoff = BarrierPayoff(EURUSD, 1.25, "call", barrier, level, "up", "knock-out")
         result = price(payoff, three_ccy_snapshot, SimulationConfig(200_000, 137, MONTHLY),
                        vols=PIECEWISE_VOLS, corr=TWO_BUCKET_CORR)
         y = simulate_increments((EURUSD, JPYUSD), PIECEWISE_VOLS, TWO_BUCKET_CORR,
                                 SimulationConfig(200_000, 139, MONTHLY), rates=three_ccy_snapshot.rates,
                                 measure=EURUSD.denominating)
-        knocked = (0.01 * np.exp(np.cumsum(y[:, :, 1], axis=1)) >= 0.0104).any(axis=1)
+        watched = y[:, :, 1 if barrier == JPYUSD else 0]
+        knocked = (three_ccy_snapshot.spot(barrier) * np.exp(np.cumsum(watched, axis=1)) >= level).any(axis=1)
         values = np.maximum(1.25 * np.exp(y[:, :, 0].sum(axis=1)) - 1.25, 0.0) * ~knocked
         df = math.exp(-0.02)
         stepped, stepped_se = df * values.mean(), df * values.std(ddof=1) / math.sqrt(values.size)
