@@ -38,8 +38,10 @@ from typing import Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .correlation import PSD_TOL, BucketedCorrelationMatrix, build_matrix, canonicalize
-from .errors import FactorizationError, MissingDataError, SchemaError, ValidationError
+from .correlation import PSD_TOL, RANGE_SNAP, BucketedCorrelationMatrix, build_matrix, canonicalize
+from .errors import (
+    CorrelationRangeError, FactorizationError, MissingDataError, SchemaError, ValidationError,
+)
 from .market_data import (
     Currency, FxPair, MarketSnapshot, RateCurve,
     _check_times, _entries, _label, _number, _require_keys, _string, _unique,
@@ -215,6 +217,11 @@ def _prepare_steps(
     rates: Mapping[Currency, RateCurve] | None,
     measure: Currency | None = None,
 ) -> _Steps:
+    """``measure=None`` gives each pair a/b the drift of its own measure, that
+    of a.  With a currency d, every pair is simulated under d's measure: a
+    pair with a != d gains the quanto drift (s_ab^2 + s_ad^2 - s_bd^2) dt / 2,
+    which needs ``vols`` for a/d and for b/d (unless b is d), in either
+    orientation."""
     n_pairs = len(pairs)
     if n_pairs == 0:
         raise ValidationError("need at least one pair")
@@ -253,7 +260,16 @@ def _prepare_steps(
     to_measure = {link.denominating: v for link, v in zip(links, variance[:, n_pairs:].T)}
     for p, pair in enumerate(pairs):  # X_{a/b}, a != d: + (s_ab^2 + s_ad^2 - s_bd^2) dt / 2
         if measure not in (None, pair.denominating):
-            drift[:, p] += 0.5 * (variance[:, p] + to_measure[pair.denominating] - to_measure.get(pair.foreign, 0.0))
+            v_ab, v_ad, v_bd = variance[:, p], to_measure[pair.denominating], to_measure.get(pair.foreign, 0.0)
+            covariance = 0.5 * (v_ab + v_ad - v_bd)  # of ln X_a/b and ln X_a/d: a correlation in [-1, 1]
+            bad = np.abs(covariance) - np.sqrt(v_ab * v_ad) > RANGE_SNAP * (v_ab + v_ad + v_bd)
+            if bad.any():
+                m = int(bad.argmax())
+                raise CorrelationRangeError(
+                    f"vols of {pair}, {pair.denominating}/{measure} and {pair.foreign}/{measure} on grid "
+                    f"step ({grid[m]}, {grid[m + 1]}] imply a correlation outside [-1, 1]"
+                )
+            drift[:, p] += covariance
 
     if corr is None:
         factors = (np.eye(n_pairs),) * len(mids)
@@ -381,20 +397,16 @@ def simulate_increments(
     corr: BucketedCorrelationMatrix | None,
     config: SimulationConfig,
     rates: Mapping[Currency, RateCurve] | None = None,
-    measure: Currency | None = None,
 ) -> np.ndarray:
     """Simulate log-increments, shaped (n_paths, n_steps, n_pairs).
 
     ``corr=None`` simulates independent pairs; otherwise only the block of
     ``pairs`` in each bucket is factorized, and it must be PSD.
     ``rates=None`` drops the rate-differential part of the drift (pure
-    -sigma^2/2 dt).  ``measure=None`` gives each pair a/b the drift of its
-    own measure, that of a.  With a ``measure`` currency d, every pair is
-    simulated under d's measure: a pair with a != d gains the quanto drift
-    (s_ab^2 + s_ad^2 - s_bd^2) dt / 2, which needs ``vols`` for a/d and
-    for b/d (unless b is d), in either orientation.
+    -sigma^2/2 dt).  Each pair a/b follows the drift of its own measure,
+    that of a.
     """
-    steps = _prepare_steps(pairs, vols, corr, config, rates, measure)
+    steps = _prepare_steps(pairs, vols, corr, config, rates)
     out = np.empty((config.n_paths,) + steps.drift.shape[:2])
 
     def store(start: int, size: int, step_increments: Iterator[np.ndarray]) -> None:
@@ -498,11 +510,15 @@ def price(
     Every pair is simulated under the measure of the paying pair's
     denominating currency d, the currency the price is paid in.  A
     barrier pair a/b with a != d gains the quanto drift
-    (s_ab^2 + s_ad^2 - s_bd^2) dt / 2 (see ``simulate_increments``).  The
-    vols of a/d and b/d come from ``vols`` when it holds them (in either
-    orientation), and otherwise from the snapshot's per-step forward vols
-    on the grid, even when ``vols`` is given.  Deterministic for fixed
-    (seed, n_paths, grid, antithetic), whatever ``workers`` is.
+    (s_ab^2 + s_ad^2 - s_bd^2) dt / 2, the covariance of its log-rate with
+    that of a/d.  The vols of a/d and b/d come from ``vols`` when it holds
+    them (in either orientation), and otherwise from the snapshot's
+    per-step forward vols on the grid, even when ``vols`` is given.  So an
+    override can mix vols that no triangle holds: where the three vols of
+    a step imply a correlation of a/b with a/d outside [-1, 1],
+    ``CorrelationRangeError`` is raised (``clamp`` does not apply to it).
+    Deterministic for fixed (seed, n_paths, grid, antithetic), whatever
+    ``workers`` is.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")

@@ -14,6 +14,7 @@ from fxcorr import (
     BasketPayoff,
     BucketedCorrelationMatrix,
     BucketStatus,
+    CorrelationRangeError,
     Currency,
     FactorizationError,
     FxPair,
@@ -236,6 +237,14 @@ class TestSimulateIncrements:
             simulate_increments([EURUSD], {EURUSD: flat_vol(0.2)}, None, config, rates=rates)
 
 
+def measured_increments(pairs, vols, corr, config, rates=None, measure=None):
+    """The engine's stepped increments under ``measure``'s measure, shaped
+    (n_paths, n_steps, n_pairs) as ``simulate_increments`` returns them."""
+    steps = _prepare_steps(pairs, vols, corr, config, rates, measure)
+    blocks = _run_blocks(steps, config, lambda start, size, it: np.stack([y.T.copy() for y in it], axis=1))
+    return np.concatenate(blocks)
+
+
 class TestPricingMeasure:
     """With ``measure=d`` every pair is simulated under d's measure: a pair
     X_{a/b} with a != d gains the quanto drift (s_ab^2 + s_ad^2 - s_bd^2) dt / 2."""
@@ -243,7 +252,15 @@ class TestPricingMeasure:
     def simulate(self, snapshot, pairs, config, measure):
         corr = build_matrix(pairs, snapshot, config.grid)
         vols = {p: flat_vol(0.2) for p in (EURJPY, EURUSD, USDJPY)}  # the snapshot's vols
-        return simulate_increments(pairs, vols, corr, config, rates=snapshot.rates, measure=measure)
+        return measured_increments(pairs, vols, corr, config, snapshot.rates, measure)
+
+    def test_without_a_measure_is_simulate_increments(self, three_ccy_snapshot):
+        pairs = [EURUSD, USDJPY]
+        config = SimulationConfig(20_000, 101, MONTHLY)
+        vols = {p: flat_vol(0.2) for p in pairs}
+        corr = build_matrix(pairs, three_ccy_snapshot, config.grid)
+        ours = measured_increments(pairs, vols, corr, config, three_ccy_snapshot.rates)
+        assert ours.tobytes() == simulate_increments(pairs, vols, corr, config, three_ccy_snapshot.rates).tobytes()
 
     def test_product_is_a_martingale(self, three_ccy_snapshot):
         # E^EUR[X_EUR/USD(T) X_USD/JPY(T)] = F_EUR/JPY(T), the product being EUR/JPY
@@ -266,18 +283,40 @@ class TestPricingMeasure:
     def test_missing_link_vol_names_the_pair(self):
         config = SimulationConfig(100, 3, (1.0,))
         with pytest.raises(MissingDataError, match="no vol structure supplied for pair USD/EUR"):
-            simulate_increments([USDJPY], {USDJPY: flat_vol(0.2)}, None, config, measure=Currency("EUR"))
+            measured_increments([USDJPY], {USDJPY: flat_vol(0.2)}, None, config, measure=Currency("EUR"))
 
     def test_link_vol_is_read_in_either_orientation(self):
         config = SimulationConfig(100, 3, (1.0,))
         eur = Currency("EUR")
         vols = {USDJPY: flat_vol(0.2), EURJPY: flat_vol(0.1)}
-        a = simulate_increments([USDJPY], {**vols, EURUSD: flat_vol(0.3)}, None, config, measure=eur)
-        b = simulate_increments([USDJPY], {**vols, USDEUR: flat_vol(0.3)}, None, config, measure=eur)
+        a = measured_increments([USDJPY], {**vols, EURUSD: flat_vol(0.3)}, None, config, measure=eur)
+        b = measured_increments([USDJPY], {**vols, USDEUR: flat_vol(0.3)}, None, config, measure=eur)
         assert a.tobytes() == b.tobytes()
         # (0.2^2 + 0.3^2 - 0.1^2) / 2 more drift than under USD's own measure
-        own = simulate_increments([USDJPY], vols, None, config)
+        own = measured_increments([USDJPY], vols, None, config)
         np.testing.assert_allclose(a - own, 0.06, rtol=1e-12)
+
+    @pytest.mark.parametrize("vol, accepted", [(0.0, False), (0.05, False), (0.1, True), (0.5, True), (0.55, False)])
+    def test_link_vols_must_admit_a_correlation(self, vol, accepted):
+        # USD/EUR 0.3 and JPY/EUR 0.2 leave |s_ab^2 + s_ad^2 - s_bd^2| <= 2 s_ab s_ad
+        # for USD/JPY vols s_ab in [0.1, 0.5] only, correlation 1 at both ends
+        config = SimulationConfig(100, 3, (0.5, 1.0))
+        vols = {USDJPY: PiecewiseConstant((0.0, 0.5, 1.0), (0.2, vol)), EURJPY: flat_vol(0.2),
+                USDEUR: flat_vol(0.3)}
+        if accepted:
+            measured_increments([USDJPY], vols, None, config, measure=Currency("EUR"))
+        else:
+            with pytest.raises(CorrelationRangeError, match=r"USD/JPY, USD/EUR and JPY/EUR on grid step \(0.5, 1.0\]"):
+                measured_increments([USDJPY], vols, None, config, measure=Currency("EUR"))
+
+    def test_price_rejects_a_zero_vol_barrier_pair_override(self, three_ccy_snapshot):
+        # a zero-vol USD/JPY needs equal USD/EUR and JPY/EUR vols: here 0.2 and 0.3
+        payoff = PINNED_PAYOFFS["down-in-cross"]
+        config = SimulationConfig(1000, 113, (0.5, 1.0))
+        vols = {EURUSD: flat_vol(0.2), USDJPY: flat_vol(0.0), EURJPY: flat_vol(0.3)}
+        price(payoff, three_ccy_snapshot, config, vols={**vols, EURJPY: flat_vol(0.2)})
+        with pytest.raises(CorrelationRangeError, match="USD/JPY, USD/EUR and JPY/EUR"):
+            price(payoff, three_ccy_snapshot, config, vols=vols)
 
     def test_price_reads_link_vols_from_the_snapshot_under_an_override(self, three_ccy_snapshot):
         payoff = PINNED_PAYOFFS["down-in-cross"]
@@ -585,13 +624,15 @@ class TestPriceBarrier:
     @pytest.mark.parametrize("barrier, level", [(JPYUSD, 0.0104), (EURUSD, 1.3)], ids=["cross", "own-pair"])
     def test_agrees_with_stepped_increments(self, three_ccy_snapshot, barrier, level):
         # the bridged barrier pair against a stepped simulation of both pairs,
-        # with piecewise vols and a correlation that changes sign
+        # with piecewise vols and a correlation that changes sign; the JPY/EUR
+        # link vol lies between |s_USD/EUR - s_USD/JPY| and their sum on every step
+        vols = {**PIECEWISE_VOLS, EURJPY: PiecewiseConstant((0.0, 0.25, 0.5, 1.0), (0.2, 0.18, 0.25))}
         payoff = BarrierPayoff(EURUSD, 1.25, "call", barrier, level, "up", "knock-out")
         result = price(payoff, three_ccy_snapshot, SimulationConfig(200_000, 137, MONTHLY),
-                       vols=PIECEWISE_VOLS, corr=TWO_BUCKET_CORR)
-        y = simulate_increments((EURUSD, JPYUSD), PIECEWISE_VOLS, TWO_BUCKET_CORR,
-                                SimulationConfig(200_000, 139, MONTHLY), rates=three_ccy_snapshot.rates,
-                                measure=EURUSD.denominating)
+                       vols=vols, corr=TWO_BUCKET_CORR)
+        y = measured_increments((EURUSD, JPYUSD), vols, TWO_BUCKET_CORR,
+                                SimulationConfig(200_000, 139, MONTHLY), three_ccy_snapshot.rates,
+                                EURUSD.denominating)
         watched = y[:, :, 1 if barrier == JPYUSD else 0]
         knocked = (three_ccy_snapshot.spot(barrier) * np.exp(np.cumsum(watched, axis=1)) >= level).any(axis=1)
         values = np.maximum(1.25 * np.exp(y[:, :, 0].sum(axis=1)) - 1.25, 0.0) * ~knocked
