@@ -33,6 +33,7 @@ from .errors import (
     FxCorrError,
     MissingDataError,
     NoImpliedVolError,
+    ValidationError,
 )
 from .market_data import FxPair, MarketSnapshot, _loads_json, check_spot_triangles, load_snapshot
 from .montecarlo import SimulationConfig, payoff_from_dict, payoff_to_dict, price
@@ -162,7 +163,11 @@ def _emit(result: dict, args: argparse.Namespace, pretty_lines: list[str], **res
             print(line)
     else:
         doc = {"result": result, "manifest": _manifest(args, resolved)}
-        print(json.dumps(doc, indent=2))
+        try:  # strict JSON: a result that is not finite is an error, not Infinity or NaN
+            text = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError:
+            raise ValidationError("the result holds a value that is not finite") from None
+        print(text)
 
 
 def _g10(x: float) -> str:
@@ -316,10 +321,7 @@ _EXITS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.snapshot is None:
-        print("error: no snapshot file given and FXCORR_SNAPSHOT is not set", file=sys.stderr)
-        return EXIT_ERROR
+    args = build_parser().parse_args(argv)  # the snapshot is required unless FXCORR_SNAPSHOT is set
     try:
         return _COMMANDS[args.subcommand](args, load_snapshot(args.snapshot))
     except (FxCorrError, OSError) as exc:

@@ -240,8 +240,8 @@ class RateCurve:
 
     def forward(self, start: float, end: float) -> float:
         """Average rate over a future bucket (start, end]."""
-        if not 0 <= start < end:
-            raise ValidationError(f"need 0 <= start < end, got ({start}, {end})")
+        if not 0 <= start < end < math.inf:
+            raise ValidationError(f"need 0 <= start < end < inf, got ({start}, {end})")
         if start == 0:
             return self.average(end)
         return (self.integrated(end) - self.integrated(start)) / (end - start)

@@ -47,6 +47,7 @@ from .market_data import (
     _check_times, _entries, _label, _number, _require_keys, _string, _unique,
 )
 from .term_structure import PiecewiseConstant, _bucket_vols
+from .vanilla import _check_strike_kind
 
 BLOCK_PATHS = 16384
 _GRID_TOL = 1e-12
@@ -72,6 +73,7 @@ class SimulationConfig:
             raise ValidationError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and 0 <= self.seed < 2**128):
             raise ValidationError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
+        object.__setattr__(self, "grid", tuple(self.grid))  # a list or an array is stored as a tuple
         _check_times(self.grid, "grid")
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic sampling requires an even n_paths")
@@ -148,13 +150,6 @@ class BarrierPayoff:
 
 
 PayoffSpec = VanillaPayoff | BasketPayoff | BarrierPayoff
-
-
-def _check_strike_kind(strike: float, kind: str) -> None:
-    if not 0 < strike < math.inf:
-        raise ValidationError(f"strike must be positive and finite, got {strike}")
-    if kind not in ("call", "put"):
-        raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -520,8 +515,8 @@ def price(
     Deterministic for fixed (seed, n_paths, grid, antithetic), whatever
     ``workers`` is.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {workers}")
+    if isinstance(workers, bool) or not (isinstance(workers, int) and workers >= 1):
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
     if isinstance(payoff, BarrierPayoff) and payoff.barrier_pair == payoff.payoff_pair.inverse():
         payoff = replace(payoff, barrier_pair=payoff.payoff_pair, barrier_level=1.0 / payoff.barrier_level,
                          direction="down" if payoff.direction == "up" else "up")
@@ -552,6 +547,8 @@ def price(
         return float(values.sum()), float((values * values).sum()), values.size
 
     partials = _run_blocks(steps, config, block_sums, workers)
+    # plain left-to-right adds in block order: sum() compensates float adds
+    # since Python 3.12, so the result bytes would depend on the interpreter
     total = 0.0
     total_sq = 0.0
     n_eff = 0

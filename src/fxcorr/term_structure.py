@@ -108,7 +108,7 @@ def _bucket_vols(ts: VolTermStructure, times: Sequence[float]) -> PiecewiseConst
 
 def total_variance(sigma: PiecewiseConstant, horizon: float) -> float:
     """Integral of sigma(t)^2 over (0, horizon], exact bucket sums."""
-    _check_horizon(horizon)
+    _check_times((horizon,), "horizon")
     if horizon > sigma.horizon:
         warnings.warn(
             f"total variance extrapolated flat beyond T={sigma.horizon} to T={horizon}",
@@ -119,13 +119,6 @@ def total_variance(sigma: PiecewiseConstant, horizon: float) -> float:
     for _, width, value in _merged_buckets((sigma,), horizon):
         total += value * value * width
     return total
-
-
-def _check_horizon(horizon: float) -> None:
-    if not horizon > 0:
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
-    if horizon == math.inf:
-        raise ValidationError("horizon must be finite, got inf")
 
 
 def _merged_buckets(structures: Sequence[PiecewiseConstant], horizon: float):
@@ -151,7 +144,7 @@ def integrated_correlation(
     Exact on the merged bucket grid.  Bounded by max |rho(t)|, hence in
     [-1, 1]; only floating-point headroom is clipped.
     """
-    _check_horizon(horizon)
+    _check_times((horizon,), "horizon")
     tv_a = tv_b = covariance = 0.0
     for mid, width, r, a, b in _merged_buckets((rho, sigma_a, sigma_b), horizon):
         if not abs(r) <= 1.0:
@@ -180,9 +173,7 @@ def integrated_correlation(
 def horizon_vol(ts: VolTermStructure, start: float, end: float) -> float:
     """Implied vol of a quoted structure over (start, end], interpolating in
     total variance at non-quoted horizons."""
-    if not 0 <= start < end:
-        raise ValidationError(f"need 0 <= start < end, got ({start}, {end})")
-    if end == math.inf:
+    if not 0 <= start < end < math.inf:
         raise ValidationError(f"need 0 <= start < end < inf, got ({start}, {end})")
     tv_end = ts.total_variance(end)
     tv_start = ts.total_variance(start) if start > 0 else 0.0

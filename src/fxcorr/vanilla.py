@@ -50,12 +50,16 @@ class VanillaSpec:
     kind: OptionKind
 
     def __post_init__(self):
-        if not 0 < self.strike < math.inf:
-            raise ValidationError(f"strike must be positive and finite, got {self.strike}")
+        _check_strike_kind(self.strike, self.kind)
         if not 0 < self.maturity < math.inf:
             raise ValidationError(f"maturity must be positive and finite, got {self.maturity}")
-        if self.kind not in ("call", "put"):
-            raise ValidationError(f"kind must be 'call' or 'put', got {self.kind!r}")
+
+
+def _check_strike_kind(strike: float, kind: str) -> None:
+    if not 0 < strike < math.inf:
+        raise ValidationError(f"strike must be positive and finite, got {strike}")
+    if kind not in ("call", "put"):
+        raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
 
 
 @dataclass(frozen=True)

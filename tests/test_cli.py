@@ -56,6 +56,16 @@ class TestValidate:
         assert result["consistent"] is False
         assert result["triangle_violations"][0]["magnitude"] == pytest.approx(0.04, rel=1e-9)
 
+    def test_infinite_magnitude_is_an_error_line(self, capsys, tmp_path):
+        doc = snapshot_doc(
+            spots={"EUR/JPY": 1e200, "JPY/USD": 1e200, "EUR/USD": 1.0},
+            vols={"EUR/USD": [(1.0, 0.2)]},
+            rates={"EUR": [(1.0, 0.0)], "USD": [(1.0, 0.0)], "JPY": [(1.0, 0.0)]},
+        )
+        code, out, err = run(capsys, ["validate", write(tmp_path, "huge.json", doc)])
+        assert (code, out) == (1, "")
+        assert err == "error: the result holds a value that is not finite\n"
+
     def test_schema_error_exits_1(self, capsys, tmp_path):
         doc = three_ccy_doc()
         doc["surprise"] = True
@@ -275,6 +285,16 @@ class TestPrice:
         assert code == 1
         assert "unknown payoff type" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow in the weighted sum
+    def test_infinite_price_is_an_error_line(self, capsys, tmp_path, snapshot_path):
+        payoff = write(tmp_path, "huge.json", {
+            "type": "basket", "strike": 1.0, "kind": "call", "weights": [
+                {"pair": "EUR/USD", "weight": 1e305}, {"pair": "EUR/JPY", "weight": 1e305}],
+        })
+        code, out, err = run(capsys, ["price", snapshot_path, payoff, "--grid", "1.0", "--paths", "100"])
+        assert (code, out) == (1, "")
+        assert err == "error: the result holds a value that is not finite\n"
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_1(self, capsys, tmp_path, snapshot_path, workers):
         payoff = self.vanilla_payoff_path(tmp_path)
@@ -325,6 +345,17 @@ class TestExitCodes:
             cli.main(["corr", snapshot_path, "--pair-a", "EUR/USD", "--maturity", "1.0"])
         assert exc.value.code == 1
         assert "pair-b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["price", "snap.json", "payoff.json", "--grid", "1,x"], "expected comma-separated numbers"),
+        (["validate"], "the following arguments are required: snapshot"),
+    ], ids=["grid-not-a-number", "no-snapshot"])
+    def test_usage_errors_exit_1(self, capsys, monkeypatch, argv, message):
+        monkeypatch.delenv("FXCORR_SNAPSHOT", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_snapshot_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, ["validate", str(tmp_path / "absent.json")])

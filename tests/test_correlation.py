@@ -415,6 +415,11 @@ class TestBuildMatrix:
                 [pair("EUR/USD"), pair("USD/EUR")], three_ccy_snapshot, [1.0]
             )
 
+    @pytest.mark.parametrize("pairs", [[], ["EUR/USD"]])
+    def test_needs_two_pairs(self, three_ccy_snapshot, pairs):
+        with pytest.raises(ValidationError, match="need at least two pairs"):
+            build_matrix([pair(label) for label in pairs], three_ccy_snapshot, [1.0])
+
 
 def _scanned_bucket(breakpoints, t):
     """The bucket of t by a linear scan over the right ends."""
@@ -502,6 +507,18 @@ class TestNonFiniteMatrixEntries:
             BucketedCorrelationMatrix(
                 ("EUR/USD", "EUR/JPY"), (0.0, 0.5, 1.0), (np.eye(2), matrix),
                 (BucketStatus("psd", 1.0),) * 2,
+            )
+
+    @pytest.mark.parametrize("matrices, n_statuses, message", [
+        ((np.eye(2),), 2, "one matrix per bucket required"),
+        ((np.eye(2),) * 3, 3, "one matrix per bucket required"),
+        ((np.eye(2),) * 2, 1, "one status per bucket required"),
+        ((np.eye(2), np.eye(3)), 2, r"matrix shape \(3, 3\) does not match 2 pairs"),
+    ], ids=["too-few-matrices", "too-many-matrices", "status-count", "shape"])
+    def test_bucket_counts_and_shapes(self, matrices, n_statuses, message):
+        with pytest.raises(ValidationError, match=message):
+            BucketedCorrelationMatrix(
+                ("EUR/USD", "EUR/JPY"), (0.0, 0.5, 1.0), matrices, (BucketStatus("psd", 1.0),) * n_statuses,
             )
 
 

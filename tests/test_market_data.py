@@ -111,6 +111,12 @@ class TestVolTermStructure:
         )
         assert ts.maturities == (1.0, 2.0)
 
+    @pytest.mark.parametrize("other", [FxPair(EUR, JPY), FxPair(USD, EUR)])
+    def test_from_quotes_needs_one_pair(self, other):
+        quotes = [VolQuote(FxPair(EUR, USD), 1.0, 0.10), VolQuote(other, 2.0, 0.12)]
+        with pytest.raises(ValidationError, match="quotes must all reference the same pair"):
+            VolTermStructure.from_quotes(quotes)
+
     def test_total_variance_at_quotes(self):
         ts = VolTermStructure(FxPair(EUR, USD), ((1.0, 0.10), (2.0, 0.12)))
         assert ts.total_variance(1.0) == pytest.approx(0.01, rel=1e-15)
@@ -133,6 +139,12 @@ class TestVolTermStructure:
         # last bucket's instantaneous variance rate continues flat
         assert tv == pytest.approx(0.0288 + (0.0288 - 0.01), rel=1e-12)
 
+    @pytest.mark.parametrize("maturity", [0.0, -1.0, math.nan])
+    def test_total_variance_needs_a_positive_maturity(self, maturity):
+        ts = VolTermStructure(FxPair(EUR, USD), ((1.0, 0.10),))
+        with pytest.raises(ValidationError, match="maturity must be > 0"):
+            ts.total_variance(maturity)
+
 
 class TestRateCurve:
     def test_interpolates_integrated_rate(self):
@@ -154,6 +166,24 @@ class TestRateCurve:
     def test_increasing_maturities_required(self):
         with pytest.raises(ValidationError):
             RateCurve(EUR, ((1.0, 0.02), (1.0, 0.03)))
+
+    @pytest.mark.parametrize("maturity", [0.5, 1.5, 5.0])
+    def test_forward_from_zero_is_the_average(self, maturity):
+        curve = RateCurve(EUR, ((1.0, 0.02), (2.0, 0.03)))
+        assert curve.forward(0.0, maturity) == curve.average(maturity)
+
+    @pytest.mark.parametrize("maturity", [0.0, -1.0, math.nan])
+    def test_integrated_needs_a_positive_maturity(self, maturity):
+        with pytest.raises(ValidationError, match="maturity must be > 0"):
+            RateCurve(EUR, ((1.0, 0.02),)).integrated(maturity)
+
+    @pytest.mark.parametrize("start, end", [
+        (0.0, math.inf), (0.5, math.inf), (1.0, 1.0), (2.0, 1.0), (-0.5, 1.0), (math.nan, 1.0), (0.0, math.nan),
+    ])
+    def test_forward_span_is_finite_and_increasing(self, start, end):
+        curve = RateCurve(EUR, ((1.0, 0.02), (2.0, 0.03)))
+        with pytest.raises(ValidationError, match=r"need 0 <= start < end < inf, got"):
+            curve.forward(start, end)
 
 
 class TestMarketSnapshot:
@@ -238,6 +268,19 @@ class TestMarketSnapshot:
         spots = {FxPair(EUR, USD): 1.25, FxPair(USD, EUR): 0.9}
         with pytest.raises(ValidationError, match="registered under"):
             MarketSnapshot(spots, {FxPair(EUR, USD): ts}, rates)
+
+    def test_missing_rate_curve_raises(self, three_ccy_snapshot):
+        with pytest.raises(MissingDataError, match="no rate curve for currency GBP"):
+            three_ccy_snapshot.rate_curve(Currency("GBP"))
+
+    def test_inverse_vols_must_quote_the_same_maturities(self):
+        doc = snapshot_doc(
+            spots={"EUR/USD": 1.25},
+            vols={"EUR/USD": [(1.0, 0.1)], "USD/EUR": [(1.0, 0.1), (2.0, 0.1)]},
+            rates={"EUR": [(2.0, 0.0)], "USD": [(2.0, 0.0)]},
+        )
+        with pytest.raises(ValidationError, match="pair and inverse quote different maturities"):
+            loads_snapshot(json.dumps(doc))
 
     def test_structure_registered_under_another_pair_rejected(self):
         ts = VolTermStructure(FxPair(EUR, JPY), ((1.0, 0.1),))
@@ -495,6 +538,10 @@ class TestEntryLists:
                                     "barrier_level": 0.0115, "direction": "up",
                                     "style": "knock-out", "monitoring": 1.0}),
                      "expected a list", "monitoring", id="monitoring-not-a-list"),
+        pytest.param(lambda: loads_snapshot("[]"),
+                     "top level must be an object", "$", id="snapshot-not-an-object"),
+        pytest.param(_parse_payoff([]),
+                     "payoff document must be an object", "$", id="payoff-not-an-object"),
     ])
     def test_message_and_field(self, parse, message, field):
         with pytest.raises(SchemaError, match=message) as exc:

@@ -96,6 +96,19 @@ class TestSimulationConfig:
     def test_horizon_is_last_grid_time(self):
         assert SimulationConfig(10, 1, (0.5, 1.0)).horizon == 1.0
 
+    @pytest.mark.parametrize("grid", [[0.5, 1.0], np.array([0.5, 1.0])], ids=["list", "array"])
+    def test_grid_is_stored_as_a_tuple(self, grid):
+        assert SimulationConfig(10, 1, grid).grid == (0.5, 1.0)
+
+    @pytest.mark.parametrize("grid", [[0.25, 0.5, 1.0], np.array([0.25, 0.5, 1.0])], ids=["list", "array"])
+    @pytest.mark.parametrize("payoff", [
+        VanillaPayoff(EURUSD, 1.25, "call"),
+        BarrierPayoff(EURUSD, 1.25, "call", JPYUSD, 0.0115, "up", "knock-out"),
+    ], ids=["vanilla", "barrier"])
+    def test_any_grid_sequence_prices_as_the_tuple(self, three_ccy_snapshot, payoff, grid):
+        expected = price(payoff, three_ccy_snapshot, SimulationConfig(1000, 3, (0.25, 0.5, 1.0)))
+        assert price(payoff, three_ccy_snapshot, SimulationConfig(1000, 3, grid)) == expected
+
 
 class TestSimulateIncrements:
     def test_shape(self):
@@ -353,6 +366,19 @@ class TestPriceVanilla:
         config = SimulationConfig(100, 31, (1.0,))
         with pytest.raises(ValidationError, match="workers"):
             price(VanillaPayoff(EURUSD, 1.3, "put"), three_ccy_snapshot, config, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True, math.inf, math.nan, "2", np.int64(2)],
+                             ids=["1.5", "2.0", "True", "inf", "nan", "str", "int64"])
+    def test_workers_must_be_an_integer(self, three_ccy_snapshot, workers):
+        config = SimulationConfig(100, 31, (1.0,))
+        with pytest.raises(ValidationError, match="workers must be an integer >= 1"):
+            price(VanillaPayoff(EURUSD, 1.3, "put"), three_ccy_snapshot, config, workers=workers)
+
+    @pytest.mark.parametrize("n_paths, antithetic", [(1, False), (2, True)])
+    def test_one_effective_path_has_zero_standard_error(self, three_ccy_snapshot, n_paths, antithetic):
+        config = SimulationConfig(n_paths, 31, (1.0,), antithetic)
+        result = price(VanillaPayoff(EURUSD, 1.0, "call"), three_ccy_snapshot, config)
+        assert result.price > 0.0 and result.standard_error == 0.0
 
     def test_antithetic_agrees_with_plain_estimator(self, three_ccy_snapshot):
         payoff = VanillaPayoff(EURUSD, 1.25, "call")
@@ -670,6 +696,21 @@ class TestNonFinitePayoffs:
     def test_strike_rejected(self, make, bad):
         with pytest.raises(ValidationError, match="strike must be positive and finite"):
             make(bad)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: VanillaPayoff(EURUSD, 1.25, "straddle"), "kind must be 'call' or 'put'"),
+        (lambda: BasketPayoff({EURUSD: 1.0}, 1.25, "straddle"), "kind must be 'call' or 'put'"),
+        (lambda: BarrierPayoff(EURUSD, 1.25, "straddle", JPYUSD, 0.0115, "up", "knock-out"),
+         "kind must be 'call' or 'put'"),
+        (lambda: BarrierPayoff(EURUSD, 1.25, "put", JPYUSD, 0.0115, "sideways", "knock-out"),
+         "direction must be 'up' or 'down'"),
+        (lambda: BarrierPayoff(EURUSD, 1.25, "put", JPYUSD, 0.0115, "up", "knock-through"),
+         "style must be 'knock-in' or 'knock-out'"),
+        (lambda: BasketPayoff({}, 1.25, "call"), "basket weights must be non-empty"),
+    ], ids=["vanilla-kind", "basket-kind", "barrier-kind", "direction", "style", "empty-basket"])
+    def test_bad_term_rejected(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_basket_weight_rejected(self, bad):

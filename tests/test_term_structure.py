@@ -65,6 +65,16 @@ class TestPiecewiseConstant:
         with pytest.raises(ValidationError, match="breakpoints must be finite"):
             PiecewiseConstant((0.0, 1.0, bad), (0.1, 0.2))
 
+    @pytest.mark.parametrize("breakpoints, values", [((0.0,), ()), ((), ())])
+    def test_needs_a_bucket(self, breakpoints, values):
+        with pytest.raises(ValidationError, match="need at least one bucket"):
+            PiecewiseConstant(breakpoints, values)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_value_at_needs_a_positive_time(self, t):
+        with pytest.raises(ValidationError, match="t must be > 0"):
+            PiecewiseConstant((0.0, 1.0), (0.1,)).value_at(t)
+
 
 class TestForwardVol:
     def test_flat_structure_returns_same_vol(self):
@@ -209,6 +219,13 @@ class TestIntegratedCorrelation:
         expected = cov / math.sqrt(tv1 * tv2)
         assert integrated_correlation(rho, s1, s2, 2.0) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("short", [0, 1, 2])
+    def test_extrapolation_warns_and_stays_flat(self, short):
+        inputs = [PiecewiseConstant((0.0, 2.0), (value,)) for value in (0.5, 0.1, 0.3)]
+        inputs[short] = PiecewiseConstant((0.0, 1.0), (inputs[short].values[0],))
+        with pytest.warns(ExtrapolationWarning, match="flat beyond T=1.0"):
+            assert integrated_correlation(*inputs, 2.0) == pytest.approx(0.5, rel=1e-15)
+
 
 class TestNonFiniteIntegrals:
     RHO = PiecewiseConstant((0.0, 1.0), (0.5,))
@@ -240,6 +257,20 @@ class TestNonFiniteIntegrals:
     def test_infinite_horizon_vol_end_rejected(self, start, end):
         ts = VolTermStructure(PAIR, ((1.0, 0.10),))
         with pytest.raises(ValidationError, match="need 0 <= start < end"):
+            horizon_vol(ts, start, end)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("integral", [total_variance, integrated_correlation],
+                             ids=["total_variance", "integrated_correlation"])
+    def test_horizon_is_checked_as_a_time(self, integral, horizon):
+        args = (self.SIGMA,) if integral is total_variance else (self.RHO, self.SIGMA, self.SIGMA)
+        with pytest.raises(ValidationError, match="horizon must be finite, > 0 and strictly increasing"):
+            integral(*args, horizon)
+
+    @pytest.mark.parametrize("start,end", [(0.5, math.inf), (1.0, 1.0), (0.5, 0.2), (-0.1, 1.0)])
+    def test_horizon_vol_names_the_one_span_rule(self, start, end):
+        ts = VolTermStructure(PAIR, ((1.0, 0.10),))
+        with pytest.raises(ValidationError, match=r"need 0 <= start < end < inf, got"):
             horizon_vol(ts, start, end)
 
 

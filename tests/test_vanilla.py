@@ -212,6 +212,12 @@ class TestNonFiniteInputs:
         with pytest.raises(ValidationError, match=field):
             VanillaSpec(PAIR, args["strike"], args["maturity"], "call")
 
+    @pytest.mark.parametrize("maturity", [1.0, math.nan, -1.0])
+    def test_spec_rejects_a_bad_kind_first(self, maturity):
+        # the option terms (strike, kind) are checked before the maturity
+        with pytest.raises(ValidationError, match="kind must be 'call' or 'put', got 'straddle'"):
+            VanillaSpec(PAIR, 1.25, maturity, "straddle")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["spot", "rate_dom", "rate_fgn", "sigma"])
     def test_pricing_inputs_reject(self, field, bad):
