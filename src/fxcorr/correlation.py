@@ -340,44 +340,6 @@ def _clip_to_psd(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return repaired, change
 
 
-def _bucket_matrix(
-    pairs: list[FxPair], snapshot: MarketSnapshot, n: int, left: float, right: float, clamp: bool
-) -> np.ndarray:
-    """One bucket's correlation matrix from the formula on the vol matrix S
-    over the pairs' currencies (one horizon vol per currency pair)."""
-    currencies = sorted({c for p in pairs for c in (p.denominating, p.foreign)})
-    index = {c: a for a, c in enumerate(currencies)}
-    s = np.zeros((len(currencies), len(currencies)))
-    for a, b in combinations(range(len(currencies)), 2):
-        try:
-            ts = _vol_between(snapshot, currencies[a].code, currencies[b].code, left, right)
-            s[a, b] = s[b, a] = horizon_vol(ts, left, right)
-        except FxCorrError:  # NaN here; raised again by the first entry using it
-            s[a, b] = s[b, a] = math.nan
-
-    i = np.array([index[p.denominating] for p in pairs])
-    j = np.array([index[p.foreign] for p in pairs])
-    rows, cols = np.triu_indices(len(pairs), 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = _formula(
-            s[i[rows], j[rows]], s[i[cols], j[cols]], s[i[rows], j[cols]],
-            s[i[cols], j[rows]], s[j[rows], j[cols]], s[i[rows], i[cols]],
-        )
-    # An entry outside [-1, 1], non-finite or from a missing vol is answered
-    # by its query, in row-major order: clamped with a warning, or raised.
-    for e in np.flatnonzero(~(np.abs(upper) <= 1.0)):
-        pa, pb = pairs[rows[e]], pairs[cols[e]]
-        try:
-            upper[e] = implied_corr(CorrQuery(pa, pb, (left, right)), snapshot, clamp=clamp).value
-        except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
-            raise type(exc)(
-                f"matrix entry ({pa}, {pb}) bucket {n} ({left}, {right}]: {exc}"
-            ) from exc
-    mat = np.eye(len(pairs))
-    mat[rows, cols] = mat[cols, rows] = upper
-    return mat
-
-
 def build_matrix(
     pairs: Sequence[FxPair],
     snapshot: MarketSnapshot,
@@ -390,7 +352,7 @@ def build_matrix(
 
     Pairs are restated in canonical orientation.  Each entry equals the
     implied_corr query for its two pairs over the bucket, bit for bit; the
-    matrix is symmetrized by construction, then eigenvalue-checked.
+    matrices are symmetric by construction, eigenvalue-checked in one call.
     Indefinite buckets are either flagged or, with ``repair``, clipped to
     the nearest unit-diagonal PSD matrix (reporting the Frobenius distance
     moved).
@@ -405,23 +367,49 @@ def build_matrix(
         raise ValidationError("need at least two pairs")
     breakpoints = normalize_breakpoints(buckets)
 
-    matrices = []
+    # The vol of each currency pair over each bucket, NaN where it fails
+    # (raised again by the first entry using it).
+    spans = list(zip(breakpoints, breakpoints[1:]))
+    codes = sorted({c.code for p in canon for c in (p.denominating, p.foreign)})
+    s = np.zeros((len(spans), len(codes), len(codes)))
+    for a, b in combinations(range(len(codes)), 2):
+        for n, (left, right) in enumerate(spans):
+            try:
+                ts = _vol_between(snapshot, codes[a], codes[b], left, right)
+                s[n, a, b] = s[n, b, a] = horizon_vol(ts, left, right)
+            except FxCorrError:
+                s[n, a, b] = s[n, b, a] = math.nan
+
+    i = np.array([codes.index(p.denominating.code) for p in canon])
+    j = np.array([codes.index(p.foreign.code) for p in canon])
+    rows, cols = np.triu_indices(len(canon), 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = _formula(  # (buckets, entries)
+            s[:, i[rows], j[rows]], s[:, i[cols], j[cols]], s[:, i[rows], j[cols]],
+            s[:, i[cols], j[rows]], s[:, j[rows], j[cols]], s[:, i[rows], i[cols]],
+        )
+    # An entry outside [-1, 1], non-finite or from a missing vol is answered
+    # by its query, bucket by bucket in row-major order: clamped with a
+    # warning, or raised.
+    for n, e in np.argwhere(~(np.abs(upper) <= 1.0)).tolist():
+        (left, right), pa, pb = spans[n], canon[rows[e]], canon[cols[e]]
+        try:
+            upper[n, e] = implied_corr(CorrQuery(pa, pb, (left, right)), snapshot, clamp=clamp).value
+        except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
+            raise type(exc)(f"matrix entry ({pa}, {pb}) bucket {n} ({left}, {right}]: {exc}") from exc
+    stack = np.tile(np.eye(len(canon)), (len(spans), 1, 1))
+    stack[:, rows, cols] = stack[:, cols, rows] = upper
+
     statuses = []
-    for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
-        mat = _bucket_matrix(canon, snapshot, n, left, right, clamp)
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
+    for n, min_eig in enumerate(np.linalg.eigvalsh(stack)[:, 0].tolist()):
         if min_eig >= -PSD_TOL:
             statuses.append(BucketStatus("psd", min_eig))
         elif repair:
-            mat, change = _clip_to_psd(mat)
-            statuses.append(
-                BucketStatus("repaired", float(np.linalg.eigvalsh(mat)[0]), change)
-            )
+            stack[n], change = _clip_to_psd(stack[n])
+            statuses.append(BucketStatus("repaired", float(np.linalg.eigvalsh(stack[n])[0]), change))
         else:
             statuses.append(BucketStatus("indefinite", min_eig))
-        mat.setflags(write=False)
-        matrices.append(mat)
-
+    stack.setflags(write=False)
     return BucketedCorrelationMatrix(
-        tuple(p.label for p in canon), breakpoints, tuple(matrices), tuple(statuses)
+        tuple(p.label for p in canon), breakpoints, tuple(stack), tuple(statuses)
     )
