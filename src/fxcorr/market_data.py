@@ -153,6 +153,7 @@ class VolTermStructure:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))  # lists or an array, as tuples
         _check_times(self.maturities, f"{self.pair} vol maturities")
         prev_t = 0.0
         prev_tv = 0.0
@@ -216,6 +217,7 @@ class RateCurve:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))  # lists or an array, as tuples
         ts = tuple(t for t, _ in self.points)
         _check_times(ts, f"{self.currency} rate maturities")
         for t, r in self.points:

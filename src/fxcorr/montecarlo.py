@@ -32,6 +32,7 @@ number of steps.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable, Iterator, Literal, Mapping, Sequence
@@ -40,7 +41,8 @@ import numpy as np
 
 from .correlation import PSD_TOL, RANGE_SNAP, BucketedCorrelationMatrix, build_matrix, canonicalize
 from .errors import (
-    CorrelationRangeError, FactorizationError, MissingDataError, SchemaError, ValidationError,
+    CorrelationRangeError, ExtrapolationWarning, FactorizationError, MissingDataError, SchemaError,
+    ValidationError,
 )
 from .market_data import (
     Currency, FxPair, MarketSnapshot, RateCurve,
@@ -75,6 +77,8 @@ class SimulationConfig:
             raise ValidationError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         object.__setattr__(self, "grid", tuple(self.grid))  # a list or an array is stored as a tuple
         _check_times(self.grid, "grid")
+        if not isinstance(self.antithetic, bool):
+            raise ValidationError(f"antithetic must be a bool, got {self.antithetic!r}")
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic sampling requires an even n_paths")
 
@@ -108,7 +112,7 @@ class BasketPayoff:
         if not self.weights:
             raise ValidationError("basket weights must be non-empty")
         for pair, weight in self.weights.items():
-            if not math.isfinite(weight):
+            if isinstance(weight, bool) or not math.isfinite(weight):
                 raise ValidationError(f"basket weight of {pair} must be finite, got {weight}")
         denoms = {p.denominating for p in self.weights}
         if len(denoms) != 1:
@@ -139,13 +143,14 @@ class BarrierPayoff:
 
     def __post_init__(self):
         _check_strike_kind(self.strike, self.kind)
-        if not 0 < self.barrier_level < math.inf:
+        if isinstance(self.barrier_level, bool) or not 0 < self.barrier_level < math.inf:
             raise ValidationError(f"barrier level must be positive and finite, got {self.barrier_level}")
         if self.direction not in ("up", "down"):
             raise ValidationError(f"direction must be 'up' or 'down', got {self.direction!r}")
         if self.style not in ("knock-in", "knock-out"):
             raise ValidationError(f"style must be 'knock-in' or 'knock-out', got {self.style!r}")
         if self.monitoring is not None:
+            object.__setattr__(self, "monitoring", tuple(self.monitoring))  # a list or an array, as a tuple
             _check_times(self.monitoring, "monitoring times")
 
 
@@ -278,6 +283,9 @@ def _prepare_steps(
                 raise MissingDataError(f"missing correlation entry for pair {pair}")
             indices.append(labels.index(cpair.label))
             signs[p] = -1.0 if flipped else 1.0
+        if mids[-1] > corr.breakpoints[-1]:
+            warnings.warn(f"correlation matrix extrapolated flat beyond T={corr.breakpoints[-1]} to t={mids[-1]}",
+                          ExtrapolationWarning, stacklevel=3)
         buckets = [corr.bucket_index(min(t, corr.breakpoints[-1])) for t in mids]
         block = np.ix_(indices, indices)
         bucket_factors = {  # the one PSD gate, on the block that is simulated

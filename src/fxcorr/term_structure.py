@@ -38,6 +38,8 @@ class PiecewiseConstant:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))  # a list or an array, as a tuple
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.breakpoints) < 2:
             raise ValidationError("need at least one bucket")
         if self.breakpoints[0] != 0.0:

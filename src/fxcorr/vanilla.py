@@ -56,7 +56,7 @@ class VanillaSpec:
 
 
 def _check_strike_kind(strike: float, kind: str) -> None:
-    if not 0 < strike < math.inf:
+    if isinstance(strike, bool) or not 0 < strike < math.inf:
         raise ValidationError(f"strike must be positive and finite, got {strike}")
     if kind not in ("call", "put"):
         raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")

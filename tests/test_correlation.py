@@ -29,9 +29,10 @@ from fxcorr import (
     triangle_corr,
 )
 
+from fxcorr.correlation import PSD_TOL, _clip_to_psd
 from fxcorr.term_structure import MIN_BUCKET_WIDTH
 
-from conftest import snapshot_doc
+from conftest import snapshot_doc, three_ccy_doc
 from oracles import DriverWorld
 
 
@@ -577,6 +578,76 @@ class TestMatrixMatchesQueries:
         want = reference_matrix(pairs, snap, (0.0, 0.5, 1.0, 2.0), False)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def reference_statuses(matrices, repair):
+    """The per-bucket PSD check: one eigvalsh (and one repair) per matrix."""
+    repaired, statuses = [], []
+    for mat in matrices:
+        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        if min_eig >= -PSD_TOL:
+            status = BucketStatus("psd", min_eig)
+        elif repair:
+            mat, change = _clip_to_psd(mat)
+            status = BucketStatus("repaired", float(np.linalg.eigvalsh(mat)[0]), change)
+        else:
+            status = BucketStatus("indefinite", min_eig)
+        repaired.append(mat)
+        statuses.append(status)
+    return repaired, statuses
+
+
+class TestOnePassMatrix:
+    """The whole-grid build equals the entry-by-entry queries and the
+    per-bucket eigenvalue check, bit for bit."""
+
+    GOLDEN = Path(__file__).parent / "data" / "golden"
+
+    def check(self, pairs, snap, buckets, repair=False):
+        got = build_matrix(pairs, snap, buckets, repair=repair)
+        canon = [canonicalize(p)[0] for p in pairs]
+        want, statuses = reference_statuses(reference_matrix(canon, snap, got.breakpoints, False), repair)
+        assert len(got.matrices) == len(want) == len(got.breakpoints) - 1
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.matrices, want))
+        assert got.statuses == tuple(statuses)
+        return got
+
+    def test_weekly_grid(self):
+        snap = load_snapshot(self.GOLDEN / "world.json")
+        pairs = [pair(label) for label in ["EUR/GBP", "JPY/EUR", "EUR/USD", "GBP/JPY", "USD/GBP", "JPY/USD"]]
+        got = self.check(pairs, snap, [k / 52 for k in range(1, 53)])
+        assert got.n_buckets == 52
+
+    @pytest.mark.parametrize("n_buckets", [1, 3, 10])
+    def test_repair_over_several_buckets(self, n_buckets):
+        snap = load_snapshot(self.GOLDEN / "perturbed.json")
+        pairs = MATRIX_PAIRS
+        for repair in (False, True):
+            got = self.check(pairs, snap, [k / n_buckets for k in range(1, n_buckets + 1)], repair)
+            assert {s.status for s in got.statuses} == {"repaired" if repair else "indefinite"}
+
+    def test_zero_forward_vol_in_a_later_bucket_names_it(self):
+        # EUR/USD's total variance is 0.0625 at T = 0.25 and at T = 1: zero forward vol on bucket 2 only
+        doc = three_ccy_doc()
+        for entry in doc["vols"]:
+            entry["points"] = [{"T": 0.25, "sigma": 0.5}, {"T": 1.0, "sigma": 0.5}]
+        doc["vols"][0]["points"][1]["sigma"] = 0.25
+        snap = loads_snapshot(json.dumps(doc))
+        pairs = [pair("EUR/USD"), pair("EUR/JPY")]
+        message = r"matrix entry \(EUR/USD, EUR/JPY\) bucket 2 \(0\.25, 1\.0\]: zero or non-finite implied vol"
+        with pytest.raises(UndefinedCorrelationError, match=message):
+            build_matrix(pairs, snap, [0.125, 0.25, 1.0])
+        got = outcome(lambda: build_matrix(pairs, snap, [0.125, 0.25, 1.0]).matrices)
+        assert got == outcome(lambda: reference_matrix(pairs, snap, (0.0, 0.125, 0.25, 1.0), False))
+        self.check(pairs, snap, [0.125, 0.25])
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_matrices_are_read_only(self, repair):
+        snap = load_snapshot(self.GOLDEN / "perturbed.json")
+        pairs = MATRIX_PAIRS
+        for mat in build_matrix(pairs, snap, [0.5, 1.0], repair=repair).matrices:
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 1] = 0.0
 
 
 class TestNonFiniteHorizons:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fxcorr import (
@@ -500,6 +501,28 @@ class TestNonFiniteConstructors:
             RateCurve(EUR, ())
         with pytest.raises(ValidationError, match="EUR/USD vol maturities must contain at least one time"):
             VolTermStructure(FxPair(EUR, USD), ())
+
+
+class TestStoredPoints:
+    """Curve points are stored as a tuple of tuples, whatever sequence is given."""
+
+    @pytest.mark.parametrize("make", [lambda pts: [list(p) for p in pts], np.array], ids=["lists", "array"])
+    def test_vol_points(self, make):
+        points = ((0.5, 0.1), (1.0, 0.12))
+        curve = VolTermStructure(FxPair(EUR, USD), make(points))
+        expected = VolTermStructure(FxPair(EUR, USD), points)
+        assert type(curve.points) is tuple and all(type(p) is tuple for p in curve.points)
+        assert curve == expected and hash(curve) == hash(expected)
+        assert curve.total_variance(0.75) == expected.total_variance(0.75)
+
+    @pytest.mark.parametrize("make", [lambda pts: [list(p) for p in pts], np.array], ids=["lists", "array"])
+    def test_rate_points(self, make):
+        points = ((0.5, 0.01), (1.0, 0.02))
+        curve = RateCurve(EUR, make(points))
+        expected = RateCurve(EUR, points)
+        assert type(curve.points) is tuple and all(type(p) is tuple for p in curve.points)
+        assert curve == expected and hash(curve) == hash(expected)
+        assert curve.integrated(0.75) == expected.integrated(0.75)
 
 
 class TestEntryLists:

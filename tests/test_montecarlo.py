@@ -16,6 +16,7 @@ from fxcorr import (
     BucketStatus,
     CorrelationRangeError,
     Currency,
+    ExtrapolationWarning,
     FactorizationError,
     FxPair,
     MissingDataError,
@@ -95,6 +96,12 @@ class TestSimulationConfig:
 
     def test_horizon_is_last_grid_time(self):
         assert SimulationConfig(10, 1, (0.5, 1.0)).horizon == 1.0
+
+    @pytest.mark.parametrize("antithetic", ["no", "", 1, 0, None, np.True_])
+    @pytest.mark.parametrize("n_paths", [3, 4])
+    def test_antithetic_must_be_a_bool(self, n_paths, antithetic):
+        with pytest.raises(ValidationError, match="antithetic must be a bool"):
+            SimulationConfig(n_paths, 1, (1.0,), antithetic)
 
     @pytest.mark.parametrize("grid", [[0.5, 1.0], np.array([0.5, 1.0])], ids=["list", "array"])
     def test_grid_is_stored_as_a_tuple(self, grid):
@@ -686,6 +693,34 @@ class TestBridge:
             assert not q.any() and (factor == np.eye(52)).all()
 
 
+class TestCorrelationExtrapolation:
+    """A correlation matrix shorter than the grid is reused flat beyond its
+    horizon, with a warning, as a vol structure is."""
+
+    def prepare(self, corr_horizon, grid=(0.5, 1.0, 2.0)):
+        corr = manual_corr(["EUR/USD", "EUR/JPY"], [[1.0, 0.5], [0.5, 1.0]], corr_horizon)
+        vols = {EURUSD: flat_vol(0.1, 2.0), EURJPY: flat_vol(0.2, 2.0)}
+        return _prepare_steps([EURUSD, EURJPY], vols, corr, SimulationConfig(10, 1, grid), None)
+
+    def test_warns_beyond_the_horizon(self):
+        with pytest.warns(ExtrapolationWarning, match=r"correlation matrix extrapolated flat beyond T=0\.5 to t=1\.5"):
+            steps = self.prepare(0.5)
+        assert len(steps.factors) == 3
+        assert all(np.array_equal(f, steps.factors[0]) for f in steps.factors)
+
+    @pytest.mark.parametrize("corr_horizon", [2.0, 3.0])
+    def test_silent_within_the_horizon(self, corr_horizon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.prepare(corr_horizon)
+
+    def test_simulation_warns(self):
+        corr = manual_corr(["EUR/USD", "EUR/JPY"], [[1.0, 0.5], [0.5, 1.0]], 0.5)
+        vols = {EURUSD: flat_vol(0.1, 2.0), EURJPY: flat_vol(0.2, 2.0)}
+        with pytest.warns(ExtrapolationWarning, match="correlation matrix extrapolated"):
+            simulate_increments([EURUSD, EURJPY], vols, corr, SimulationConfig(10, 1, (0.5, 2.0)))
+
+
 class TestNonFinitePayoffs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("make", [
@@ -729,6 +764,30 @@ class TestNonFinitePayoffs:
     def test_monitoring_rejected(self, monitoring):
         with pytest.raises(ValidationError, match="monitoring times must be finite"):
             BarrierPayoff(EURUSD, 1.25, "put", JPYUSD, 0.0115, "up", "knock-out", monitoring)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: VanillaPayoff(EURUSD, True, "call"), "strike must be positive and finite, got True"),
+        (lambda: BasketPayoff({EURUSD: 1.0}, True, "call"), "strike must be positive and finite, got True"),
+        (lambda: BarrierPayoff(EURUSD, True, "call", JPYUSD, 0.0115, "up", "knock-out"),
+         "strike must be positive and finite, got True"),
+        (lambda: BarrierPayoff(EURUSD, 1.25, "call", JPYUSD, True, "up", "knock-out"),
+         "barrier level must be positive and finite, got True"),
+        (lambda: BasketPayoff({EURUSD: 1.0, EURJPY: True}, 1.25, "call"),
+         "basket weight of EUR/JPY must be finite, got True"),
+        (lambda: BasketPayoff({EURUSD: False}, 1.25, "call"), "basket weight of EUR/USD must be finite, got False"),
+    ], ids=["vanilla-strike", "basket-strike", "barrier-strike", "barrier-level", "weight-true", "weight-false"])
+    def test_bool_number_rejected(self, make, message):
+        # as the payoff document reader does
+        with pytest.raises(ValidationError, match=message):
+            make()
+
+    @pytest.mark.parametrize("monitoring", [[0.5, 1.0], np.array([0.5, 1.0])], ids=["list", "array"])
+    def test_monitoring_is_stored_as_a_tuple(self, monitoring):
+        barrier = BarrierPayoff(EURUSD, 1.25, "put", JPYUSD, 0.0115, "up", "knock-out", monitoring)
+        expected = BarrierPayoff(EURUSD, 1.25, "put", JPYUSD, 0.0115, "up", "knock-out", (0.5, 1.0))
+        assert barrier.monitoring == (0.5, 1.0) and type(barrier.monitoring) is tuple
+        assert barrier == expected and hash(barrier) == hash(expected)
+        assert payoff_to_dict(barrier) == payoff_to_dict(expected)
 
 
 class TestPayoffDocuments:

@@ -76,6 +76,16 @@ class TestPiecewiseConstant:
             PiecewiseConstant((0.0, 1.0), (0.1,)).value_at(t)
 
 
+class TestStoredSequences:
+    @pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+    def test_step_function_stores_tuples(self, make):
+        step = PiecewiseConstant(make([0.0, 0.5, 1.0]), make([0.1, 0.2]))
+        expected = PiecewiseConstant((0.0, 0.5, 1.0), (0.1, 0.2))
+        assert type(step.breakpoints) is tuple and type(step.values) is tuple
+        assert step == expected and hash(step) == hash(expected)
+        assert step.value_at(0.75) == 0.2
+
+
 class TestForwardVol:
     def test_flat_structure_returns_same_vol(self):
         assert forward_vol(0.1, 0.1, 1.0, 2.0) == pytest.approx(0.1, rel=1e-15)

@@ -212,6 +212,11 @@ class TestNonFiniteInputs:
         with pytest.raises(ValidationError, match=field):
             VanillaSpec(PAIR, args["strike"], args["maturity"], "call")
 
+    @pytest.mark.parametrize("strike", [True, False])
+    def test_spec_rejects_a_bool_strike(self, strike):
+        with pytest.raises(ValidationError, match=f"strike must be positive and finite, got {strike}"):
+            VanillaSpec(PAIR, strike, 1.0, "call")
+
     @pytest.mark.parametrize("maturity", [1.0, math.nan, -1.0])
     def test_spec_rejects_a_bad_kind_first(self, maturity):
         # the option terms (strike, kind) are checked before the maturity
