@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_snapshot(p)
     p.add_argument("--pairs", type=_comma_pairs, required=True, help="e.g. EUR/USD,EUR/JPY,JPY/USD")
     p.add_argument("--buckets", type=_comma_floats, required=True)
-    p.add_argument("--repair", action="store_true", help="clip indefinite buckets to nearest PSD")
+    p.add_argument("--repair", action="store_true", help="clip indefinite buckets' eigenvalues at 0 and "
+                   "rescale to a unit diagonal; reports the Frobenius distance moved")
     p.add_argument("--clamp", action="store_true")
 
     p = sub.add_parser("price", help="Monte Carlo price of a payoff file")

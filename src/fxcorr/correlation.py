@@ -27,13 +27,12 @@ import numpy as np
 from .errors import (
     CorrelationClampWarning,
     CorrelationRangeError,
-    FxCorrError,
     MissingDataError,
     UndefinedCorrelationError,
     ValidationError,
 )
 from .market_data import FxPair, MarketSnapshot, _check_times, canonicalize
-from .term_structure import PiecewiseConstant, _check_bucket_widths, horizon_vol
+from .term_structure import PiecewiseConstant, _bucket_vols, _check_bucket_widths, horizon_vol
 
 RANGE_SNAP = 1e-12
 PSD_TOL = 1e-10
@@ -300,6 +299,11 @@ class BucketedCorrelationMatrix:
                 raise ValidationError(f"matrix shape {mat.shape} does not match {n} pairs")
             if not np.isfinite(mat).all():
                 raise ValidationError(f"bucket {k} has a non-finite entry")
+        stack = np.array(self.matrices).reshape(len(self.matrices), n, n)
+        valid = ((stack == stack.transpose(0, 2, 1)) & (np.abs(stack) <= 1.0)).all(axis=(1, 2))
+        valid &= (np.diagonal(stack, axis1=1, axis2=2) == 1.0).all(axis=1)
+        if not valid.all():
+            raise ValidationError(f"bucket {np.argmin(valid)} is not symmetric with a unit diagonal and entries in [-1, 1]")
 
     @property
     def n_buckets(self) -> int:
@@ -351,11 +355,12 @@ def build_matrix(
     """Pairwise term correlations assembled into one matrix per bucket.
 
     Pairs are restated in canonical orientation.  Each entry equals the
-    implied_corr query for its two pairs over the bucket, bit for bit; the
-    matrices are symmetric by construction, eigenvalue-checked in one call.
-    Indefinite buckets are either flagged or, with ``repair``, clipped to
-    the nearest unit-diagonal PSD matrix (reporting the Frobenius distance
-    moved).
+    implied_corr query for its two pairs over the bucket, bit for bit, and
+    is evaluated once, from one table of bucket vols; the matrices are
+    symmetric by construction, eigenvalue-checked in one call.  Indefinite
+    buckets are either flagged or, with ``repair``, made PSD by clipping
+    their eigenvalues at 0 and rescaling to a unit diagonal (not the nearest
+    such matrix), reporting the Frobenius distance moved.
     """
     canon = []
     for pair in pairs:
@@ -367,34 +372,33 @@ def build_matrix(
         raise ValidationError("need at least two pairs")
     breakpoints = normalize_breakpoints(buckets)
 
-    # The vol of each currency pair over each bucket, NaN where it fails
-    # (raised again by the first entry using it).
+    # The vol of each currency pair over each bucket, NaN for a pair with
+    # no vol structure (raised, by role, by the first entry using it).
     spans = list(zip(breakpoints, breakpoints[1:]))
     codes = sorted({c.code for p in canon for c in (p.denominating, p.foreign)})
     s = np.zeros((len(spans), len(codes), len(codes)))
     for a, b in combinations(range(len(codes)), 2):
-        for n, (left, right) in enumerate(spans):
-            try:
-                ts = _vol_between(snapshot, codes[a], codes[b], left, right)
-                s[n, a, b] = s[n, b, a] = horizon_vol(ts, left, right)
-            except FxCorrError:
-                s[n, a, b] = s[n, b, a] = math.nan
+        try:
+            vols = _bucket_vols(snapshot._vol_by_code(codes[a], codes[b]), breakpoints[1:]).values
+        except MissingDataError:
+            vols = math.nan
+        s[:, a, b] = s[:, b, a] = vols
 
     i = np.array([codes.index(p.denominating.code) for p in canon])
     j = np.array([codes.index(p.foreign.code) for p in canon])
     rows, cols = np.triu_indices(len(canon), 1)
+    sigma = (s[:, i[rows], j[rows]], s[:, i[cols], j[cols]], s[:, i[rows], j[cols]],
+             s[:, i[cols], j[rows]], s[:, j[rows], j[cols]], s[:, i[rows], i[cols]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        upper = _formula(  # (buckets, entries)
-            s[:, i[rows], j[rows]], s[:, i[cols], j[cols]], s[:, i[rows], j[cols]],
-            s[:, i[cols], j[rows]], s[:, j[rows], j[cols]], s[:, i[rows], i[cols]],
-        )
-    # An entry outside [-1, 1], non-finite or from a missing vol is answered
-    # by its query, bucket by bucket in row-major order: clamped with a
-    # warning, or raised.
+        upper = _formula(*sigma)  # (buckets, entries)
+    # An entry outside [-1, 1] or not finite is settled as its query would be, bucket
+    # by bucket in row-major order: a missing vol raised by role, else clamped or raised.
     for n, e in np.argwhere(~(np.abs(upper) <= 1.0)).tolist():
         (left, right), pa, pb = spans[n], canon[rows[e]], canon[cols[e]]
+        describe = f"{pa} vs {pb} over ({left}, {right}]"
         try:
-            upper[n, e] = implied_corr(CorrQuery(pa, pb, (left, right)), snapshot, clamp=clamp).value
+            _plan(CorrQuery(pa, pb, (left, right)), snapshot, left, right)
+            upper[n, e] = _kernel(*(float(v[n, e]) for v in sigma), clamp, describe)[0]
         except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
             raise type(exc)(f"matrix entry ({pa}, {pb}) bucket {n} ({left}, {right}]: {exc}") from exc
     stack = np.tile(np.eye(len(canon)), (len(spans), 1, 1))

@@ -62,11 +62,11 @@ def _interpolate(ts: Sequence[float], ys: Sequence[float], t: float) -> float:
 
 
 def _check_times(times: Sequence[float], what: str) -> None:
-    """The one check of a time list: non-empty, finite, > 0 and strictly increasing."""
+    """The one check of a time list: non-empty, not bools, finite, > 0 and strictly increasing."""
     if not times:
         raise ValidationError(f"{what} must contain at least one time")
     for prev, t in zip((0.0, *times), times):
-        if not prev < t < math.inf:
+        if isinstance(t, bool) or not prev < t < math.inf:
             raise ValidationError(f"{what} must be finite, > 0 and strictly increasing, got {times}")
 
 

@@ -12,6 +12,7 @@ from fxcorr import (
     CorrelationClampWarning,
     CorrelationRangeError,
     CorrQuery,
+    ExtrapolationWarning,
     FxPair,
     MissingDataError,
     UndefinedCorrelationError,
@@ -32,7 +33,7 @@ from fxcorr import (
 from fxcorr.correlation import PSD_TOL, _clip_to_psd
 from fxcorr.term_structure import MIN_BUCKET_WIDTH
 
-from conftest import snapshot_doc, three_ccy_doc
+from conftest import four_ccy_equal_doc, snapshot_doc, three_ccy_doc
 from oracles import DriverWorld
 
 
@@ -684,3 +685,67 @@ class TestHairlineBuckets:
         query = CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0)
         results = bucket_corrs(query, three_ccy_snapshot, (MIN_BUCKET_WIDTH, 1.0))
         assert len(results) == 2
+
+
+class TestCorrelationMatrixChecks:
+    """A matrix that is not a correlation matrix is rejected, naming its bucket."""
+
+    def make(self, matrix):
+        # buckets 1 and 2 hold the matrix: the first is named
+        return BucketedCorrelationMatrix(
+            ("EUR/USD", "EUR/JPY"), (0.0, 0.5, 1.0, 2.0), (np.eye(2), np.array(matrix), np.array(matrix)),
+            (BucketStatus("psd", 1.0),) * 3,
+        )
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 0.9], [-0.9, 1.0]],
+        [[1.0, 0.5], [math.nextafter(0.5, 1.0), 1.0]],
+        [[4.0, 0.5], [0.5, 4.0]],
+        [[1.0, 0.5], [0.5, math.nextafter(1.0, 0.0)]],
+        [[1.0, 1.5], [1.5, 1.0]],
+        [[1.0, -math.nextafter(1.0, 2.0)], [-math.nextafter(1.0, 2.0), 1.0]],
+    ], ids=["one-triangle", "one-ulp-asymmetric", "scaled-diagonal", "diagonal-below-1", "above-1", "below-minus-1"])
+    def test_rejected_naming_its_bucket(self, matrix):
+        with pytest.raises(ValidationError, match=r"bucket 1 is not symmetric with a unit diagonal and entries in \[-1, 1\]"):
+            self.make(matrix)
+
+    def test_non_finite_entry_is_reported_first(self):
+        with pytest.raises(ValidationError, match="bucket 1 has a non-finite entry"):
+            self.make([[2.0, math.nan], [0.5, 1.0]])
+
+    def test_bounds_are_accepted(self):
+        assert self.make([[1.0, -1.0], [-1.0, 1.0]]).n_buckets == 3
+
+
+class TestMatrixEntrySettlement:
+    """An out-of-range or missing-vol entry is settled from the build's own
+    vols, with the messages and warnings of its query."""
+
+    GOLDEN = Path(__file__).parent / "data" / "golden"
+
+    def test_missing_vols_are_reported_by_role(self):
+        # AUD/CAD vs CHF/DKK is a cross entry whose roles sigma_ik (AUD/DKK)
+        # and sigma_jk (CAD/DKK) are both missing: sigma_ik comes first
+        doc = four_ccy_equal_doc()
+        doc["vols"] = [v for v in doc["vols"] if v["pair"] not in ("AUD/DKK", "CAD/DKK")]
+        snap = loads_snapshot(json.dumps(doc))
+        pairs = [pair("AUD/CAD"), pair("CHF/DKK")]
+        with pytest.raises(MissingDataError) as query:
+            implied_corr(CorrQuery(*pairs, (0.0, 0.5)), snap)
+        assert str(query.value) == "no vol term structure for pair AUD/DKK (needed over (0.0, 0.5])"
+        with pytest.raises(MissingDataError) as info:
+            build_matrix(pairs, snap, [0.5, 1.0])
+        assert str(info.value) == f"matrix entry (AUD/CAD, CHF/DKK) bucket 0 (0.0, 0.5]: {query.value}"
+        assert type(info.value.__cause__) is MissingDataError and str(info.value.__cause__) == str(query.value)
+
+    def test_vols_warn_once_and_clamps_name_the_caller(self):
+        # quotes end at T=1: each of the 3 currency pairs reads T=2 in bucket
+        # (1, 2] and T=2, T=3 in bucket (2, 3], 3 warnings each
+        snap = load_snapshot(self.GOLDEN / "arb.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_matrix([pair("EUR/USD"), pair("EUR/JPY"), pair("JPY/USD")], snap, [1, 2, 3], clamp=True)
+        extrapolations = [w for w in caught if w.category is ExtrapolationWarning]
+        clamps = [w for w in caught if w.category is CorrelationClampWarning]
+        assert len(extrapolations) == 9 and len({str(w.message) for w in extrapolations}) == 6
+        assert len(clamps) == 9 and {w.filename for w in clamps} == {__file__}

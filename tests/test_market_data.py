@@ -11,8 +11,10 @@ from fxcorr import (
     FxPair,
     MarketSnapshot,
     MissingDataError,
+    PiecewiseConstant,
     RateCurve,
     SchemaError,
+    SimulationConfig,
     ValidationError,
     VolQuote,
     VolTermStructure,
@@ -21,6 +23,7 @@ from fxcorr import (
     load_snapshot,
     loads_snapshot,
     payoff_from_dict,
+    total_variance,
 )
 
 from conftest import json_with_huge_integer, snapshot_doc, three_ccy_doc
@@ -523,6 +526,23 @@ class TestStoredPoints:
         assert type(curve.points) is tuple and all(type(p) is tuple for p in curve.points)
         assert curve == expected and hash(curve) == hash(expected)
         assert curve.integrated(0.75) == expected.integrated(0.75)
+
+
+class TestBoolTimes:
+    """Every time list goes through one check, which rejects bools as the
+    document reader does."""
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda: SimulationConfig(100, 1, (True,)), "grid"),
+        (lambda: SimulationConfig(100, 1, (0.5, True, 2.0)), "grid"),
+        (lambda: VolTermStructure(FxPair(EUR, USD), ((True, 0.1),)), "EUR/USD vol maturities"),
+        (lambda: RateCurve(EUR, ((True, 0.02),)), "EUR rate maturities"),
+        (lambda: PiecewiseConstant((0.0, True), (0.1,)), "breakpoints"),
+        (lambda: total_variance(PiecewiseConstant((0.0, 1.0), (0.1,)), True), "horizon"),
+    ], ids=["grid", "grid-middle", "vol-maturity", "rate-maturity", "breakpoint", "horizon"])
+    def test_rejected(self, make, what):
+        with pytest.raises(ValidationError, match=f"{what} must be finite, > 0 and strictly increasing"):
+            make()
 
 
 class TestEntryLists:
