@@ -31,7 +31,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .market_data import FxPair, MarketSnapshot, _check_times, canonicalize
+from .market_data import FxPair, MarketSnapshot, _check_times, _is_real, canonicalize
 from .term_structure import PiecewiseConstant, _bucket_vols, _check_bucket_widths, horizon_vol
 
 RANGE_SNAP = 1e-12
@@ -52,9 +52,14 @@ class CorrQuery:
     horizon: tuple[float, float]
 
     def __post_init__(self):
-        start, end = self.horizon
-        if not 0 <= start < end < math.inf:
-            raise ValidationError(f"horizon must be finite with 0 <= start < end, got {self.horizon}")
+        try:
+            horizon = tuple(self.horizon)
+        except TypeError:  # a single number
+            horizon = (self.horizon,)
+        object.__setattr__(self, "horizon", horizon)  # a list or an array as a tuple: the query stays hashable
+        start, end = horizon if len(horizon) == 2 else (None, None)
+        if not (_is_real(start) and _is_real(end) and 0 <= start < end < math.inf):
+            raise ValidationError(f"horizon must be finite with 0 <= start < end, got {horizon}")
 
     @classmethod
     def total(cls, pair_a: FxPair, pair_b: FxPair, maturity: float) -> "CorrQuery":
@@ -227,6 +232,9 @@ def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = Fa
 
 def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
     """Sorted bucket boundaries with a leading 0 (added when absent)."""
+    buckets = tuple(buckets)
+    if not all(map(_is_real, buckets)):  # before float(), which takes bools and numeric strings
+        raise ValidationError(f"bucket boundaries must be numbers, got {buckets}")
     points = (0.0, *sorted({float(b) for b in buckets} - {0.0}))
     _check_times(points[1:], "bucket boundaries")
     _check_bucket_widths(points)
@@ -291,6 +299,9 @@ class BucketedCorrelationMatrix:
     def __post_init__(self):
         if len(self.matrices) != len(self.breakpoints) - 1:
             raise ValidationError("one matrix per bucket required")
+        if not all(map(_is_real, self.breakpoints)):
+            raise ValidationError(f"breakpoints must be numbers, got {self.breakpoints}")
+        _check_bucket_widths(self.breakpoints)  # increasing; a NaN is caught by the grid check at simulation
         if len(self.statuses) != len(self.matrices):
             raise ValidationError("one status per bucket required")
         n = len(self.pairs)
@@ -362,12 +373,13 @@ def build_matrix(
     their eigenvalues at 0 and rescaling to a unit diagonal (not the nearest
     such matrix), reporting the Frobenius distance moved.
     """
-    canon = []
+    canon, seen = [], set()  # the set makes the duplicate check one hash per pair
     for pair in pairs:
         cpair, _ = canonicalize(pair)
-        if cpair in canon:
+        if cpair in seen:
             raise ValidationError(f"pair {pair} duplicates {cpair} after canonicalization")
         canon.append(cpair)
+        seen.add(cpair)
     if len(canon) < 2:
         raise ValidationError("need at least two pairs")
     breakpoints = normalize_breakpoints(buckets)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 import sys
 import warnings
@@ -68,6 +69,11 @@ def _check_times(times: Sequence[float], what: str) -> None:
     for prev, t in zip((0.0, *times), times):
         if isinstance(t, bool) or not prev < t < math.inf:
             raise ValidationError(f"{what} must be finite, > 0 and strictly increasing, got {times}")
+
+
+def _is_real(value) -> bool:
+    """A real number, not a bool (a float passes first: the ABC check is far slower)."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, order=True)
@@ -134,7 +140,7 @@ class VolQuote:
     implied_vol: float
 
     def __post_init__(self):
-        if not 0 < self.maturity < math.inf:
+        if isinstance(self.maturity, bool) or not 0 < self.maturity < math.inf:
             raise ValidationError(f"maturity must be positive and finite, got {self.maturity}")
         if not 0 <= self.implied_vol < math.inf:
             raise ValidationError(f"implied vol must be finite and >= 0, got {self.implied_vol}")
@@ -242,7 +248,7 @@ class RateCurve:
 
     def forward(self, start: float, end: float) -> float:
         """Average rate over a future bucket (start, end]."""
-        if not 0 <= start < end < math.inf:
+        if isinstance(start, bool) or isinstance(end, bool) or not 0 <= start < end < math.inf:
             raise ValidationError(f"need 0 <= start < end < inf, got ({start}, {end})")
         if start == 0:
             return self.average(end)

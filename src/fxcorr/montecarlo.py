@@ -450,15 +450,14 @@ def _payoff_evaluator(
     config: SimulationConfig,
 ) -> Callable[[int, Iterator[np.ndarray]], np.ndarray]:
     """One evaluator for every payoff, on the blocks ``price`` draws: test the
-    barrier pair's log-level (last row) at monitoring steps, then pay on the
-    terminal log-levels (first rows) after the last step."""
+    barrier pair's log-level (last row) at monitoring steps, then pay
+    max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (first rows)
+    after the last step.  A vanilla or a barrier pays on one leg of weight 1."""
     sign = 1.0 if payoff.kind == "call" else -1.0
-    is_basket = isinstance(payoff, BasketPayoff)
+    weights = np.array([payoff.weights[pair] for pair in pairs] if isinstance(payoff, BasketPayoff) else [1.0])
     is_barrier = isinstance(payoff, BarrierPayoff)
     monitor: set[int] = set()
-    if is_basket:
-        weights = np.array([payoff.weights[pair] for pair in pairs])
-    elif is_barrier:
+    if is_barrier:
         monitor = _monitoring_indices(payoff, config.grid)
         beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
         threshold = math.log(payoff.barrier_level) - math.log(spots[-1])
@@ -468,15 +467,11 @@ def _payoff_evaluator(
         for m, y in enumerate(step_levels):
             if m in monitor:
                 breached |= beyond(y[-1], threshold)
-        if is_basket:
-            terminal = np.ascontiguousarray(y.T)  # (paths, pairs) rows for the matvec
-            del y  # a view of the step buffers: free them before the payoff
-            np.exp(terminal, out=terminal)
-            terminal *= spots
-            value = terminal @ weights
-        else:
-            value = np.exp(y[0])
-            value *= spots[0]
+        terminal = np.ascontiguousarray(y[:len(weights)].T)  # (paths, legs) rows for the matvec
+        del y  # a view of the step buffers: free them before the payoff
+        np.exp(terminal, out=terminal)
+        terminal *= spots[:len(weights)]
+        value = terminal @ weights  # x * 1.0 == x: one leg pays its own level bit for bit
         value -= payoff.strike
         value *= sign
         np.maximum(value, 0.0, out=value)
@@ -532,10 +527,11 @@ def price(
     disc_ccy = pairs[0].denominating
     horizon = config.horizon
 
-    given = {} if vols is None else vols
-    vols = {**{pair: _bucket_vols(snapshot.vol_structure(pair), config.grid)
-               for pair in (*(pairs if vols is None else ()), *_links(pairs, disc_ccy))
-               if pair not in given and pair.inverse() not in given}, **given}
+    derive = (*(pairs if vols is None else ()), *_links(pairs, disc_ccy))
+    vols = dict(vols or {})
+    for pair in derive:  # a vol is the same in either orientation: derive each currency pair once
+        if pair not in vols and pair.inverse() not in vols:
+            vols[pair] = _bucket_vols(snapshot.vol_structure(pair), config.grid)
     if corr is None and len(pairs) > 1:
         corr = build_matrix(pairs, snapshot, config.grid, repair=repair, clamp=clamp)
 

@@ -78,7 +78,7 @@ def forward_vol(sigma_near: float, sigma_far: float, t_near: float, t_far: float
     Raises CalendarArbitrageError when the forward variance is negative;
     an exactly zero forward variance is allowed and yields 0.
     """
-    if not 0 <= t_near < t_far < math.inf:
+    if isinstance(t_near, bool) or isinstance(t_far, bool) or not 0 <= t_near < t_far < math.inf:
         raise ValidationError(f"need 0 <= t_near < t_far < inf, got ({t_near}, {t_far})")
     if not (0 <= sigma_near < math.inf and 0 <= sigma_far < math.inf):
         raise ValidationError(f"vols must be finite and >= 0, got {sigma_near} and {sigma_far}")
@@ -175,7 +175,7 @@ def integrated_correlation(
 def horizon_vol(ts: VolTermStructure, start: float, end: float) -> float:
     """Implied vol of a quoted structure over (start, end], interpolating in
     total variance at non-quoted horizons."""
-    if not 0 <= start < end < math.inf:
+    if isinstance(start, bool) or isinstance(end, bool) or not 0 <= start < end < math.inf:
         raise ValidationError(f"need 0 <= start < end < inf, got ({start}, {end})")
     tv_end = ts.total_variance(end)
     tv_start = ts.total_variance(start) if start > 0 else 0.0

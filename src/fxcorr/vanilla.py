@@ -51,7 +51,7 @@ class VanillaSpec:
 
     def __post_init__(self):
         _check_strike_kind(self.strike, self.kind)
-        if not 0 < self.maturity < math.inf:
+        if isinstance(self.maturity, bool) or not 0 < self.maturity < math.inf:
             raise ValidationError(f"maturity must be positive and finite, got {self.maturity}")
 
 
@@ -84,7 +84,7 @@ def forward(spot: float, rate_dom: float, rate_fgn: float, maturity: float) -> f
     """Forward rate spot * exp((r_d - r_f) * T)."""
     if not spot > 0:
         raise ValidationError(f"spot must be positive, got {spot}")
-    if not maturity > 0:
+    if isinstance(maturity, bool) or not maturity > 0:
         raise ValidationError(f"maturity must be positive, got {maturity}")
     inputs = (spot, rate_dom, rate_fgn, maturity)
     if not all(map(math.isfinite, inputs)):

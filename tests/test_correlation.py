@@ -417,6 +417,20 @@ class TestBuildMatrix:
                 [pair("EUR/USD"), pair("USD/EUR")], three_ccy_snapshot, [1.0]
             )
 
+    def test_duplicate_check_hashes_each_pair(self, monkeypatch):
+        # a scan of the pairs seen so far costs one FxPair comparison per earlier pair
+        codes = ["AAA", "BBB", "CCC", "DDD", "EEE"]
+        labels = [f"{a}/{b}" for n, a in enumerate(codes) for b in codes[n + 1:]]
+        snap = loads_snapshot(json.dumps(snapshot_doc(
+            spots={label: 1.0 for label in labels}, vols={label: [(1.0, 0.2)] for label in labels},
+            rates={c: [(1.0, 0.0)] for c in codes},
+        )))
+        calls = []
+        compare = FxPair.__eq__
+        monkeypatch.setattr(FxPair, "__eq__", lambda a, b: calls.append(1) or compare(a, b))
+        build_matrix([pair(label) for label in labels], snap, [1.0])
+        assert len(calls) < len(labels)
+
     @pytest.mark.parametrize("pairs", [[], ["EUR/USD"]])
     def test_needs_two_pairs(self, three_ccy_snapshot, pairs):
         with pytest.raises(ValidationError, match="need at least two pairs"):
@@ -657,6 +671,17 @@ class TestNonFiniteHorizons:
         with pytest.raises(ValidationError, match="horizon"):
             CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), end)
 
+    def test_query_stores_a_tuple_horizon(self):
+        query = CorrQuery(pair("EUR/USD"), pair("EUR/JPY"), [0.0, 1.0])
+        assert type(query.horizon) is tuple
+        assert hash(query) == hash(CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0))
+
+    @pytest.mark.parametrize("horizon", [(0.0, 1.0, 2.0), (1.0,), 1.0, "01", (0.0, "1"), (False, 1.0)],
+                             ids=["three", "one", "scalar", "str", "str-end", "bool-start"])
+    def test_query_needs_two_numbers(self, horizon):
+        with pytest.raises(ValidationError, match="horizon must be finite with 0 <= start < end"):
+            CorrQuery(pair("EUR/USD"), pair("EUR/JPY"), horizon)
+
     @pytest.mark.parametrize("buckets", [[1.0, math.inf], [math.nan, 1.0], [0.5, math.nan]])
     def test_buckets_reject_non_finite_boundary(self, three_ccy_snapshot, buckets):
         query = CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0)
@@ -715,6 +740,16 @@ class TestCorrelationMatrixChecks:
 
     def test_bounds_are_accepted(self):
         assert self.make([[1.0, -1.0], [-1.0, 1.0]]).n_buckets == 3
+
+    @pytest.mark.parametrize("breakpoints, message", [
+        ((0.0, 2.0, 1.0), "bucket 1 has width -1 < 1e-12"),  # t in (1, 2] would read bucket 0
+        ((0.0, 1.0, 1.0 + 1e-13), "bucket 1 has width"),
+        ((0.0, True), r"breakpoints must be numbers, got \(0.0, True\)"),
+    ], ids=["decreasing", "hairline", "bool"])
+    def test_breakpoints_rejected(self, breakpoints, message):
+        n = len(breakpoints) - 1
+        with pytest.raises(ValidationError, match=message):
+            BucketedCorrelationMatrix(("EUR/USD",), breakpoints, (np.eye(1),) * n, (BucketStatus("psd", 1.0),) * n)
 
 
 class TestMatrixEntrySettlement:

@@ -6,6 +6,7 @@ import pytest
 
 from fxcorr import (
     CalendarArbitrageError,
+    CorrQuery,
     Currency,
     ExtrapolationWarning,
     FxPair,
@@ -16,13 +17,19 @@ from fxcorr import (
     SchemaError,
     SimulationConfig,
     ValidationError,
+    VanillaSpec,
     VolQuote,
     VolTermStructure,
+    build_matrix,
     canonicalize,
     check_spot_triangles,
+    forward,
+    forward_vol,
+    horizon_vol,
     load_snapshot,
     loads_snapshot,
     payoff_from_dict,
+    term_corr,
     total_variance,
 )
 
@@ -543,6 +550,31 @@ class TestBoolTimes:
     def test_rejected(self, make, what):
         with pytest.raises(ValidationError, match=f"{what} must be finite, > 0 and strictly increasing"):
             make()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: VolQuote(FxPair(EUR, USD), True, 0.1), "maturity must be positive and finite"),
+        (lambda: VanillaSpec(FxPair(EUR, USD), 1.0, True, "call"), "maturity must be positive and finite"),
+        (lambda: forward(1.0, 0.01, 0.0, True), "maturity must be positive"),
+        (lambda: RateCurve(EUR, ((1.0, 0.02),)).forward(0.0, True), "need 0 <= start < end"),
+        (lambda: horizon_vol(VolTermStructure(FxPair(EUR, USD), ((1.0, 0.1),)), 0.0, True),
+         "need 0 <= start < end"),
+        (lambda: forward_vol(0.1, 0.1, 0.0, True), "need 0 <= t_near < t_far"),
+        (lambda: CorrQuery.total(FxPair(EUR, USD), FxPair(EUR, JPY), True), "horizon"),
+    ], ids=["vol-quote", "vanilla-spec", "forward", "rate-forward", "horizon-vol", "forward-vol", "corr-query"])
+    def test_single_time_rejected(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
+
+    @pytest.mark.parametrize("buckets", [[True], [0.5, True], "12", ["1"]],
+                             ids=["true", "true-last", "str", "strs"])
+    def test_bucket_boundaries_must_be_numbers(self, buckets):
+        # float() would take each of these, and the build would run on (0, 1] or (0, 1], (1, 2]
+        snapshot = loads_snapshot(json.dumps(three_ccy_doc()))
+        pairs = [FxPair(EUR, USD), FxPair(EUR, JPY)]
+        for build in (lambda: build_matrix(pairs, snapshot, buckets),
+                      lambda: term_corr(CorrQuery.total(*pairs, 1.0), snapshot, buckets)):
+            with pytest.raises(ValidationError, match="bucket boundaries must be numbers"):
+                build()
 
 
 class TestEntryLists:

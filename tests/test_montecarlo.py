@@ -37,6 +37,7 @@ from fxcorr import (
     simulate_increments,
     total_variance,
 )
+from fxcorr import montecarlo
 from fxcorr.montecarlo import (
     BLOCK_PATHS, _bridge, _payoff_evaluator, _prepare_steps, _run_blocks, _terminal_steps,
 )
@@ -347,6 +348,18 @@ class TestPricingMeasure:
         link = {**bucket, USDEUR: flat_vol(0.4)}  # a link, overriding the snapshot
         assert price(payoff, three_ccy_snapshot, config, vols=link) != price(payoff, three_ccy_snapshot, config)
 
+    def test_price_derives_each_currency_pairs_vols_once(self, three_ccy_snapshot, monkeypatch):
+        # USD/EUR paid, JPY/EUR barrier: the link EUR/USD is the paying pair inverted,
+        # so USD/EUR, JPY/EUR and JPY/USD are derived and EUR/USD is not
+        payoff = BarrierPayoff(USDEUR, 0.8, "call", FxPair.parse("JPY/EUR"), 0.01, "up", "knock-out")
+        config = SimulationConfig(1000, 113, (0.5, 1.0))
+        expected = price(payoff, three_ccy_snapshot, config)
+        derived = []
+        monkeypatch.setattr(montecarlo, "_bucket_vols",
+                            lambda ts, times: derived.append(ts.pair) or _bucket_vols(ts, times))
+        assert price(payoff, three_ccy_snapshot, config) == expected
+        assert len(derived) == 3
+
 
 class TestPriceVanilla:
     def test_matches_analytic_within_4_se(self, three_ccy_snapshot):
@@ -415,6 +428,16 @@ class TestPriceBasket:
             BasketPayoff({EURUSD: 1.0}, 1.25, "call"), three_ccy_snapshot, config
         )
         assert basket.price == pytest.approx(vanilla.price, rel=1e-15)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_one_leg_basket_is_the_vanilla_bit_for_bit(self, three_ccy_snapshot, kind, antithetic, workers):
+        # one payoff formula: a vanilla pays sum_p w_p X_p(T) on one leg of weight 1
+        config = SimulationConfig(2 * BLOCK_PATHS + 100, 43, MONTHLY, antithetic)
+        vanilla = price(VanillaPayoff(EURUSD, 1.25, kind), three_ccy_snapshot, config, workers=workers)
+        basket = price(BasketPayoff({EURUSD: 1.0}, 1.25, kind), three_ccy_snapshot, config, workers=workers)
+        assert basket == vanilla
 
     def test_tiny_strike_basket_prices_the_forward_sum(self, three_ccy_snapshot):
         # strike ~ 0 makes the call payoff linear, with a known expectation
