@@ -31,7 +31,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .market_data import FxPair, MarketSnapshot, _check_times, _is_real, canonicalize
+from .market_data import FxPair, MarketSnapshot, _check_real, _check_times, _is_real, canonicalize
 from .term_structure import PiecewiseConstant, _bucket_vols, _check_bucket_widths, horizon_vol
 
 RANGE_SNAP = 1e-12
@@ -147,8 +147,7 @@ def _kernel(s_ij, s_mk, s_ik, s_mj, s_jk, s_im, clamp: bool, describe: str) -> t
             f"zero or non-finite implied vol for a queried pair: {describe}"
         )
     for s in (s_ik, s_mj, s_jk, s_im):
-        if not 0.0 <= s < math.inf:
-            raise ValidationError(f"cross vols must be finite and >= 0, got {s}: {describe}")
+        _check_real(s, "cross vols", "finite and >= 0")
     return _bound(_formula(s_ij, s_mk, s_ik, s_mj, s_jk, s_im), clamp, describe)
 
 
@@ -301,7 +300,8 @@ class BucketedCorrelationMatrix:
             raise ValidationError("one matrix per bucket required")
         if not all(map(_is_real, self.breakpoints)):
             raise ValidationError(f"breakpoints must be numbers, got {self.breakpoints}")
-        _check_bucket_widths(self.breakpoints)  # increasing; a NaN is caught by the grid check at simulation
+        _check_bucket_widths(self.breakpoints)
+        _check_times(self.breakpoints[1:], "breakpoints")
         if len(self.statuses) != len(self.matrices):
             raise ValidationError("one status per bucket required")
         n = len(self.pairs)

@@ -67,13 +67,37 @@ def _check_times(times: Sequence[float], what: str) -> None:
     if not times:
         raise ValidationError(f"{what} must contain at least one time")
     for prev, t in zip((0.0, *times), times):
-        if isinstance(t, bool) or not prev < t < math.inf:
+        if not (_is_real(t) and prev < t < math.inf):
             raise ValidationError(f"{what} must be finite, > 0 and strictly increasing, got {times}")
 
 
 def _is_real(value) -> bool:
     """A real number, not a bool (a float passes first: the ABC check is far slower)."""
     return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_real(value, what: str, rule: str) -> None:
+    """The one scalar-input rule: a real number, not a bool, below inf and, as
+    ``rule`` (the message text) says, "finite", "finite and >= 0", or above 0
+    ("positive and finite" or "> 0 and finite").  A float skips the call
+    to _is_real: quote queries check every vol they read."""
+    low = -math.inf if rule == "finite" else 0.0  # of the rules bounded by 0, only ">= 0" admits 0
+    real = type(value) is float or _is_real(value)
+    if not (real and low <= value < math.inf and (value > low or rule == "finite and >= 0")):
+        raise ValidationError(f"{what} must be {rule}, got {value}")
+
+
+def _check_span(start, end, names: str = "start < end") -> None:
+    """The one check of a span (start, end]: real numbers, not bools, 0 <= start < end < inf."""
+    if not (_is_real(start) and _is_real(end) and 0 <= start < end < math.inf):
+        raise ValidationError(f"need 0 <= {names} < inf, got ({start}, {end})")
+
+
+def _warn_flat(what: str, horizon: float, t: float, stacklevel: int = 2) -> None:
+    """The one flat-extrapolation notice.  ``stacklevel`` counts from the
+    caller, as for ``warnings.warn``: 2 names the caller's caller."""
+    warnings.warn(f"{what} extrapolated flat beyond T={horizon} to t={t}", ExtrapolationWarning,
+                  stacklevel=stacklevel + 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -140,10 +164,8 @@ class VolQuote:
     implied_vol: float
 
     def __post_init__(self):
-        if isinstance(self.maturity, bool) or not 0 < self.maturity < math.inf:
-            raise ValidationError(f"maturity must be positive and finite, got {self.maturity}")
-        if not 0 <= self.implied_vol < math.inf:
-            raise ValidationError(f"implied vol must be finite and >= 0, got {self.implied_vol}")
+        _check_real(self.maturity, "maturity", "positive and finite")
+        _check_real(self.implied_vol, "implied vol", "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -164,8 +186,7 @@ class VolTermStructure:
         prev_t = 0.0
         prev_tv = 0.0
         for n, (t, sigma) in enumerate(self.points):
-            if not 0 <= sigma < math.inf:
-                raise ValidationError(f"{self.pair}: vol must be finite and >= 0, got {sigma} at point {n}")
+            _check_real(sigma, f"{self.pair}: vol", "finite and >= 0")
             tv = sigma * sigma * t
             if tv < prev_tv:
                 raise CalendarArbitrageError(
@@ -195,17 +216,16 @@ class VolTermStructure:
         instantaneous vol below the first quote; flat extrapolation of the
         last bucket's instantaneous vol beyond the last quote (warns).
         """
-        if not maturity > 0:
-            raise ValidationError(f"maturity must be > 0, got {maturity}")
+        _check_real(maturity, "maturity", "> 0 and finite")
+        return self._total_variance(maturity, 3)
+
+    def _total_variance(self, maturity: float, stacklevel: int = 2) -> float:
+        # total_variance without the maturity check; ``stacklevel`` as for _warn_flat
         ts, tvs = self._knots
         if maturity <= ts[0]:
             return tvs[0] / ts[0] * maturity
         if maturity > ts[-1]:
-            warnings.warn(
-                f"{self.pair}: vol term structure extrapolated flat beyond T={ts[-1]} to T={maturity}",
-                ExtrapolationWarning,
-                stacklevel=2,
-            )
+            _warn_flat(f"{self.pair}: vol term structure", ts[-1], maturity, stacklevel)
             t0, tv0 = (ts[-2], tvs[-2]) if len(ts) > 1 else (0.0, 0.0)  # the last bucket starts at 0 or a knot
             return tvs[-1] + (tvs[-1] - tv0) / (ts[-1] - t0) * (maturity - ts[-1])
         return _interpolate(ts, tvs, maturity)
@@ -226,15 +246,13 @@ class RateCurve:
         object.__setattr__(self, "points", tuple(map(tuple, self.points)))  # lists or an array, as tuples
         ts = tuple(t for t, _ in self.points)
         _check_times(ts, f"{self.currency} rate maturities")
-        for t, r in self.points:
-            if not math.isfinite(r):
-                raise ValidationError(f"{self.currency}: rate must be finite, got {r} at T={t}")
+        for _, r in self.points:
+            _check_real(r, f"{self.currency}: rate", "finite")
         object.__setattr__(self, "_knots", (ts, [r * t for t, r in self.points]))
 
     def integrated(self, maturity: float) -> float:
         """Integrated rate r(T)*T, linear in T between knots, flat r outside."""
-        if not maturity > 0:
-            raise ValidationError(f"maturity must be > 0, got {maturity}")
+        _check_real(maturity, "maturity", "> 0 and finite")
         ts, rts = self._knots
         if maturity <= ts[0]:
             return self.points[0][1] * maturity
@@ -248,8 +266,7 @@ class RateCurve:
 
     def forward(self, start: float, end: float) -> float:
         """Average rate over a future bucket (start, end]."""
-        if isinstance(start, bool) or isinstance(end, bool) or not 0 <= start < end < math.inf:
-            raise ValidationError(f"need 0 <= start < end < inf, got ({start}, {end})")
+        _check_span(start, end)
         if start == 0:
             return self.average(end)
         return (self.integrated(end) - self.integrated(start)) / (end - start)
@@ -539,8 +556,7 @@ def check_spot_triangles(snapshot: MarketSnapshot, tol: float) -> list[TriangleV
     list means the spots are arbitrage-consistent at that tolerance, which
     must be finite and >= 0.
     """
-    if not 0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+    _check_real(tol, "tol", "finite and >= 0")
     index = snapshot._spot_index
     violations = []
     for i, j, k in combinations(sorted({a for a, _ in index}), 3):

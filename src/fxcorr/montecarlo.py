@@ -32,7 +32,6 @@ number of steps.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable, Iterator, Literal, Mapping, Sequence
@@ -41,12 +40,11 @@ import numpy as np
 
 from .correlation import PSD_TOL, RANGE_SNAP, BucketedCorrelationMatrix, build_matrix, canonicalize
 from .errors import (
-    CorrelationRangeError, ExtrapolationWarning, FactorizationError, MissingDataError, SchemaError,
-    ValidationError,
+    CorrelationRangeError, FactorizationError, MissingDataError, SchemaError, ValidationError,
 )
 from .market_data import (
     Currency, FxPair, MarketSnapshot, RateCurve,
-    _check_times, _entries, _label, _number, _require_keys, _string, _unique,
+    _check_real, _check_times, _entries, _label, _number, _require_keys, _string, _unique, _warn_flat,
 )
 from .term_structure import PiecewiseConstant, _bucket_vols
 from .vanilla import _check_strike_kind
@@ -112,8 +110,7 @@ class BasketPayoff:
         if not self.weights:
             raise ValidationError("basket weights must be non-empty")
         for pair, weight in self.weights.items():
-            if isinstance(weight, bool) or not math.isfinite(weight):
-                raise ValidationError(f"basket weight of {pair} must be finite, got {weight}")
+            _check_real(weight, f"basket weight of {pair}", "finite")
         denoms = {p.denominating for p in self.weights}
         if len(denoms) != 1:
             raise ValidationError(
@@ -143,8 +140,7 @@ class BarrierPayoff:
 
     def __post_init__(self):
         _check_strike_kind(self.strike, self.kind)
-        if isinstance(self.barrier_level, bool) or not 0 < self.barrier_level < math.inf:
-            raise ValidationError(f"barrier level must be positive and finite, got {self.barrier_level}")
+        _check_real(self.barrier_level, "barrier level", "positive and finite")
         if self.direction not in ("up", "down"):
             raise ValidationError(f"direction must be 'up' or 'down', got {self.direction!r}")
         if self.style not in ("knock-in", "knock-out"):
@@ -284,8 +280,7 @@ def _prepare_steps(
             indices.append(labels.index(cpair.label))
             signs[p] = -1.0 if flipped else 1.0
         if mids[-1] > corr.breakpoints[-1]:
-            warnings.warn(f"correlation matrix extrapolated flat beyond T={corr.breakpoints[-1]} to t={mids[-1]}",
-                          ExtrapolationWarning, stacklevel=3)
+            _warn_flat("correlation matrix", corr.breakpoints[-1], mids[-1], 3)
         buckets = [corr.bucket_index(min(t, corr.breakpoints[-1])) for t in mids]
         block = np.ix_(indices, indices)
         bucket_factors = {  # the one PSD gate, on the block that is simulated

@@ -12,13 +12,12 @@ here are exact bucket sums over merged breakpoint grids, not quadrature.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import CalendarArbitrageError, ExtrapolationWarning, UndefinedCorrelationError, ValidationError
-from .market_data import VolTermStructure, _check_times
+from .errors import CalendarArbitrageError, UndefinedCorrelationError, ValidationError
+from .market_data import VolTermStructure, _check_real, _check_span, _check_times, _warn_flat
 
 MIN_BUCKET_WIDTH = 1e-12
 
@@ -58,14 +57,9 @@ class PiecewiseConstant:
 
     def value_at(self, t: float) -> float:
         """Value on the bucket containing t; flat beyond the horizon (warns)."""
-        if not t > 0:
-            raise ValidationError(f"t must be > 0, got {t}")
+        _check_real(t, "t", "> 0 and finite")
         if t > self.horizon:
-            warnings.warn(
-                f"step function extrapolated flat beyond T={self.horizon} to t={t}",
-                ExtrapolationWarning,
-                stacklevel=2,
-            )
+            _warn_flat("step function", self.horizon, t)
         return self._value(t)
 
     def _value(self, t: float) -> float:
@@ -78,10 +72,9 @@ def forward_vol(sigma_near: float, sigma_far: float, t_near: float, t_far: float
     Raises CalendarArbitrageError when the forward variance is negative;
     an exactly zero forward variance is allowed and yields 0.
     """
-    if isinstance(t_near, bool) or isinstance(t_far, bool) or not 0 <= t_near < t_far < math.inf:
-        raise ValidationError(f"need 0 <= t_near < t_far < inf, got ({t_near}, {t_far})")
-    if not (0 <= sigma_near < math.inf and 0 <= sigma_far < math.inf):
-        raise ValidationError(f"vols must be finite and >= 0, got {sigma_near} and {sigma_far}")
+    _check_span(t_near, t_far, "t_near < t_far")
+    for sigma in (sigma_near, sigma_far):
+        _check_real(sigma, "vols", "finite and >= 0")
     tv_near = sigma_near * sigma_near * t_near
     tv_far = sigma_far * sigma_far * t_far
     if tv_far < tv_near:
@@ -112,11 +105,7 @@ def total_variance(sigma: PiecewiseConstant, horizon: float) -> float:
     """Integral of sigma(t)^2 over (0, horizon], exact bucket sums."""
     _check_times((horizon,), "horizon")
     if horizon > sigma.horizon:
-        warnings.warn(
-            f"total variance extrapolated flat beyond T={sigma.horizon} to T={horizon}",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
+        _warn_flat("total variance", sigma.horizon, horizon)
     total = 0.0
     for _, width, value in _merged_buckets((sigma,), horizon):
         total += value * value * width
@@ -161,13 +150,9 @@ def integrated_correlation(
         raise UndefinedCorrelationError(
             f"correlation undefined over (0, {horizon}]: {which} of zero total variance"
         )
-    beyond = [s.horizon for s in (rho, sigma_a, sigma_b) if horizon > s.horizon]
-    if beyond:
-        warnings.warn(
-            f"integrated correlation extrapolates an input flat beyond T={beyond[0]}",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
+    shortest = min(rho.horizon, sigma_a.horizon, sigma_b.horizon)
+    if horizon > shortest:
+        _warn_flat("integrated correlation input", shortest, horizon)
     result = covariance / math.sqrt(tv_a * tv_b)
     return max(-1.0, min(1.0, result))
 
@@ -175,10 +160,9 @@ def integrated_correlation(
 def horizon_vol(ts: VolTermStructure, start: float, end: float) -> float:
     """Implied vol of a quoted structure over (start, end], interpolating in
     total variance at non-quoted horizons."""
-    if isinstance(start, bool) or isinstance(end, bool) or not 0 <= start < end < math.inf:
-        raise ValidationError(f"need 0 <= start < end < inf, got ({start}, {end})")
-    tv_end = ts.total_variance(end)
-    tv_start = ts.total_variance(start) if start > 0 else 0.0
+    _check_span(start, end)
+    tv_end = ts._total_variance(end)
+    tv_start = ts._total_variance(start) if start > 0 else 0.0
     if tv_end < tv_start:
         raise CalendarArbitrageError(
             f"{ts.pair}: negative forward variance on ({start}, {end}]"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import NoImpliedVolError, ValidationError
-from .market_data import FxPair
+from .market_data import FxPair, _check_real
 
 OptionKind = Literal["call", "put"]
 
@@ -51,13 +51,11 @@ class VanillaSpec:
 
     def __post_init__(self):
         _check_strike_kind(self.strike, self.kind)
-        if isinstance(self.maturity, bool) or not 0 < self.maturity < math.inf:
-            raise ValidationError(f"maturity must be positive and finite, got {self.maturity}")
+        _check_real(self.maturity, "maturity", "positive and finite")
 
 
 def _check_strike_kind(strike: float, kind: str) -> None:
-    if isinstance(strike, bool) or not 0 < strike < math.inf:
-        raise ValidationError(f"strike must be positive and finite, got {strike}")
+    _check_real(strike, "strike", "positive and finite")
     if kind not in ("call", "put"):
         raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
 
@@ -72,43 +70,38 @@ class PricingInputs:
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.spot < math.inf:
-            raise ValidationError(f"spot must be positive and finite, got {self.spot}")
-        if not (math.isfinite(self.rate_dom) and math.isfinite(self.rate_fgn)):
-            raise ValidationError(f"rates must be finite, got {self.rate_dom} and {self.rate_fgn}")
-        if not 0 <= self.sigma < math.inf:
-            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
+        _check_real(self.spot, "spot", "positive and finite")
+        _check_real(self.rate_dom, "rate_dom", "finite")
+        _check_real(self.rate_fgn, "rate_fgn", "finite")
+        _check_real(self.sigma, "sigma", "finite and >= 0")
 
 
 def forward(spot: float, rate_dom: float, rate_fgn: float, maturity: float) -> float:
     """Forward rate spot * exp((r_d - r_f) * T)."""
-    if not spot > 0:
-        raise ValidationError(f"spot must be positive, got {spot}")
-    if isinstance(maturity, bool) or not maturity > 0:
-        raise ValidationError(f"maturity must be positive, got {maturity}")
-    inputs = (spot, rate_dom, rate_fgn, maturity)
-    if not all(map(math.isfinite, inputs)):
-        raise ValidationError(f"spot, rates and maturity must be finite, got {inputs}")
+    _check_real(spot, "spot", "positive and finite")
+    _check_real(rate_dom, "rate_dom", "finite")
+    _check_real(rate_fgn, "rate_fgn", "finite")
+    _check_real(maturity, "maturity", "positive and finite")
     return spot * math.exp((rate_dom - rate_fgn) * maturity)
 
 
 def gk_price(spec: VanillaSpec, inputs: PricingInputs) -> float:
     """Vanilla price in units of the denominating currency."""
-    return _price_with_vega(spec, _terms(spec, inputs), inputs.sigma)[0]
+    return _price_with_vega(spec, _terms(spec, inputs.spot, inputs.rate_dom, inputs.rate_fgn), inputs.sigma)[0]
 
 
 def gk_vega(spec: VanillaSpec, inputs: PricingInputs) -> float:
     """Sensitivity of the price to sigma (same for calls and puts)."""
-    return _price_with_vega(spec, _terms(spec, inputs), inputs.sigma)[1]
+    return _price_with_vega(spec, _terms(spec, inputs.spot, inputs.rate_dom, inputs.rate_fgn), inputs.sigma)[1]
 
 
-def _terms(spec: VanillaSpec, inputs: PricingInputs) -> tuple[float, ...]:
+def _terms(spec: VanillaSpec, spot: float, rate_dom: float, rate_fgn: float) -> tuple[float, ...]:
     """The sigma-free terms of the formula: F, exp(-r_d T), sqrt(T), ln(F/K)."""
     t = spec.maturity
-    fwd = forward(inputs.spot, inputs.rate_dom, inputs.rate_fgn, t)
+    fwd = forward(spot, rate_dom, rate_fgn, t)
     ratio = fwd / spec.strike  # 0 only when it underflows; ln(F/K) then tends to -inf
     log_fk = math.log(ratio) if ratio > 0.0 else -math.inf
-    return fwd, math.exp(-inputs.rate_dom * t), math.sqrt(t), log_fk
+    return fwd, math.exp(-rate_dom * t), math.sqrt(t), log_fk
 
 
 def _price_with_vega(spec: VanillaSpec, terms: tuple[float, ...], sigma: float) -> tuple[float, float]:
@@ -140,9 +133,8 @@ def implied_vol(
     to 10.0.  Converges when the remaining price error pins sigma within
     VOL_TOL, or the bracket itself shrinks below VOL_TOL.
     """
-    if not math.isfinite(market_price):
-        raise ValidationError(f"market price must be finite, got {market_price}")
-    terms = _terms(spec, PricingInputs(spot, rate_dom, rate_fgn, 0.0))  # checks spot and rates
+    _check_real(market_price, "market price", "finite")
+    terms = _terms(spec, spot, rate_dom, rate_fgn)  # forward checks spot and rates
     # open no-arbitrage band: discounted intrinsic (the sigma = 0 price), discounted cap
     fwd, df = terms[:2]
     lower = _price_with_vega(spec, terms, 0.0)[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fxcorr import (
+    BasketPayoff,
     CalendarArbitrageError,
     CorrQuery,
     Currency,
@@ -13,10 +14,12 @@ from fxcorr import (
     MarketSnapshot,
     MissingDataError,
     PiecewiseConstant,
+    PricingInputs,
     RateCurve,
     SchemaError,
     SimulationConfig,
     ValidationError,
+    VanillaPayoff,
     VanillaSpec,
     VolQuote,
     VolTermStructure,
@@ -26,11 +29,13 @@ from fxcorr import (
     forward,
     forward_vol,
     horizon_vol,
+    implied_vol,
     load_snapshot,
     loads_snapshot,
     payoff_from_dict,
     term_corr,
     total_variance,
+    triangle_corr,
 )
 
 from conftest import json_with_huge_integer, snapshot_doc, three_ccy_doc
@@ -546,7 +551,8 @@ class TestBoolTimes:
         (lambda: RateCurve(EUR, ((True, 0.02),)), "EUR rate maturities"),
         (lambda: PiecewiseConstant((0.0, True), (0.1,)), "breakpoints"),
         (lambda: total_variance(PiecewiseConstant((0.0, 1.0), (0.1,)), True), "horizon"),
-    ], ids=["grid", "grid-middle", "vol-maturity", "rate-maturity", "breakpoint", "horizon"])
+        (lambda: SimulationConfig(100, 1, ("1",)), "grid"),
+    ], ids=["grid", "grid-middle", "vol-maturity", "rate-maturity", "breakpoint", "horizon", "grid-str"])
     def test_rejected(self, make, what):
         with pytest.raises(ValidationError, match=f"{what} must be finite, > 0 and strictly increasing"):
             make()
@@ -560,7 +566,16 @@ class TestBoolTimes:
          "need 0 <= start < end"),
         (lambda: forward_vol(0.1, 0.1, 0.0, True), "need 0 <= t_near < t_far"),
         (lambda: CorrQuery.total(FxPair(EUR, USD), FxPair(EUR, JPY), True), "horizon"),
-    ], ids=["vol-quote", "vanilla-spec", "forward", "rate-forward", "horizon-vol", "forward-vol", "corr-query"])
+        (lambda: RateCurve(EUR, ((1.0, 0.02),)).integrated(True), "maturity must be > 0"),
+        (lambda: RateCurve(EUR, ((1.0, 0.02),)).average(True), "maturity must be > 0"),
+        (lambda: VolTermStructure(FxPair(EUR, USD), ((1.0, 0.1),)).total_variance(True), "maturity must be > 0"),
+        (lambda: VolTermStructure(FxPair(EUR, USD), ((1.0, 0.1),)).vol(True), "maturity must be > 0"),
+        (lambda: PiecewiseConstant((0.0, 1.0), (0.1,)).value_at(True), "t must be > 0"),
+        (lambda: loads_snapshot(json.dumps(three_ccy_doc())).average_rate(EUR, True), "maturity must be > 0"),
+        (lambda: PricingInputs(True, 0.0, 0.0, 0.1), "spot must be positive and finite, got True"),
+        (lambda: PricingInputs(1.0, 0.0, 0.0, True), "sigma must be finite and >= 0, got True"),
+    ], ids=["vol-quote", "vanilla-spec", "forward", "rate-forward", "horizon-vol", "forward-vol", "corr-query",
+            "integrated", "average", "total-variance", "vol", "value-at", "average-rate", "spot", "sigma"])
     def test_single_time_rejected(self, make, message):
         with pytest.raises(ValidationError, match=message):
             make()
@@ -575,6 +590,28 @@ class TestBoolTimes:
                       lambda: term_corr(CorrQuery.total(*pairs, 1.0), snapshot, buckets)):
             with pytest.raises(ValidationError, match="bucket boundaries must be numbers"):
                 build()
+
+
+class TestScalarRule:
+    """Every scalar input goes through one rule: a real number, not a bool
+    or a string, finite, and above 0 or at least 0 where the input needs it."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: VolQuote(FxPair(EUR, USD), 1.0, True), "implied vol must be finite and >= 0, got True"),
+        (lambda: VolTermStructure(FxPair(EUR, USD), ((1.0, True),)), "EUR/USD: vol must be finite and >= 0, got True"),
+        (lambda: RateCurve(EUR, ((1.0, True),)), "EUR: rate must be finite, got True"),
+        (lambda: forward(True, 0.0, 0.0, 1.0), "spot must be positive and finite, got True"),
+        (lambda: forward_vol(True, 0.1, 0.0, 1.0), "vols must be finite and >= 0, got True"),
+        (lambda: BasketPayoff({FxPair(EUR, USD): "1"}, 1.0, "call"), "basket weight of EUR/USD must be finite, got 1"),
+        (lambda: VanillaPayoff(FxPair(EUR, USD), "1", "call"), "strike must be positive and finite, got 1"),
+        (lambda: triangle_corr(0.1, 0.1, True), "cross vols must be finite and >= 0, got True"),
+        (lambda: implied_vol(VanillaSpec(FxPair(EUR, USD), 1.0, 1.0, "call"), True, 1.0, 0.0, 0.0),
+         "market price must be finite, got True"),
+    ], ids=["quote-vol", "structure-vol", "rate", "forward-spot", "forward-vol", "basket-weight",
+            "payoff-strike", "triangle-cross-vol", "market-price"])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
 
 
 class TestEntryLists:

@@ -228,14 +228,12 @@ class TestSimulateIncrements:
             simulate_increments([EURUSD, EURJPY, JPYUSD], vols, bad, config)
 
     def test_nan_correlation_breakpoint_rejected(self):
-        # BucketedCorrelationMatrix does not validate its breakpoints
-        corr = BucketedCorrelationMatrix(
-            ("EUR/USD",), (0.0, math.nan, 1.0), (np.eye(1), np.eye(1)),
-            (BucketStatus("psd", 1.0), BucketStatus("psd", 1.0)),
-        )
-        config = SimulationConfig(100, 3, (0.5, 1.0))
-        with pytest.raises(ValidationError, match="grid must include breakpoint nan"):
-            simulate_increments([EURUSD], {EURUSD: flat_vol(0.2)}, corr, config)
+        # rejected where the matrix is built, before any simulation reads it
+        with pytest.raises(ValidationError, match="breakpoints must be finite"):
+            BucketedCorrelationMatrix(
+                ("EUR/USD",), (0.0, math.nan, 1.0), (np.eye(1), np.eye(1)),
+                (BucketStatus("psd", 1.0), BucketStatus("psd", 1.0)),
+            )
 
     def test_no_pairs_rejected(self):
         with pytest.raises(ValidationError, match="at least one pair"):

@@ -14,6 +14,7 @@ from fxcorr import (
     implied_vol,
     norm_cdf,
 )
+from fxcorr.vanilla import VOL_TOL
 
 from conftest import draw_invertible
 
@@ -186,6 +187,14 @@ class TestImpliedVol:
         with pytest.raises(NoImpliedVolError) as err:
             implied_vol(spec, price, 1.25, 0.03, 0.01)
         assert err.value.reason == "exceeds_bracket"
+
+    def test_bracket_collapse_exit(self):
+        # a deep in-the-money short call whose price error never meets the
+        # Newton stop: the search ends when the bracket shrinks below VOL_TOL / 4
+        spec = VanillaSpec(PAIR, 0.15965570232877008, 0.21011064332070134, "call")
+        spot, rd, rf, sigma = 1.0, 0.041898637736990305, -0.01884667353061442, 0.8527203002944961
+        price = gk_price(spec, PricingInputs(spot, rd, rf, sigma))
+        assert abs(implied_vol(spec, price, spot, rd, rf) - sigma) <= VOL_TOL
 
     def test_round_trip_across_the_box(self):
         # sigma in [0.001, 3], T in [0.01, 10], log-moneyness in [-3, 3].
