@@ -16,7 +16,6 @@ between the pairs' currencies; buckets use forward vols.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -31,7 +30,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .market_data import FxPair, MarketSnapshot, _check_real, _check_times, _is_real, canonicalize
+from .market_data import FxPair, MarketSnapshot, _check_real, _check_times, _is_real, _warn, canonicalize
 from .term_structure import PiecewiseConstant, _bucket_vols, _check_bucket_widths, horizon_vol
 
 RANGE_SNAP = 1e-12
@@ -121,11 +120,8 @@ def _bound(raw: float, clamp: bool, describe: str) -> tuple[float, bool]:
     if abs(raw) <= 1.0 + RANGE_SNAP:
         return math.copysign(1.0, raw), False
     if clamp:
-        warnings.warn(
-            f"implied correlation {raw:.12g} clamped to {math.copysign(1.0, raw):+.0f} ({describe})",
-            CorrelationClampWarning,
-            stacklevel=4,
-        )
+        _warn(f"implied correlation {raw:.12g} clamped to {math.copysign(1.0, raw):+.0f} ({describe})",
+              CorrelationClampWarning)
         return math.copysign(1.0, raw), True
     raise CorrelationRangeError(
         f"implied correlation {raw:.12g} outside [-1, 1]: {describe}; "
@@ -141,6 +137,8 @@ def _formula(s_ij, s_mk, s_ik, s_mj, s_jk, s_im):
 def _kernel(s_ij, s_mk, s_ik, s_mj, s_jk, s_im, clamp: bool, describe: str) -> tuple[float, bool]:
     """Checked and bounded correlation of X_{i/j}, X_{m/k} from six vols,
     and whether it was clamped."""
+    if not (_is_real(s_ij) and _is_real(s_mk)):
+        raise ValidationError(f"queried vols must be real numbers, not bools or strings: {describe}")
     # written as "not in range" so that NaN fails the checks
     if not (0.0 < s_ij < math.inf and 0.0 < s_mk < math.inf):
         raise UndefinedCorrelationError(
@@ -296,6 +294,11 @@ class BucketedCorrelationMatrix:
     statuses: tuple[BucketStatus, ...]
 
     def __post_init__(self):
+        for name in ("pairs", "breakpoints", "statuses"):  # lists as tuples, as in the other frozen inputs
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        flipped = [canonicalize(FxPair.parse(label))[1] for label in self.pairs]
+        if any(flipped) or len(set(self.pairs)) != len(self.pairs):  # the labels build_matrix writes
+            raise ValidationError(f"pairs must be distinct labels in canonical orientation, got {self.pairs}")
         if len(self.matrices) != len(self.breakpoints) - 1:
             raise ValidationError("one matrix per bucket required")
         if not all(map(_is_real, self.breakpoints)):
@@ -306,15 +309,23 @@ class BucketedCorrelationMatrix:
             raise ValidationError("one status per bucket required")
         n = len(self.pairs)
         for k, mat in enumerate(self.matrices):
+            try:
+                mat = np.asarray(mat)  # an array or nested lists
+            except ValueError:
+                raise ValidationError(f"bucket {k} matrix has rows of different lengths") from None
             if mat.shape != (n, n):
                 raise ValidationError(f"matrix shape {mat.shape} does not match {n} pairs")
+            if mat.dtype.kind not in "iuf":
+                raise ValidationError(f"bucket {k} holds {mat.dtype} entries, not numbers")
             if not np.isfinite(mat).all():
                 raise ValidationError(f"bucket {k} has a non-finite entry")
-        stack = np.array(self.matrices).reshape(len(self.matrices), n, n)
+        stack = np.array(self.matrices, dtype=float)  # a copy: the caller's arrays cannot change it
         valid = ((stack == stack.transpose(0, 2, 1)) & (np.abs(stack) <= 1.0)).all(axis=(1, 2))
         valid &= (np.diagonal(stack, axis1=1, axis2=2) == 1.0).all(axis=1)
         if not valid.all():
             raise ValidationError(f"bucket {np.argmin(valid)} is not symmetric with a unit diagonal and entries in [-1, 1]")
+        stack.setflags(write=False)
+        object.__setattr__(self, "matrices", tuple(stack))
 
     @property
     def n_buckets(self) -> int:
@@ -425,7 +436,4 @@ def build_matrix(
             statuses.append(BucketStatus("repaired", float(np.linalg.eigvalsh(stack[n])[0]), change))
         else:
             statuses.append(BucketStatus("indefinite", min_eig))
-    stack.setflags(write=False)
-    return BucketedCorrelationMatrix(
-        tuple(p.label for p in canon), breakpoints, tuple(stack), tuple(statuses)
-    )
+    return BucketedCorrelationMatrix(tuple(p.label for p in canon), breakpoints, stack, statuses)

@@ -93,11 +93,18 @@ def _check_span(start, end, names: str = "start < end") -> None:
         raise ValidationError(f"need 0 <= {names} < inf, got ({start}, {end})")
 
 
-def _warn_flat(what: str, horizon: float, t: float, stacklevel: int = 2) -> None:
-    """The one flat-extrapolation notice.  ``stacklevel`` counts from the
-    caller, as for ``warnings.warn``: 2 names the caller's caller."""
-    warnings.warn(f"{what} extrapolated flat beyond T={horizon} to t={t}", ExtrapolationWarning,
-                  stacklevel=stacklevel + 1)
+def _warn(message: str, category: type[Warning]) -> None:
+    """The one ``warnings.warn`` call: a notice names the first frame outside fxcorr's
+    modules, ``fxcorr.cli`` counting as a caller, as pandas' ``find_stack_level`` does."""
+    frame, level = sys._getframe(1), 2
+    while (name := frame.f_globals.get("__name__", "")).startswith("fxcorr.") and name != "fxcorr.cli":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
+def _warn_flat(what: str, horizon: float, t: float) -> None:
+    """The one flat-extrapolation notice."""
+    _warn(f"{what} extrapolated flat beyond T={horizon} to t={t}", ExtrapolationWarning)
 
 
 @dataclass(frozen=True, order=True)
@@ -217,15 +224,15 @@ class VolTermStructure:
         last bucket's instantaneous vol beyond the last quote (warns).
         """
         _check_real(maturity, "maturity", "> 0 and finite")
-        return self._total_variance(maturity, 3)
+        return self._total_variance(maturity)
 
-    def _total_variance(self, maturity: float, stacklevel: int = 2) -> float:
-        # total_variance without the maturity check; ``stacklevel`` as for _warn_flat
+    def _total_variance(self, maturity: float) -> float:
+        # total_variance without the maturity check
         ts, tvs = self._knots
         if maturity <= ts[0]:
             return tvs[0] / ts[0] * maturity
         if maturity > ts[-1]:
-            _warn_flat(f"{self.pair}: vol term structure", ts[-1], maturity, stacklevel)
+            _warn_flat(f"{self.pair}: vol term structure", ts[-1], maturity)
             t0, tv0 = (ts[-2], tvs[-2]) if len(ts) > 1 else (0.0, 0.0)  # the last bucket starts at 0 or a knot
             return tvs[-1] + (tvs[-1] - tv0) / (ts[-1] - t0) * (maturity - ts[-1])
         return _interpolate(ts, tvs, maturity)
@@ -296,11 +303,15 @@ class MarketSnapshot:
         as_of: str = "",
     ):
         for pair, value in spots.items():
-            if not (0 < value < math.inf and 1.0 / value < math.inf):  # both orientations are served
+            _check_real(value, f"spot for {pair}", "positive and finite")
+            if not 1.0 / value < math.inf:  # both orientations are served
                 raise ValidationError(f"spot for {pair} and its inverse must be positive and finite, got {value}")
         for pair, ts in vols.items():
             if ts.pair != pair:
                 raise ValidationError(f"term structure for {ts.pair} registered under {pair}")
+        for ccy, curve in rates.items():
+            if curve.currency != ccy:
+                raise ValidationError(f"rate curve for {curve.currency} registered under {ccy}")
         canon_spots = _canonical(spots, lambda cpair, value: 1.0 / value, _check_inverse_spots)
         canon_vols = _canonical(vols, lambda cpair, ts: VolTermStructure(cpair, ts.points), _check_inverse_vols)
 

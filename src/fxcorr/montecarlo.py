@@ -280,7 +280,7 @@ def _prepare_steps(
             indices.append(labels.index(cpair.label))
             signs[p] = -1.0 if flipped else 1.0
         if mids[-1] > corr.breakpoints[-1]:
-            _warn_flat("correlation matrix", corr.breakpoints[-1], mids[-1], 3)
+            _warn_flat("correlation matrix", corr.breakpoints[-1], mids[-1])
         buckets = [corr.bucket_index(min(t, corr.breakpoints[-1])) for t in mids]
         block = np.ix_(indices, indices)
         bucket_factors = {  # the one PSD gate, on the block that is simulated

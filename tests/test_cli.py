@@ -1,8 +1,10 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
+from fxcorr import SimulationConfig, load_snapshot, payoff_from_dict, price
 from fxcorr import cli
 
 from conftest import json_with_huge_integer, snapshot_doc, three_ccy_doc
@@ -304,6 +306,37 @@ class TestPrice:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "workers" in err
+
+
+class TestPriceRepairAndClamp:
+    """``--repair`` and ``--clamp`` reach the matrix ``price`` builds."""
+
+    GOLDEN = Path(__file__).parent / "data" / "golden"
+
+    def run_both(self, capsys, tmp_path, snapshot_file, weights, strike, option):
+        payoff = {"type": "basket", "strike": strike, "kind": "call",
+                  "weights": [{"pair": p, "weight": w} for p, w in weights.items()]}
+        argv = ["price", str(self.GOLDEN / snapshot_file), write(tmp_path, "basket.json", payoff),
+                "--grid", "1.0", "--paths", "20000", "--seed", "5"]
+        code, out, _ = run(capsys, argv)
+        assert out == ""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            doc = run_doc(capsys, argv + [f"--{option}"])
+            expected = price(payoff_from_dict(payoff), load_snapshot(self.GOLDEN / snapshot_file),
+                             SimulationConfig(20_000, 5, (1.0,)), **{option: True})
+        assert doc["result"] == expected.to_dict()
+        return code, caught
+
+    def test_repair(self, capsys, tmp_path):
+        code, caught = self.run_both(capsys, tmp_path, "perturbed.json",
+                                     {"AAA/BBB": 1.0, "AAA/CCC": 1.0, "AAA/DDD": 1.0}, 3.0, "repair")
+        assert code == 1 and caught == []  # FactorizationError without --repair
+
+    def test_clamp(self, capsys, tmp_path):
+        code, caught = self.run_both(capsys, tmp_path, "arb.json", {"EUR/USD": 1.0, "EUR/JPY": 0.01}, 2.5, "clamp")
+        assert code == 4  # CorrelationRangeError without --clamp
+        assert [w.filename for w in caught] == [cli.__file__, __file__]  # the CLI's notice, then price's
 
 
 class TestBootstrap:

@@ -752,6 +752,50 @@ class TestCorrelationMatrixChecks:
             BucketedCorrelationMatrix(("EUR/USD",), breakpoints, (np.eye(1),) * n, (BucketStatus("psd", 1.0),) * n)
 
 
+class TestMatrixInputs:
+    """The matrix takes its inputs as the other frozen constructors do:
+    distinct canonical pair labels, tuples, and read-only float copies."""
+
+    PSD = (BucketStatus("psd", 0.5),)
+
+    @pytest.mark.parametrize("labels, message", [
+        (("nonsense", "x"), "pair label must look like 'EUR/USD'"),
+        (("EUR/USD", "EUR/USD"), "pairs must be distinct labels in canonical orientation"),
+        (("USD/EUR", "JPY/EUR"), "pairs must be distinct labels in canonical orientation"),
+    ], ids=["not-pairs", "repeated", "not-canonical"])
+    def test_labels_rejected(self, labels, message):
+        # ("USD/EUR", "JPY/EUR") used to build, and simulating USD/EUR then
+        # reported its correlation entry missing
+        with pytest.raises(ValidationError, match=message):
+            BucketedCorrelationMatrix(labels, (0.0, 1.0), (np.eye(2),), self.PSD)
+
+    def test_nested_lists_are_read_as_a_float_matrix(self):
+        matrix = BucketedCorrelationMatrix(("EUR/JPY", "EUR/USD"), (0.0, 1.0), ([[1, 0.5], [0.5, 1]],), self.PSD)
+        assert matrix.matrices[0].dtype == np.float64
+        assert matrix.matrices[0].tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.eye(2, dtype=bool), "bucket 0 holds bool entries, not numbers"),
+        ([[1.0, 0.5], [0.5]], "bucket 0 matrix has rows of different lengths"),
+    ], ids=["bool", "ragged"])
+    def test_matrices_that_are_not_numbers_rejected(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            BucketedCorrelationMatrix(("EUR/JPY", "EUR/USD"), (0.0, 1.0), (matrix,), self.PSD)
+
+    def test_lists_are_stored_as_tuples(self):
+        matrix = BucketedCorrelationMatrix(["EUR/JPY", "EUR/USD"], [0.0, 1.0], [np.eye(2)], list(self.PSD))
+        assert all(type(field) is tuple for field in
+                   (matrix.pairs, matrix.breakpoints, matrix.matrices, matrix.statuses))
+
+    def test_a_checked_matrix_cannot_change(self):
+        given = np.array([[1.0, 0.5], [0.5, 1.0]])
+        matrix = BucketedCorrelationMatrix(("EUR/JPY", "EUR/USD"), (0.0, 1.0), (given,), self.PSD)
+        given[0, 1] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.matrices[0][0, 0] = 5.0
+        assert matrix.matrices[0].tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
+
 class TestMatrixEntrySettlement:
     """An out-of-range or missing-vol entry is settled from the build's own
     vols, with the messages and warnings of its query."""

@@ -26,6 +26,7 @@ from fxcorr import (
     build_matrix,
     canonicalize,
     check_spot_triangles,
+    cross_corr,
     forward,
     forward_vol,
     horizon_vol,
@@ -303,6 +304,12 @@ class TestMarketSnapshot:
         rates = {c: RateCurve(c, ((1.0, 0.0),)) for c in (EUR, USD, JPY)}
         with pytest.raises(ValidationError, match="term structure for EUR/JPY registered under EUR/USD"):
             MarketSnapshot({}, {FxPair(EUR, USD): ts}, rates)
+
+    def test_rate_curve_registered_under_another_currency_rejected(self):
+        # filed under EUR, USD's curve would answer every EUR rate query
+        rates = {EUR: RateCurve(USD, ((1.0, 0.03),)), USD: RateCurve(USD, ((1.0, 0.03),))}
+        with pytest.raises(ValidationError, match="rate curve for USD registered under EUR"):
+            MarketSnapshot({FxPair(EUR, USD): 1.2}, {}, rates)
 
 
 class TestSnapshotDocument:
@@ -607,8 +614,18 @@ class TestScalarRule:
         (lambda: triangle_corr(0.1, 0.1, True), "cross vols must be finite and >= 0, got True"),
         (lambda: implied_vol(VanillaSpec(FxPair(EUR, USD), 1.0, 1.0, "call"), True, 1.0, 0.0, 0.0),
          "market price must be finite, got True"),
+        (lambda: MarketSnapshot({FxPair(EUR, USD): True}, {},
+                                {c: RateCurve(c, ((1.0, 0.0),)) for c in (EUR, USD)}),
+         "spot for EUR/USD must be positive and finite, got True"),
+        (lambda: MarketSnapshot({FxPair(EUR, USD): "1.25"}, {},
+                                {c: RateCurve(c, ((1.0, 0.0),)) for c in (EUR, USD)}),
+         "spot for EUR/USD must be positive and finite, got 1.25"),
+        (lambda: cross_corr(True, 0.1, 0.1, 0.1, 0.1, 0.0), "queried vols must be real numbers"),
+        (lambda: cross_corr(0.1, "0.1", 0.1, 0.1, 0.1, 0.0), "queried vols must be real numbers"),
+        (lambda: triangle_corr(True, 0.1, 0.1), "queried vols must be real numbers"),
     ], ids=["quote-vol", "structure-vol", "rate", "forward-spot", "forward-vol", "basket-weight",
-            "payoff-strike", "triangle-cross-vol", "market-price"])
+            "payoff-strike", "triangle-cross-vol", "market-price", "spot-bool", "spot-string",
+            "cross-queried-vol-bool", "cross-queried-vol-string", "triangle-queried-vol-bool"])
     def test_rejected(self, make, message):
         with pytest.raises(ValidationError, match=message):
             make()

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fxcorr import (
     BasketPayoff,
     BucketedCorrelationMatrix,
     BucketStatus,
+    CorrelationClampWarning,
     CorrelationRangeError,
     Currency,
     ExtrapolationWarning,
@@ -30,6 +32,7 @@ from fxcorr import (
     build_matrix,
     canonicalize,
     gk_price,
+    load_snapshot,
     loads_snapshot,
     payoff_from_dict,
     payoff_to_dict,
@@ -712,6 +715,44 @@ class TestBridge:
             assert diagonal[-1] == 0.0
         if case.startswith("zero"):
             assert not q.any() and (factor == np.eye(52)).all()
+
+
+class TestRepairAndClamp:
+    """``price`` hands ``repair`` and ``clamp`` to the matrix it builds: each
+    gives the price of that matrix passed as ``corr=``, bit for bit."""
+
+    GOLDEN = Path(__file__).parent / "data" / "golden"
+    CONFIG = SimulationConfig(20_000, 5, (1.0,))
+
+    def price_with_and_without(self, payoff, snapshot_file, error, **option):
+        snap = load_snapshot(self.GOLDEN / snapshot_file)
+        with pytest.raises(error):
+            price(payoff, snap, self.CONFIG)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = price(payoff, snap, self.CONFIG, **option)
+            pairs = sorted(payoff.weights, key=lambda p: p.label)
+            assert result == price(payoff, snap, self.CONFIG,
+                                   corr=build_matrix(pairs, snap, self.CONFIG.grid, **option))
+        return caught
+
+    def test_repair_prices_an_indefinite_basket(self):
+        payoff = BasketPayoff({FxPair.parse(p): 1.0 for p in ("AAA/BBB", "AAA/CCC", "AAA/DDD")}, 3.0, "call")
+        assert self.price_with_and_without(payoff, "perturbed.json", FactorizationError, repair=True) == []
+
+    def test_clamp_prices_an_out_of_range_basket(self):
+        payoff = BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call")
+        caught = self.price_with_and_without(payoff, "arb.json", CorrelationRangeError, clamp=True)
+        # one notice from price, one from the build_matrix call above
+        assert [w.category for w in caught] == [CorrelationClampWarning] * 2
+
+    def test_clamp_leaves_the_quanto_check(self):
+        # USD/JPY, USD/EUR and JPY/EUR vols of 5%, 30% and 40% imply -2.25
+        barrier = BarrierPayoff(EURUSD, 1.25, "call", USDJPY, 110.0, "up", "knock-out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CorrelationClampWarning)
+            with pytest.raises(CorrelationRangeError, match="USD/JPY, USD/EUR and JPY/EUR .* imply a correlation"):
+                price(barrier, load_snapshot(self.GOLDEN / "arb.json"), self.CONFIG, clamp=True)
 
 
 class TestCorrelationExtrapolation:
