@@ -40,7 +40,6 @@ from .market_data import (
     MarketSnapshot,
     RateCurve,
     TriangleViolation,
-    VolQuote,
     VolTermStructure,
     canonicalize,
     check_spot_triangles,
@@ -81,7 +80,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # market data
-    "Currency", "FxPair", "VolQuote", "VolTermStructure", "RateCurve",
+    "Currency", "FxPair", "VolTermStructure", "RateCurve",
     "MarketSnapshot", "TriangleViolation", "canonicalize",
     "load_snapshot", "loads_snapshot", "check_spot_triangles",
     # vanilla

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -307,6 +307,8 @@ class BucketedCorrelationMatrix:
         _check_times(self.breakpoints[1:], "breakpoints")
         if len(self.statuses) != len(self.matrices):
             raise ValidationError("one status per bucket required")
+        if not all(isinstance(status, BucketStatus) for status in self.statuses):
+            raise ValidationError(f"statuses must be BucketStatus records, got {self.statuses}")
         n = len(self.pairs)
         for k, mat in enumerate(self.matrices):
             try:
@@ -332,7 +334,7 @@ class BucketedCorrelationMatrix:
         return len(self.matrices)
 
     def bucket_index(self, t: float) -> int:
-        if not 0 < t <= self.breakpoints[-1]:
+        if not (_is_real(t) and 0 < t <= self.breakpoints[-1]):
             raise ValidationError(f"t={t} outside ({self.breakpoints[0]}, {self.breakpoints[-1]}]")
         return bisect_left(self.breakpoints, t, 1) - 1  # t <= breakpoints[0] falls in bucket 0
 
@@ -373,6 +375,7 @@ def build_matrix(
     *,
     repair: bool = False,
     clamp: bool = False,
+    _vols: Mapping[FxPair, PiecewiseConstant] | None = None,
 ) -> BucketedCorrelationMatrix:
     """Pairwise term correlations assembled into one matrix per bucket.
 
@@ -382,7 +385,8 @@ def build_matrix(
     symmetric by construction, eigenvalue-checked in one call.  Indefinite
     buckets are either flagged or, with ``repair``, made PSD by clipping
     their eigenvalues at 0 and rescaling to a unit diagonal (not the nearest
-    such matrix), reporting the Frobenius distance moved.
+    such matrix), reporting the Frobenius distance moved.  ``_vols`` holds the
+    bucket vols ``price`` derived from the snapshot, by stored pair: not derived again.
     """
     canon, seen = [], set()  # the set makes the duplicate check one hash per pair
     for pair in pairs:
@@ -402,7 +406,8 @@ def build_matrix(
     s = np.zeros((len(spans), len(codes), len(codes)))
     for a, b in combinations(range(len(codes)), 2):
         try:
-            vols = _bucket_vols(snapshot._vol_by_code(codes[a], codes[b]), breakpoints[1:]).values
+            ts = snapshot._vol_by_code(codes[a], codes[b])
+            vols = ((_vols or {}).get(ts.pair) or _bucket_vols(ts, breakpoints[1:])).values
         except MissingDataError:
             vols = math.nan
         s[:, a, b] = s[:, b, a] = vols

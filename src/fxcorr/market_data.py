@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     CalendarArbitrageError,
@@ -163,19 +163,6 @@ def canonicalize(pair: FxPair) -> tuple[FxPair, bool]:
 
 
 @dataclass(frozen=True)
-class VolQuote:
-    """A single implied-vol quote for a pair at one maturity."""
-
-    pair: FxPair
-    maturity: float
-    implied_vol: float
-
-    def __post_init__(self):
-        _check_real(self.maturity, "maturity", "positive and finite")
-        _check_real(self.implied_vol, "implied vol", "finite and >= 0")
-
-
-@dataclass(frozen=True)
 class VolTermStructure:
     """Implied vols sigma(0, T_n) for one pair at increasing maturities.
 
@@ -203,14 +190,6 @@ class VolTermStructure:
             prev_t, prev_tv = t, tv
         # knots for total_variance, built once: it runs for every horizon vol
         object.__setattr__(self, "_knots", (self.maturities, [s * s * t for t, s in self.points]))
-
-    @classmethod
-    def from_quotes(cls, quotes: Iterable[VolQuote]) -> "VolTermStructure":
-        quotes = sorted(quotes, key=lambda q: q.maturity)
-        pairs = {q.pair for q in quotes}
-        if len(pairs) != 1:
-            raise ValidationError("quotes must all reference the same pair")
-        return cls(quotes[0].pair, tuple((q.maturity, q.implied_vol) for q in quotes))
 
     @property
     def maturities(self) -> tuple[float, ...]:

@@ -523,12 +523,13 @@ def price(
     horizon = config.horizon
 
     derive = (*(pairs if vols is None else ()), *_links(pairs, disc_ccy))
-    vols = dict(vols or {})
+    vols, derived = dict(vols or {}), {}  # derived: the snapshot's bucket vols by stored pair, for the matrix
     for pair in derive:  # a vol is the same in either orientation: derive each currency pair once
         if pair not in vols and pair.inverse() not in vols:
-            vols[pair] = _bucket_vols(snapshot.vol_structure(pair), config.grid)
+            ts = snapshot.vol_structure(pair)
+            vols[pair] = derived[ts.pair] = _bucket_vols(ts, config.grid)
     if corr is None and len(pairs) > 1:
-        corr = build_matrix(pairs, snapshot, config.grid, repair=repair, clamp=clamp)
+        corr = build_matrix(pairs, snapshot, config.grid, repair=repair, clamp=clamp, _vols=derived)
 
     steps = _prepare_steps(pairs, vols, corr, config, snapshot.rates, disc_ccy)
     steps = _terminal_steps(steps, bridged=isinstance(payoff, BarrierPayoff))

@@ -95,9 +95,9 @@ def bootstrap_piecewise_vol(ts: VolTermStructure) -> PiecewiseConstant:
 
 
 def _bucket_vols(ts: VolTermStructure, times: Sequence[float]) -> PiecewiseConstant:
-    """``horizon_vol`` of each bucket of (0, *times), as a step function."""
-    breakpoints = (0.0, *times)
-    values = tuple(horizon_vol(ts, a, b) for a, b in zip(breakpoints, breakpoints[1:]))
+    """``horizon_vol`` of each bucket of (0, *times), as a step function: one read per time."""
+    breakpoints, tvs = (0.0, *times), (0.0, *map(ts._total_variance, times))
+    values = tuple(_span_vol(ts, *span) for span in zip(breakpoints, breakpoints[1:], tvs, tvs[1:]))
     return PiecewiseConstant(breakpoints, values)
 
 
@@ -163,8 +163,11 @@ def horizon_vol(ts: VolTermStructure, start: float, end: float) -> float:
     _check_span(start, end)
     tv_end = ts._total_variance(end)
     tv_start = ts._total_variance(start) if start > 0 else 0.0
+    return _span_vol(ts, start, end, tv_start, tv_end)
+
+
+def _span_vol(ts: VolTermStructure, start: float, end: float, tv_start: float, tv_end: float) -> float:
+    """Vol over (start, end] from the total variances at its ends."""
     if tv_end < tv_start:
-        raise CalendarArbitrageError(
-            f"{ts.pair}: negative forward variance on ({start}, {end}]"
-        )
+        raise CalendarArbitrageError(f"{ts.pair}: negative forward variance on ({start}, {end}]")
     return math.sqrt((tv_end - tv_start) / (end - start))

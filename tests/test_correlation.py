@@ -453,8 +453,8 @@ class TestBucketIndex:
         times = [t for t in times if 0 < t <= breakpoints[-1]] + [0.1]
         for t in times:
             assert matrix.bucket_index(t) == _scanned_bucket(breakpoints, t), t
-        for t in (0.0, math.nextafter(breakpoints[-1], math.inf), math.nan):
-            with pytest.raises(ValidationError, match="outside"):
+        for t in (0.0, math.nextafter(breakpoints[-1], math.inf), math.nan, True, "0.5"):  # not a bool or a string
+            with pytest.raises(ValidationError, match=f"t={t} outside"):
                 matrix.bucket_index(t)
 
 
@@ -536,6 +536,11 @@ class TestNonFiniteMatrixEntries:
             BucketedCorrelationMatrix(
                 ("EUR/USD", "EUR/JPY"), (0.0, 0.5, 1.0), matrices, (BucketStatus("psd", 1.0),) * n_statuses,
             )
+
+    @pytest.mark.parametrize("status", ["psd", ("psd", 1.0, 0.0), None])
+    def test_statuses_must_be_records(self, status):
+        with pytest.raises(ValidationError, match="statuses must be BucketStatus records"):
+            BucketedCorrelationMatrix(("EUR/USD", "EUR/JPY"), (0.0, 1.0), (np.eye(2),), (status,))
 
 
 class TestMatrixMatchesQueries:
@@ -818,13 +823,13 @@ class TestMatrixEntrySettlement:
         assert type(info.value.__cause__) is MissingDataError and str(info.value.__cause__) == str(query.value)
 
     def test_vols_warn_once_and_clamps_name_the_caller(self):
-        # quotes end at T=1: each of the 3 currency pairs reads T=2 in bucket
-        # (1, 2] and T=2, T=3 in bucket (2, 3], 3 warnings each
+        # quotes end at T=1: each of the 3 currency pairs reads T=2 and T=3
+        # once, 2 warnings each
         snap = load_snapshot(self.GOLDEN / "arb.json")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             build_matrix([pair("EUR/USD"), pair("EUR/JPY"), pair("JPY/USD")], snap, [1, 2, 3], clamp=True)
         extrapolations = [w for w in caught if w.category is ExtrapolationWarning]
         clamps = [w for w in caught if w.category is CorrelationClampWarning]
-        assert len(extrapolations) == 9 and len({str(w.message) for w in extrapolations}) == 6
+        assert len(extrapolations) == len({str(w.message) for w in extrapolations}) == 6
         assert len(clamps) == 9 and {w.filename for w in clamps} == {__file__}

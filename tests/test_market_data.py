@@ -21,7 +21,6 @@ from fxcorr import (
     ValidationError,
     VanillaPayoff,
     VanillaSpec,
-    VolQuote,
     VolTermStructure,
     build_matrix,
     canonicalize,
@@ -106,12 +105,6 @@ class TestCurrencyAndPair:
 
 
 class TestVolTermStructure:
-    def test_quote_validation(self):
-        with pytest.raises(ValidationError):
-            VolQuote(FxPair(EUR, USD), 0.0, 0.1)
-        with pytest.raises(ValidationError):
-            VolQuote(FxPair(EUR, USD), 1.0, -0.1)
-
     def test_maturities_strictly_increasing(self):
         with pytest.raises(ValidationError):
             VolTermStructure(FxPair(EUR, USD), ((1.0, 0.1), (1.0, 0.2)))
@@ -120,19 +113,6 @@ class TestVolTermStructure:
         # 0.2^2 * 1 > 0.1^2 * 2: total variance falls
         with pytest.raises(CalendarArbitrageError):
             VolTermStructure(FxPair(EUR, USD), ((1.0, 0.2), (2.0, 0.1)))
-
-    def test_from_quotes_sorts(self):
-        pair = FxPair(EUR, USD)
-        ts = VolTermStructure.from_quotes(
-            [VolQuote(pair, 2.0, 0.12), VolQuote(pair, 1.0, 0.10)]
-        )
-        assert ts.maturities == (1.0, 2.0)
-
-    @pytest.mark.parametrize("other", [FxPair(EUR, JPY), FxPair(USD, EUR)])
-    def test_from_quotes_needs_one_pair(self, other):
-        quotes = [VolQuote(FxPair(EUR, USD), 1.0, 0.10), VolQuote(other, 2.0, 0.12)]
-        with pytest.raises(ValidationError, match="quotes must all reference the same pair"):
-            VolTermStructure.from_quotes(quotes)
 
     def test_total_variance_at_quotes(self):
         ts = VolTermStructure(FxPair(EUR, USD), ((1.0, 0.10), (2.0, 0.12)))
@@ -501,15 +481,6 @@ class TestNonFiniteConstructors:
         with pytest.raises(ValidationError, match="vol must be finite and >= 0"):
             VolTermStructure(FxPair(EUR, USD), ((1.0, 0.1), (2.0, bad)))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_quote_vol(self, bad):
-        with pytest.raises(ValidationError, match="implied vol must be finite"):
-            VolQuote(FxPair(EUR, USD), 1.0, bad)
-
-    def test_quote_maturity(self):
-        with pytest.raises(ValidationError, match="maturity must be positive and finite"):
-            VolQuote(FxPair(EUR, USD), math.inf, 0.1)
-
     @pytest.mark.parametrize("bad", [math.inf, 1e-310])  # 1 / 1e-310 overflows
     @pytest.mark.parametrize("flip", [False, True])
     def test_spot(self, flip, bad):
@@ -565,7 +536,6 @@ class TestBoolTimes:
             make()
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: VolQuote(FxPair(EUR, USD), True, 0.1), "maturity must be positive and finite"),
         (lambda: VanillaSpec(FxPair(EUR, USD), 1.0, True, "call"), "maturity must be positive and finite"),
         (lambda: forward(1.0, 0.01, 0.0, True), "maturity must be positive"),
         (lambda: RateCurve(EUR, ((1.0, 0.02),)).forward(0.0, True), "need 0 <= start < end"),
@@ -581,7 +551,7 @@ class TestBoolTimes:
         (lambda: loads_snapshot(json.dumps(three_ccy_doc())).average_rate(EUR, True), "maturity must be > 0"),
         (lambda: PricingInputs(True, 0.0, 0.0, 0.1), "spot must be positive and finite, got True"),
         (lambda: PricingInputs(1.0, 0.0, 0.0, True), "sigma must be finite and >= 0, got True"),
-    ], ids=["vol-quote", "vanilla-spec", "forward", "rate-forward", "horizon-vol", "forward-vol", "corr-query",
+    ], ids=["vanilla-spec", "forward", "rate-forward", "horizon-vol", "forward-vol", "corr-query",
             "integrated", "average", "total-variance", "vol", "value-at", "average-rate", "spot", "sigma"])
     def test_single_time_rejected(self, make, message):
         with pytest.raises(ValidationError, match=message):
@@ -604,7 +574,6 @@ class TestScalarRule:
     or a string, finite, and above 0 or at least 0 where the input needs it."""
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: VolQuote(FxPair(EUR, USD), 1.0, True), "implied vol must be finite and >= 0, got True"),
         (lambda: VolTermStructure(FxPair(EUR, USD), ((1.0, True),)), "EUR/USD: vol must be finite and >= 0, got True"),
         (lambda: RateCurve(EUR, ((1.0, True),)), "EUR: rate must be finite, got True"),
         (lambda: forward(True, 0.0, 0.0, 1.0), "spot must be positive and finite, got True"),
@@ -623,7 +592,7 @@ class TestScalarRule:
         (lambda: cross_corr(True, 0.1, 0.1, 0.1, 0.1, 0.0), "queried vols must be real numbers"),
         (lambda: cross_corr(0.1, "0.1", 0.1, 0.1, 0.1, 0.0), "queried vols must be real numbers"),
         (lambda: triangle_corr(True, 0.1, 0.1), "queried vols must be real numbers"),
-    ], ids=["quote-vol", "structure-vol", "rate", "forward-spot", "forward-vol", "basket-weight",
+    ], ids=["structure-vol", "rate", "forward-spot", "forward-vol", "basket-weight",
             "payoff-strike", "triangle-cross-vol", "market-price", "spot-bool", "spot-string",
             "cross-queried-vol-bool", "cross-queried-vol-string", "triangle-queried-vol-bool"])
     def test_rejected(self, make, message):

@@ -29,6 +29,7 @@ from fxcorr import (
     ValidationError,
     VanillaPayoff,
     VanillaSpec,
+    VolTermStructure,
     build_matrix,
     canonicalize,
     gk_price,
@@ -351,15 +352,29 @@ class TestPricingMeasure:
 
     def test_price_derives_each_currency_pairs_vols_once(self, three_ccy_snapshot, monkeypatch):
         # USD/EUR paid, JPY/EUR barrier: the link EUR/USD is the paying pair inverted,
-        # so USD/EUR, JPY/EUR and JPY/USD are derived and EUR/USD is not
+        # so USD/EUR, JPY/EUR and JPY/USD are derived and EUR/USD is not; the
+        # matrix, over the same three currency pairs, derives none of them again
         payoff = BarrierPayoff(USDEUR, 0.8, "call", FxPair.parse("JPY/EUR"), 0.01, "up", "knock-out")
         config = SimulationConfig(1000, 113, (0.5, 1.0))
         expected = price(payoff, three_ccy_snapshot, config)
-        derived = []
+        derived, reads = [], []
         monkeypatch.setattr(montecarlo, "_bucket_vols",
                             lambda ts, times: derived.append(ts.pair) or _bucket_vols(ts, times))
+        read = VolTermStructure._total_variance
+        monkeypatch.setattr(VolTermStructure, "_total_variance", lambda ts, t: reads.append((ts, t)) or read(ts, t))
         assert price(payoff, three_ccy_snapshot, config) == expected
         assert len(derived) == 3
+        assert len(reads) == len(set(reads)) == 3 * len(config.grid)  # each (structure, time) once
+
+    def test_a_vols_override_does_not_reach_the_matrix(self, three_ccy_snapshot):
+        # the matrix is the snapshot's, whatever vols the engine is given
+        pairs = (USDEUR, FxPair.parse("JPY/EUR"))
+        payoff = BarrierPayoff(pairs[0], 0.8, "call", pairs[1], 0.01, "up", "knock-out")
+        config = SimulationConfig(20_000, 113, (0.5, 1.0))
+        override = dict(zip(pairs, (flat_vol(0.25), flat_vol(0.2))))
+        corr = build_matrix(pairs, three_ccy_snapshot, config.grid)
+        assert (price(payoff, three_ccy_snapshot, config, vols=override)
+                == price(payoff, three_ccy_snapshot, config, vols=override, corr=corr))
 
 
 class TestPriceVanilla:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fxcorr import (
+    BarrierPayoff,
     BasketPayoff,
     BucketedCorrelationMatrix,
     BucketStatus,
@@ -101,10 +102,22 @@ def test_notice_names_the_calling_line(category, call):
     assert {w.filename for w in caught} == {__file__} and len({w.lineno for w in caught}) == 1
 
 
+def test_price_raises_each_notice_once():
+    # the CLI's weekly barrier in process: every (currency pair, time) beyond the
+    # last quote is read once, by price's vol derivation or by build_matrix
+    payoff = BarrierPayoff(FxPair.parse("USD/EUR"), 0.8, "call", FxPair.parse("JPY/EUR"), 0.01, "up", "knock-out")
+    grid = (0.5, 1.0, 1.5, 2.0, *(2 + k / 52 for k in range(1, 53)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        price(payoff, load_snapshot(GOLDEN / "world.json"), SimulationConfig(1000, 1, grid))
+    messages = [str(w.message) for w in caught if w.category is ExtrapolationWarning]
+    assert len(messages) == len(set(messages)) == 156
+
+
 def test_the_default_filter_shows_each_cli_notice_once(tmp_path):
     # a USD/EUR call knocked out when JPY/EUR rises through 0.01, on a grid
-    # of 52 weekly steps beyond the last quote (T=2): price's vol derivation
-    # and build_matrix raise the same messages, and they share one location
+    # of 52 weekly steps beyond the last quote (T=2): every notice comes
+    # from one location, the line in cli.py that calls price
     payoff = tmp_path / "barrier.json"
     payoff.write_text(json.dumps({"type": "barrier", "payoff_pair": "USD/EUR", "strike": 0.8, "kind": "call",
                                   "barrier_pair": "JPY/EUR", "barrier_level": 0.01, "direction": "up",
