@@ -30,7 +30,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .market_data import FxPair, MarketSnapshot, _check_real, _check_times, _is_real, _warn, canonicalize
+from .market_data import FxPair, MarketSnapshot, _check_real, _check_times, _is_real, _time_list, _warn, canonicalize
 from .term_structure import PiecewiseConstant, _bucket_vols, _check_bucket_widths, horizon_vol
 
 RANGE_SNAP = 1e-12
@@ -176,45 +176,41 @@ def cross_corr(
     )[0]
 
 
-def _vol_between(snapshot: MarketSnapshot, a: str, b: str, start: float, end: float):
-    """Term structure of X_{a/b} by currency code, or None when a == b (zero vol)."""
-    try:
-        return None if a == b else snapshot._vol_by_code(a, b)
-    except MissingDataError as exc:
-        raise MissingDataError(f"{exc} (needed over ({start}, {end}])") from exc
-
-
-def _plan(query: CorrQuery, snapshot: MarketSnapshot, start: float, end: float) -> tuple[str, tuple]:
-    """A query's formula and its vols as (role, "a/b" label, term structure
+def _plan(query: CorrQuery, snapshot: MarketSnapshot, start: float, end: float) -> tuple[str, str, str, tuple]:
+    """A query's formula, its pairs' labels and its vols as (role, "a/b" label, term structure
     or None), looked up once for every horizon.  Lookups run in role order,
     so the first missing vol is the one reported, needed over (start, end]."""
     i, j = query.pair_a.denominating.code, query.pair_a.foreign.code
     m, k = query.pair_b.denominating.code, query.pair_b.foreign.code
     if (m, k) == (i, j) or (m, k) == (j, i):
-        return "degenerate", ()
-    if m == i:
+        formula, roles = "degenerate", ()
+    elif m == i:
         formula, roles = "triangle", (("sigma_ik", i, k), ("sigma_ij", i, j), ("sigma_jk", j, k))
     else:
         formula, roles = "cross", (("sigma_ij", i, j), ("sigma_mk", m, k), ("sigma_ik", i, k),
                                    ("sigma_mj", m, j), ("sigma_jk", j, k), ("sigma_im", i, m))
-    return formula, tuple(
-        (role, f"{a}/{b}", _vol_between(snapshot, a, b, start, end)) for role, a, b in roles
-    )
+    try:  # a currency with itself has zero vol: no structure
+        return formula, f"{i}/{j}", f"{m}/{k}", tuple(
+            (role, f"{a}/{b}", None if a == b else snapshot._vol_by_code(a, b)) for role, a, b in roles)
+    except MissingDataError as exc:
+        raise MissingDataError(f"{exc} (needed over ({start}, {end}])") from exc
 
 
-def _evaluate(query: CorrQuery, formula: str, plan, start: float, end: float, clamp: bool) -> CorrResult:
-    """A planned query's correlation over (start, end]."""
-    label_a, label_b = query.pair_a.label, query.pair_b.label
+def _evaluate(plan: tuple, start: float, end: float, clamp: bool) -> tuple:
+    """A planned query's role-ordered vols over (start, end], its correlation and whether it was clamped."""
+    formula, label_a, label_b, vols = plan
     if formula == "degenerate":
-        value = 1.0 if query.pair_a == query.pair_b else -1.0
-        return CorrResult(value, CorrProvenance(formula, label_a, label_b, start, end))
-    used = tuple(VolUsed(role, label, start, end, 0.0 if ts is None else horizon_vol(ts, start, end))
-                 for role, label, ts in plan)
-    sigma = [u.sigma for u in used]
-    if formula == "triangle":  # the case s_mk = s_ik, s_mj = s_ij, s_im = 0
-        s_ik, s_ij, s_jk = sigma
-        sigma = (s_ij, s_ik, s_ik, s_ij, s_jk, 0.0)
-    value, clamped = _kernel(*sigma, clamp, f"{label_a} vs {label_b} over ({start}, {end}]")
+        return (), (1.0 if label_a == label_b else -1.0), False
+    sigma = [0.0 if ts is None else horizon_vol(ts, start, end) for _, _, ts in vols]
+    # the triangle (s_ik, s_ij, s_jk) is the case s_mk = s_ik, s_mj = s_ij, s_im = 0
+    six = sigma if formula == "cross" else (sigma[1], sigma[0], sigma[0], sigma[1], sigma[2], 0.0)
+    return sigma, *_kernel(*six, clamp, f"{label_a} vs {label_b} over ({start}, {end}]")
+
+
+def _record(plan: tuple, start: float, end: float, sigma, value: float, clamped: bool) -> CorrResult:
+    """An evaluated correlation with its provenance: every vol that fed it, by role."""
+    formula, label_a, label_b, vols = plan
+    used = tuple(VolUsed(role, label, start, end, s) for (role, label, _), s in zip(vols, sigma))
     return CorrResult(value, CorrProvenance(formula, label_a, label_b, start, end, used, clamped))
 
 
@@ -224,18 +220,33 @@ def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = Fa
     fed the formula (3 for a triangle, 6 for a cross query).
     """
     start, end = query.horizon
-    return _evaluate(query, *_plan(query, snapshot, start, end), start, end, clamp)
+    plan = _plan(query, snapshot, start, end)
+    return _record(plan, start, end, *_evaluate(plan, start, end, clamp))
 
 
 def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
     """Sorted bucket boundaries with a leading 0 (added when absent)."""
-    buckets = tuple(buckets)
+    buckets = _time_list(buckets, "bucket boundaries")
     if not all(map(_is_real, buckets)):  # before float(), which takes bools and numeric strings
         raise ValidationError(f"bucket boundaries must be numbers, got {buckets}")
     points = (0.0, *sorted({float(b) for b in buckets} - {0.0}))
     _check_times(points[1:], "bucket boundaries")
     _check_bucket_widths(points)
     return points
+
+
+def _bucket_loop(query: CorrQuery, snapshot: MarketSnapshot, buckets: Iterable[float], clamp: bool):
+    """The one per-bucket loop: the breakpoints, the query's plan and each bucket's (left, right, *_evaluate)."""
+    breakpoints = normalize_breakpoints(buckets)
+    rows = []
+    for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
+        try:
+            if n == 0:  # one plan serves every bucket, so a missing vol fails bucket 0
+                plan = _plan(query, snapshot, left, right)
+            rows.append((left, right, *_evaluate(plan, left, right, clamp)))
+        except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
+            raise type(exc)(f"bucket {n} ({left}, {right}]: {exc}") from exc
+    return breakpoints, plan, rows
 
 
 def bucket_corrs(
@@ -250,16 +261,8 @@ def bucket_corrs(
     ``buckets`` are breakpoints; the query's own horizon is ignored in
     favour of the bucket grid.  Errors carry the offending bucket index.
     """
-    breakpoints = normalize_breakpoints(buckets)
-    results = []
-    for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
-        try:
-            if n == 0:  # one plan serves every bucket, so a missing vol fails bucket 0
-                formula, plan = _plan(query, snapshot, left, right)
-            results.append(_evaluate(query, formula, plan, left, right, clamp))
-        except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
-            raise type(exc)(f"bucket {n} ({left}, {right}]: {exc}") from exc
-    return results
+    _, plan, rows = _bucket_loop(query, snapshot, buckets, clamp)
+    return [_record(plan, *row) for row in rows]
 
 
 def term_corr(
@@ -269,10 +272,11 @@ def term_corr(
     *,
     clamp: bool = False,
 ) -> PiecewiseConstant:
-    """Per-bucket implied correlations as a step function (see bucket_corrs)."""
-    results = bucket_corrs(query, snapshot, buckets, clamp=clamp)
-    breakpoints = (results[0].provenance.start,) + tuple(r.provenance.end for r in results)
-    return PiecewiseConstant(breakpoints, tuple(r.value for r in results))
+    """Per-bucket implied correlations as a step function: the values of
+    bucket_corrs, with the same notices and errors, and no provenance (use
+    bucket_corrs or implied_corr for the vols behind each value)."""
+    breakpoints, _, rows = _bucket_loop(query, snapshot, buckets, clamp)
+    return PiecewiseConstant(breakpoints, tuple(value for *_, value, _ in rows))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CalendarArbitrageError,
@@ -62,13 +62,23 @@ def _interpolate(ts: Sequence[float], ys: Sequence[float], t: float) -> float:
     return ys[n - 1] + w * (ys[n] - ys[n - 1])
 
 
-def _check_times(times: Sequence[float], what: str) -> None:
-    """The one check of a time list: non-empty, not bools, finite, > 0 and strictly increasing."""
+def _time_list(times: Iterable[float], what: str) -> tuple:
+    """A list of times as a tuple; a scalar or None is not one."""
+    try:
+        return tuple(times)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of times, got {times!r}") from None
+
+
+def _check_times(times: Iterable[float], what: str) -> tuple[float, ...]:
+    """The one check of a time list, as a tuple: non-empty, not bools, finite, > 0 and strictly increasing."""
+    times = _time_list(times, what)
     if not times:
         raise ValidationError(f"{what} must contain at least one time")
     for prev, t in zip((0.0, *times), times):
         if not (_is_real(t) and prev < t < math.inf):
             raise ValidationError(f"{what} must be finite, > 0 and strictly increasing, got {times}")
+    return times
 
 
 def _is_real(value) -> bool:
@@ -230,8 +240,7 @@ class RateCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(map(tuple, self.points)))  # lists or an array, as tuples
-        ts = tuple(t for t, _ in self.points)
-        _check_times(ts, f"{self.currency} rate maturities")
+        ts = _check_times([t for t, _ in self.points], f"{self.currency} rate maturities")
         for _, r in self.points:
             _check_real(r, f"{self.currency}: rate", "finite")
         object.__setattr__(self, "_knots", (ts, [r * t for t, r in self.points]))

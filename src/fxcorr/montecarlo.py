@@ -73,8 +73,7 @@ class SimulationConfig:
             raise ValidationError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and 0 <= self.seed < 2**128):
             raise ValidationError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        object.__setattr__(self, "grid", tuple(self.grid))  # a list or an array is stored as a tuple
-        _check_times(self.grid, "grid")
+        object.__setattr__(self, "grid", _check_times(self.grid, "grid"))  # a list or an array is stored as a tuple
         if not isinstance(self.antithetic, bool):
             raise ValidationError(f"antithetic must be a bool, got {self.antithetic!r}")
         if self.antithetic and self.n_paths % 2:
@@ -146,8 +145,7 @@ class BarrierPayoff:
         if self.style not in ("knock-in", "knock-out"):
             raise ValidationError(f"style must be 'knock-in' or 'knock-out', got {self.style!r}")
         if self.monitoring is not None:
-            object.__setattr__(self, "monitoring", tuple(self.monitoring))  # a list or an array, as a tuple
-            _check_times(self.monitoring, "monitoring times")
+            object.__setattr__(self, "monitoring", _check_times(self.monitoring, "monitoring times"))  # as a tuple
 
 
 PayoffSpec = VanillaPayoff | BasketPayoff | BarrierPayoff

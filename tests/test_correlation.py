@@ -833,3 +833,90 @@ class TestMatrixEntrySettlement:
         clamps = [w for w in caught if w.category is CorrelationClampWarning]
         assert len(extrapolations) == len({str(w.message) for w in extrapolations}) == 6
         assert len(clamps) == 9 and {w.filename for w in clamps} == {__file__}
+
+
+def later_bucket_doc():
+    # Every vol 0.5 at T = 0.25; at T = 1, EUR/USD 0.25, EUR/JPY 0.5 and
+    # USD/JPY 0.6.  EUR/USD's total variance is 0.0625 at both: its forward
+    # vol on (0.25, 1] is zero, the edge of calendar arbitrage, and there the
+    # JPY triangle implies a correlation above 1.  Bucket (0, 0.25] is sound.
+    doc = three_ccy_doc()
+    for entry in doc["vols"]:
+        entry["points"] = [{"T": 0.25, "sigma": 0.5}, {"T": 1.0, "sigma": 0.5}]
+    doc["vols"][0]["points"][1]["sigma"] = 0.25
+    doc["vols"][2]["points"][1]["sigma"] = 0.6
+    return doc
+
+
+class TestTermCorrIsBucketCorrsValues:
+    """term_corr returns the values of bucket_corrs, bit for bit, with the
+    same notices (filename and line included) and the same errors, and
+    builds no provenance records."""
+
+    WORLD = load_snapshot(Path(__file__).parent / "data" / "golden" / "world.json")  # quotes 0.5, 1, 2
+    LATER = loads_snapshot(json.dumps(later_bucket_doc()))
+    MISSING = loads_snapshot(json.dumps({**three_ccy_doc(), "vols": three_ccy_doc()["vols"][:2]}))
+
+    CASES = {  # (snapshot, pair_a, pair_b, buckets, clamp)
+        "triangle": (WORLD, "USD/GBP", "USD/JPY", (0.25, 0.5, 1, 2), False),
+        "cross": (WORLD, "JPY/USD", "EUR/GBP", (2, 0.5, 1), False),
+        "degenerate": (WORLD, "EUR/USD", "EUR/USD", (0.5, 1.5), False),
+        "inverse": (WORLD, "EUR/USD", "USD/EUR", (0, 1, 2), False),
+        "triangle-beyond": (WORLD, "GBP/EUR", "GBP/USD", (1, 3), False),
+        "cross-beyond": (WORLD, "GBP/JPY", "USD/EUR", (0.5, 2.5, 4), True),
+        "missing-vol": (MISSING, "EUR/USD", "EUR/JPY", (0.5, 1), False),
+        "later-bucket-queried": (LATER, "EUR/USD", "EUR/JPY", (0.125, 0.25, 1), False),
+        "later-bucket-cross": (LATER, "JPY/EUR", "JPY/USD", (0.125, 0.25, 1), False),
+        "later-bucket-clamp": (LATER, "JPY/EUR", "JPY/USD", (0.125, 0.25, 1), True),
+    }
+
+    @staticmethod
+    def run(fn, snap, pair_a, pair_b, buckets, clamp):
+        """(breakpoints, values) or the error, and every notice with its place."""
+        query = CorrQuery.total(pair(pair_a), pair(pair_b), max(buckets))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = fn(query, snap, buckets, clamp=clamp)  # one line for both functions
+                if isinstance(got, list):
+                    got = ((0.0, *(r.provenance.end for r in got)), tuple(r.value for r in got))
+                else:
+                    got = (got.breakpoints, got.values)
+                result = ("values", [[x.hex() for x in xs] for xs in got])
+            except Exception as exc:  # compared, not handled
+                result = ("error", type(exc), str(exc), type(exc.__cause__), str(exc.__cause__))
+        return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_values_notices_and_errors(self, case):
+        want = self.run(bucket_corrs, *self.CASES[case])
+        assert self.run(term_corr, *self.CASES[case]) == want
+
+    @pytest.mark.parametrize("case, error, prefix", [
+        ("missing-vol", MissingDataError, "bucket 0 (0.0, 0.5]: "),
+        ("later-bucket-queried", UndefinedCorrelationError, "bucket 2 (0.25, 1.0]: "),
+        ("later-bucket-cross", CorrelationRangeError, "bucket 2 (0.25, 1.0]: "),
+    ])
+    def test_error_cases_fail_where_built_to(self, case, error, prefix):
+        (kind, got, message, *_), _ = self.run(term_corr, *self.CASES[case])
+        assert kind == "error" and got is error and message.startswith(prefix)
+
+    @pytest.mark.parametrize("case", ["cross-beyond", "later-bucket-clamp"])
+    def test_notice_cases_notify(self, case):
+        (kind, *_), notices = self.run(term_corr, *self.CASES[case])
+        assert kind == "values" and notices and all(w[2] == __file__ for w in notices)
+
+    def test_term_corr_builds_no_records(self, monkeypatch):
+        from fxcorr import correlation
+
+        counts = dict.fromkeys(("VolUsed", "CorrProvenance", "CorrResult"), 0)
+        for name in counts:
+            def counting(*args, _real=getattr(correlation, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(correlation, name, counting)
+        query = CorrQuery.total(pair("JPY/USD"), pair("EUR/GBP"), 2.0)  # a cross query: 6 vols a bucket
+        for fn, want in ((term_corr, (0, 0, 0)), (bucket_corrs, (24, 4, 4))):
+            counts.update(dict.fromkeys(counts, 0))
+            fn(query, self.WORLD, (0.25, 0.5, 1, 2))
+            assert tuple(counts.values()) == want, fn.__name__

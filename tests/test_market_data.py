@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fxcorr import (
+    BarrierPayoff,
     BasketPayoff,
     CalendarArbitrageError,
     CorrQuery,
@@ -22,6 +23,7 @@ from fxcorr import (
     VanillaPayoff,
     VanillaSpec,
     VolTermStructure,
+    bucket_corrs,
     build_matrix,
     canonicalize,
     check_spot_triangles,
@@ -567,6 +569,24 @@ class TestBoolTimes:
                       lambda: term_corr(CorrQuery.total(*pairs, 1.0), snapshot, buckets)):
             with pytest.raises(ValidationError, match="bucket boundaries must be numbers"):
                 build()
+
+
+class TestTimeLists:
+    """A scalar or None where a list of times belongs is bad input, rejected
+    by the one time-list rule, not a TypeError."""
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda s, a, b: term_corr(CorrQuery.total(a, b, 1.0), s, 1.0), "bucket boundaries"),
+        (lambda s, a, b: bucket_corrs(CorrQuery.total(a, b, 1.0), s, None), "bucket boundaries"),
+        (lambda s, a, b: build_matrix([a, b], s, 1.0), "bucket boundaries"),
+        (lambda s, a, b: SimulationConfig(10, 1, 1.0), "grid"),
+        (lambda s, a, b: BarrierPayoff(a, 1.2, "call", b, 140.0, "up", "knock-out", monitoring=1.0),
+         "monitoring times"),
+    ], ids=["term-corr", "bucket-corrs", "build-matrix", "simulation-grid", "barrier-monitoring"])
+    def test_rejected(self, make, what):
+        snapshot = loads_snapshot(json.dumps(three_ccy_doc()))
+        with pytest.raises(ValidationError, match=f"^{what} must be a sequence of times, got (1.0|None)$"):
+            make(snapshot, FxPair(EUR, USD), FxPair(EUR, JPY))
 
 
 class TestScalarRule:
