@@ -16,7 +16,6 @@ between the pairs' currencies; buckets use forward vols.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -30,8 +29,8 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .market_data import FxPair, MarketSnapshot, _check_real, _check_times, _is_real, _time_list, _warn, canonicalize
-from .term_structure import PiecewiseConstant, _bucket_vols, _check_bucket_widths, horizon_vol
+from .market_data import FxPair, MarketSnapshot, _check_real, _is_real, _time_list, _warn, canonicalize
+from .term_structure import PiecewiseConstant, _bucket, _bucket_vols, _check_breakpoints, horizon_vol
 
 RANGE_SNAP = 1e-12
 PSD_TOL = 1e-10
@@ -229,10 +228,7 @@ def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
     buckets = _time_list(buckets, "bucket boundaries")
     if not all(map(_is_real, buckets)):  # before float(), which takes bools and numeric strings
         raise ValidationError(f"bucket boundaries must be numbers, got {buckets}")
-    points = (0.0, *sorted({float(b) for b in buckets} - {0.0}))
-    _check_times(points[1:], "bucket boundaries")
-    _check_bucket_widths(points)
-    return points
+    return _check_breakpoints((0.0, *sorted({float(b) for b in buckets} - {0.0})), "bucket boundaries")
 
 
 def _bucket_loop(query: CorrQuery, snapshot: MarketSnapshot, buckets: Iterable[float], clamp: bool):
@@ -298,17 +294,14 @@ class BucketedCorrelationMatrix:
     statuses: tuple[BucketStatus, ...]
 
     def __post_init__(self):
-        for name in ("pairs", "breakpoints", "statuses"):  # lists as tuples, as in the other frozen inputs
+        for name in ("pairs", "statuses"):  # lists as tuples, as in the other frozen inputs
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, "breakpoints"))
         flipped = [canonicalize(FxPair.parse(label))[1] for label in self.pairs]
         if any(flipped) or len(set(self.pairs)) != len(self.pairs):  # the labels build_matrix writes
             raise ValidationError(f"pairs must be distinct labels in canonical orientation, got {self.pairs}")
         if len(self.matrices) != len(self.breakpoints) - 1:
             raise ValidationError("one matrix per bucket required")
-        if not all(map(_is_real, self.breakpoints)):
-            raise ValidationError(f"breakpoints must be numbers, got {self.breakpoints}")
-        _check_bucket_widths(self.breakpoints)
-        _check_times(self.breakpoints[1:], "breakpoints")
         if len(self.statuses) != len(self.matrices):
             raise ValidationError("one status per bucket required")
         if not all(isinstance(status, BucketStatus) for status in self.statuses):
@@ -340,7 +333,7 @@ class BucketedCorrelationMatrix:
     def bucket_index(self, t: float) -> int:
         if not (_is_real(t) and 0 < t <= self.breakpoints[-1]):
             raise ValidationError(f"t={t} outside ({self.breakpoints[0]}, {self.breakpoints[-1]}]")
-        return bisect_left(self.breakpoints, t, 1) - 1  # t <= breakpoints[0] falls in bucket 0
+        return _bucket(self.breakpoints, t)
 
     def to_dict(self) -> dict:
         return {

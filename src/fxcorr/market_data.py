@@ -81,6 +81,17 @@ def _check_times(times: Iterable[float], what: str) -> tuple[float, ...]:
     return times
 
 
+def _check_points(points, what: str) -> tuple[tuple[float, float], ...]:
+    """The one points rule of both curves: (T, value) pairs, from a list or an array of them, as tuples."""
+    try:
+        pairs = tuple(map(tuple, points))
+    except TypeError:  # a scalar or None, or a flat list of numbers
+        pairs = None
+    if pairs is None or any(len(p) != 2 for p in pairs):
+        raise ValidationError(f"{what} points must be (T, value) pairs, got {points!r}")
+    return pairs
+
+
 def _is_real(value) -> bool:
     """A real number, not a bool (a float passes first: the ABC check is far slower)."""
     return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -185,7 +196,7 @@ class VolTermStructure:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(map(tuple, self.points)))  # lists or an array, as tuples
+        object.__setattr__(self, "points", _check_points(self.points, f"{self.pair} vol"))
         _check_times(self.maturities, f"{self.pair} vol maturities")
         prev_t = 0.0
         prev_tv = 0.0
@@ -239,7 +250,7 @@ class RateCurve:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(map(tuple, self.points)))  # lists or an array, as tuples
+        object.__setattr__(self, "points", _check_points(self.points, f"{self.currency} rate"))
         ts = _check_times([t for t, _ in self.points], f"{self.currency} rate maturities")
         for _, r in self.points:
             _check_real(r, f"{self.currency}: rate", "finite")
@@ -258,13 +269,6 @@ class RateCurve:
     def average(self, maturity: float) -> float:
         """Average rate r(T) = integrated(T)/T."""
         return self.integrated(maturity) / maturity
-
-    def forward(self, start: float, end: float) -> float:
-        """Average rate over a future bucket (start, end]."""
-        _check_span(start, end)
-        if start == 0:
-            return self.average(end)
-        return (self.integrated(end) - self.integrated(start)) / (end - start)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .market_data import (
     Currency, FxPair, MarketSnapshot, RateCurve,
     _check_real, _check_times, _entries, _label, _number, _require_keys, _string, _unique, _warn_flat,
 )
-from .term_structure import PiecewiseConstant, _bucket_vols
+from .term_structure import PiecewiseConstant, _bucket, _bucket_vols
 from .vanilla import _check_strike_kind
 
 BLOCK_PATHS = 16384
@@ -182,10 +182,15 @@ def _grid_index(grid: tuple[float, ...], t: float) -> int | None:
     return next((m for m, g in enumerate(grid) if abs(g - t) <= _GRID_TOL), None)
 
 
-def _require_grid_covers(grid: tuple[float, ...], breakpoints: Sequence[float], what: str) -> None:
-    for b in breakpoints:  # the skip test is false for NaN, so NaN raises
-        if not (b <= _GRID_TOL or b >= grid[-1] - _GRID_TOL) and _grid_index(grid, b) is None:
+def _grid_buckets(grid: tuple[float, ...], mids: list[float], breakpoints: tuple[float, ...], what: str) -> list[int]:
+    """Each grid step's bucket of a bucketed input, at the step's mid: the grid must include every breakpoint
+    before its end, and steps past the input's end read its last bucket, with one notice naming the input."""
+    for b in breakpoints[1:]:
+        if b < grid[-1] - _GRID_TOL and _grid_index(grid, b) is None:
             raise ValidationError(f"grid must include breakpoint {b} of {what}")
+    if mids[-1] > breakpoints[-1]:
+        _warn_flat(what, breakpoints[-1], mids[-1])
+    return [_bucket(breakpoints, t) for t in mids]
 
 
 def _factor_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -222,26 +227,21 @@ def _prepare_steps(
     if len(set(pairs)) != n_pairs:
         raise ValidationError("pairs must be distinct")
     links = _links(pairs, measure)
-    structures = []
+    grid = np.array((0.0,) + config.grid)
+    dt = np.diff(grid)
+    mids = (0.5 * (grid[:-1] + grid[1:])).tolist()
+    sigma = []  # per pair, each step's vol
     for pair in (*pairs, *links):  # a vol is the same in either orientation
         structure = vols.get(pair, vols.get(pair.inverse()))
         if structure is None:
             raise MissingDataError(f"no vol structure supplied for pair {pair}")
-        _require_grid_covers(config.grid, structure.breakpoints, f"vols of {pair}")
-        for n, s in enumerate(structure.values):
-            if not 0.0 <= s < math.inf:
-                left, right = structure.breakpoints[n:n + 2]
-                raise ValidationError(
-                    f"vol of {pair} on bucket {n} ({left}, {right}] must be finite and >= 0, got {s}"
-                )
-        structures.append(structure)
+        values, bounds = structure.values, structure.breakpoints
+        for n, (s, left, right) in enumerate(zip(values, bounds, bounds[1:])):
+            _check_real(s, f"vol of {pair} on bucket {n} ({left}, {right}]", "finite and >= 0")
+        sigma.append([values[n] for n in _grid_buckets(config.grid, mids, bounds, f"vols of {pair}")])
     if corr is not None:
-        _require_grid_covers(config.grid, corr.breakpoints, "the correlation matrix")
-
-    grid = np.array((0.0,) + config.grid)
-    dt = np.diff(grid)
-    mids = (0.5 * (grid[:-1] + grid[1:])).tolist()
-    sigma = np.array([[structure.value_at(t) for structure in structures] for t in mids])
+        buckets = _grid_buckets(config.grid, mids, corr.breakpoints, "the correlation matrix")
+    sigma = np.column_stack(sigma)  # per step, in rows
     rate_diff = 0.0
     if rates is not None:
         currencies = dict.fromkeys(c for pair in pairs for c in (pair.denominating, pair.foreign))
@@ -277,9 +277,6 @@ def _prepare_steps(
                 raise MissingDataError(f"missing correlation entry for pair {pair}")
             indices.append(labels.index(cpair.label))
             signs[p] = -1.0 if flipped else 1.0
-        if mids[-1] > corr.breakpoints[-1]:
-            _warn_flat("correlation matrix", corr.breakpoints[-1], mids[-1])
-        buckets = [corr.bucket_index(min(t, corr.breakpoints[-1])) for t in mids]
         block = np.ix_(indices, indices)
         bucket_factors = {  # the one PSD gate, on the block that is simulated
             n: _factor_matrix(corr.matrices[n][block] * np.outer(signs, signs), f"bucket {n}")

@@ -13,20 +13,32 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import takewhile
 
 from .errors import CalendarArbitrageError, UndefinedCorrelationError, ValidationError
-from .market_data import VolTermStructure, _check_real, _check_span, _check_times, _warn_flat
+from .market_data import VolTermStructure, _check_real, _check_span, _check_times, _is_real, _time_list, _warn_flat
 
 MIN_BUCKET_WIDTH = 1e-12
 
 
-def _check_bucket_widths(breakpoints: Sequence[float]) -> None:
-    for n in range(1, len(breakpoints)):
-        width = breakpoints[n] - breakpoints[n - 1]
-        if width < MIN_BUCKET_WIDTH:
-            raise ValidationError(f"bucket {n - 1} has width {width:.3g} < {MIN_BUCKET_WIDTH}")
+def _check_breakpoints(points: Iterable[float], what: str) -> tuple[float, ...]:
+    """The one bucket-grid rule, as a tuple: 0, then times as ``_check_times`` takes them, with each bucket
+    (T_n, T_n+1] at least MIN_BUCKET_WIDTH wide, checked first (up to any non-number) to name the bucket."""
+    points = _time_list(points, what)
+    if len(points) < 2 or not (_is_real(points[0]) and points[0] == 0.0):
+        raise ValidationError(f"{what} need at least one bucket and must start at 0, got {points}")
+    for n, (left, right) in enumerate(zip(points, takewhile(_is_real, points[1:]))):
+        if right - left < MIN_BUCKET_WIDTH:
+            raise ValidationError(f"bucket {n} has width {right - left:.3g} < {MIN_BUCKET_WIDTH}")
+    _check_times(points[1:], what)
+    return points
+
+
+def _bucket(breakpoints: Sequence[float], t: float) -> int:
+    """The one bucket lookup: n for t in (T_n, T_n+1], the last bucket for t past the end."""
+    return min(bisect_left(breakpoints, t, 1), len(breakpoints) - 1) - 1
 
 
 @dataclass(frozen=True)
@@ -37,19 +49,12 @@ class PiecewiseConstant:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))  # a list or an array, as a tuple
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.breakpoints) < 2:
-            raise ValidationError("need at least one bucket")
-        if self.breakpoints[0] != 0.0:
-            raise ValidationError(f"breakpoints must start at 0, got {self.breakpoints[0]}")
-        _check_bucket_widths(self.breakpoints)
-        _check_times(self.breakpoints[1:], "breakpoints")
-        if len(self.values) != len(self.breakpoints) - 1:
-            raise ValidationError(
-                f"{len(self.breakpoints) - 1} buckets need {len(self.breakpoints) - 1} values, "
-                f"got {len(self.values)}"
-            )
+        object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, "breakpoints"))
+        n = len(self.breakpoints) - 1
+        values = tuple(self.values) if isinstance(self.values, Iterable) else None  # a list or an array, as a tuple
+        if values is None or len(values) != n:
+            raise ValidationError(f"{n} buckets need {n} values, got {self.values!r}")
+        object.__setattr__(self, "values", values)
 
     @property
     def horizon(self) -> float:
@@ -63,7 +68,7 @@ class PiecewiseConstant:
         return self._value(t)
 
     def _value(self, t: float) -> float:
-        return self.values[-1] if t > self.horizon else self.values[bisect_left(self.breakpoints, t) - 1]
+        return self.values[_bucket(self.breakpoints, t)]
 
 
 def forward_vol(sigma_near: float, sigma_far: float, t_near: float, t_far: float) -> float:

@@ -7,6 +7,8 @@ import pytest
 from fxcorr import (
     BarrierPayoff,
     BasketPayoff,
+    BucketedCorrelationMatrix,
+    BucketStatus,
     CalendarArbitrageError,
     CorrQuery,
     Currency,
@@ -35,6 +37,8 @@ from fxcorr import (
     load_snapshot,
     loads_snapshot,
     payoff_from_dict,
+    price,
+    simulate_increments,
     term_corr,
     total_variance,
     triangle_corr,
@@ -157,32 +161,14 @@ class TestRateCurve:
         assert curve.average(0.5) == pytest.approx(0.02, rel=1e-14)
         assert curve.average(5.0) == pytest.approx(0.03, rel=1e-14)
 
-    def test_forward_rate(self):
-        curve = RateCurve(EUR, ((1.0, 0.02), (2.0, 0.03)))
-        fwd = curve.forward(1.0, 2.0)
-        assert fwd == pytest.approx((0.06 - 0.02) / 1.0, rel=1e-14)
-
     def test_increasing_maturities_required(self):
         with pytest.raises(ValidationError):
             RateCurve(EUR, ((1.0, 0.02), (1.0, 0.03)))
-
-    @pytest.mark.parametrize("maturity", [0.5, 1.5, 5.0])
-    def test_forward_from_zero_is_the_average(self, maturity):
-        curve = RateCurve(EUR, ((1.0, 0.02), (2.0, 0.03)))
-        assert curve.forward(0.0, maturity) == curve.average(maturity)
 
     @pytest.mark.parametrize("maturity", [0.0, -1.0, math.nan])
     def test_integrated_needs_a_positive_maturity(self, maturity):
         with pytest.raises(ValidationError, match="maturity must be > 0"):
             RateCurve(EUR, ((1.0, 0.02),)).integrated(maturity)
-
-    @pytest.mark.parametrize("start, end", [
-        (0.0, math.inf), (0.5, math.inf), (1.0, 1.0), (2.0, 1.0), (-0.5, 1.0), (math.nan, 1.0), (0.0, math.nan),
-    ])
-    def test_forward_span_is_finite_and_increasing(self, start, end):
-        curve = RateCurve(EUR, ((1.0, 0.02), (2.0, 0.03)))
-        with pytest.raises(ValidationError, match=r"need 0 <= start < end < inf, got"):
-            curve.forward(start, end)
 
 
 class TestMarketSnapshot:
@@ -540,7 +526,6 @@ class TestBoolTimes:
     @pytest.mark.parametrize("make, message", [
         (lambda: VanillaSpec(FxPair(EUR, USD), 1.0, True, "call"), "maturity must be positive and finite"),
         (lambda: forward(1.0, 0.01, 0.0, True), "maturity must be positive"),
-        (lambda: RateCurve(EUR, ((1.0, 0.02),)).forward(0.0, True), "need 0 <= start < end"),
         (lambda: horizon_vol(VolTermStructure(FxPair(EUR, USD), ((1.0, 0.1),)), 0.0, True),
          "need 0 <= start < end"),
         (lambda: forward_vol(0.1, 0.1, 0.0, True), "need 0 <= t_near < t_far"),
@@ -553,7 +538,7 @@ class TestBoolTimes:
         (lambda: loads_snapshot(json.dumps(three_ccy_doc())).average_rate(EUR, True), "maturity must be > 0"),
         (lambda: PricingInputs(True, 0.0, 0.0, 0.1), "spot must be positive and finite, got True"),
         (lambda: PricingInputs(1.0, 0.0, 0.0, True), "sigma must be finite and >= 0, got True"),
-    ], ids=["vanilla-spec", "forward", "rate-forward", "horizon-vol", "forward-vol", "corr-query",
+    ], ids=["vanilla-spec", "forward", "horizon-vol", "forward-vol", "corr-query",
             "integrated", "average", "total-variance", "vol", "value-at", "average-rate", "spot", "sigma"])
     def test_single_time_rejected(self, make, message):
         with pytest.raises(ValidationError, match=message):
@@ -587,6 +572,53 @@ class TestTimeLists:
         snapshot = loads_snapshot(json.dumps(three_ccy_doc()))
         with pytest.raises(ValidationError, match=f"^{what} must be a sequence of times, got (1.0|None)$"):
             make(snapshot, FxPair(EUR, USD), FxPair(EUR, JPY))
+
+
+def _matrix(breakpoints, n=1):
+    return BucketedCorrelationMatrix(("EUR/USD",), breakpoints, (np.eye(1),) * n, (BucketStatus("psd", 1.0),) * n)
+
+
+def _override(vol):
+    return {FxPair(EUR, USD): PiecewiseConstant((0.0, 1.0), (vol,))}
+
+
+VANILLA = VanillaPayoff(FxPair(EUR, USD), 1.25, "call")
+ONE_STEP = SimulationConfig(10, 1, (1.0,))
+BAD_VOL = r"^vol of EUR/USD on bucket 0 \(0.0, 1.0\] must be finite and >= 0, got "
+
+
+class TestBucketedInputs:
+    """Every bucketed or time-list input is checked where it enters: a bad one
+    raises ValidationError naming it, never TypeError or ValueError."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda s: PiecewiseConstant(1.0, (0.1,)), r"^breakpoints must be a sequence of times, got 1.0$"),
+        (lambda s: PiecewiseConstant(None, (0.1,)), r"^breakpoints must be a sequence of times, got None$"),
+        (lambda s: PiecewiseConstant((0.0, "1.0"), (0.1,)), "breakpoints must be finite, > 0 and strictly"),
+        (lambda s: PiecewiseConstant((0.0, 1.0), 0.1), r"^1 buckets need 1 values, got 0.1$"),
+        (lambda s: PiecewiseConstant((0.0, 1.0), None), r"^1 buckets need 1 values, got None$"),
+        (lambda s: _matrix(1.0), r"^breakpoints must be a sequence of times, got 1.0$"),
+        (lambda s: _matrix((0.5, 1.0, 2.0), 2), r"must start at 0, got \(0.5, 1.0, 2.0\)"),
+        (lambda s: _matrix((-1.0, 1.0)), r"must start at 0, got \(-1.0, 1.0\)"),
+        (lambda s: _matrix((math.nan, 1.0)), r"must start at 0, got \(nan, 1.0\)"),
+        (lambda s: VolTermStructure(FxPair(EUR, USD), 1.0), r"^EUR/USD vol points must be \(T, value\) pairs, got 1.0"),
+        (lambda s: VolTermStructure(FxPair(EUR, USD), ((1.0,),)), r"^EUR/USD vol points must be \(T, value\) pairs"),
+        (lambda s: VolTermStructure(FxPair(EUR, USD), ((1.0, 0.1, 2.0),)), "EUR/USD vol points must be"),
+        (lambda s: RateCurve(EUR, None), r"^EUR rate points must be \(T, value\) pairs, got None$"),
+        (lambda s: RateCurve(EUR, ((1.0,),)), r"^EUR rate points must be \(T, value\) pairs"),
+        (lambda s: RateCurve(EUR, ((1.0, 0.02, 2.0),)), "EUR rate points must be"),
+        (lambda s: price(VANILLA, s, ONE_STEP, vols=_override(True)), BAD_VOL + "True"),
+        (lambda s: price(VANILLA, s, ONE_STEP, vols=_override("0.2")), BAD_VOL + "0.2"),
+        (lambda s: simulate_increments([FxPair(EUR, USD)], _override(True), None, ONE_STEP), BAD_VOL + "True"),
+        (lambda s: simulate_increments([FxPair(EUR, USD)], _override("0.2"), None, ONE_STEP), BAD_VOL + "0.2"),
+    ], ids=["step-breakpoints-scalar", "step-breakpoints-none", "step-breakpoints-str", "step-values-scalar",
+            "step-values-none", "matrix-scalar", "matrix-start-0.5", "matrix-start-negative", "matrix-start-nan",
+            "vol-points-scalar", "vol-points-short", "vol-points-long", "rate-points-none", "rate-points-short",
+            "rate-points-long", "price-vol-true", "price-vol-str", "simulate-vol-true", "simulate-vol-str"])
+    def test_rejected(self, make, message):
+        snapshot = loads_snapshot(json.dumps(three_ccy_doc()))
+        with pytest.raises(ValidationError, match=message):
+            make(snapshot)
 
 
 class TestScalarRule:

@@ -798,6 +798,35 @@ class TestCorrelationExtrapolation:
             simulate_increments([EURUSD, EURJPY], vols, corr, SimulationConfig(10, 1, (0.5, 2.0)))
 
 
+class TestGridCover:
+    """The grid must include every breakpoint of every bucketed input before
+    the grid's end, the input's last breakpoint included."""
+
+    CONFIG = SimulationConfig(100, 1, (1.0, 2.0))
+    SHORT_VOLS = {EURUSD: flat_vol(0.1, 1.5), EURJPY: flat_vol(0.2, 2.0)}
+    LONG_VOLS = {EURUSD: flat_vol(0.1, 2.0), EURJPY: flat_vol(0.2, 2.0)}
+
+    def corr(self, horizon):
+        return manual_corr(["EUR/USD", "EUR/JPY"], [[1.0, 0.5], [0.5, 1.0]], horizon)
+
+    @pytest.mark.parametrize("short", ["vols", "corr"])
+    def test_simulation_rejects_an_input_ending_between_grid_times(self, short):
+        vols, corr = (self.SHORT_VOLS, self.corr(2.0)) if short == "vols" else (self.LONG_VOLS, self.corr(1.5))
+        what = "vols of EUR/USD" if short == "vols" else "the correlation matrix"
+        with pytest.raises(ValidationError, match=f"grid must include breakpoint 1.5 of {what}"):
+            simulate_increments([EURUSD, EURJPY], vols, corr, self.CONFIG)
+
+    def test_price_rejects_a_vol_override_ending_between_grid_times(self, three_ccy_snapshot):
+        with pytest.raises(ValidationError, match="grid must include breakpoint 1.5 of vols of EUR/USD"):
+            price(VanillaPayoff(EURUSD, 1.25, "call"), three_ccy_snapshot, self.CONFIG,
+                  vols={EURUSD: flat_vol(0.1, 1.5)})
+
+    def test_price_rejects_a_matrix_ending_between_grid_times(self, three_ccy_snapshot):
+        with pytest.raises(ValidationError, match="grid must include breakpoint 1.5 of the correlation matrix"):
+            price(BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call"), three_ccy_snapshot, self.CONFIG,
+                  corr=self.corr(1.5))
+
+
 class TestNonFinitePayoffs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("make", [
