@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .market_data import FxPair, MarketSnapshot, _check_real, _is_real, _time_list, _warn, canonicalize
-from .term_structure import PiecewiseConstant, _bucket, _bucket_vols, _check_breakpoints, horizon_vol
+from .term_structure import PiecewiseConstant, _bucket, _bucket_vols, _check_breakpoints, _span_vol, horizon_vol
 
 RANGE_SNAP = 1e-12
 PSD_TOL = 1e-10
@@ -112,18 +112,18 @@ class CorrResult:
         return self.provenance.formula == "degenerate"
 
 
-def _bound(raw: float, clamp: bool, describe: str) -> tuple[float, bool]:
+def _bound(raw: float, clamp: bool, describe: Callable[[], str]) -> tuple[float, bool]:
     # Values within floating-point headroom of the bounds snap silently.
     if abs(raw) <= 1.0:
         return raw, False
     if abs(raw) <= 1.0 + RANGE_SNAP:
         return math.copysign(1.0, raw), False
     if clamp:
-        _warn(f"implied correlation {raw:.12g} clamped to {math.copysign(1.0, raw):+.0f} ({describe})",
+        _warn(f"implied correlation {raw:.12g} clamped to {math.copysign(1.0, raw):+.0f} ({describe()})",
               CorrelationClampWarning)
         return math.copysign(1.0, raw), True
     raise CorrelationRangeError(
-        f"implied correlation {raw:.12g} outside [-1, 1]: {describe}; "
+        f"implied correlation {raw:.12g} outside [-1, 1]: {describe()}; "
         "the input vols admit arbitrage (pass clamp to force the nearest bound)"
     )
 
@@ -133,28 +133,37 @@ def _formula(s_ij, s_mk, s_ik, s_mj, s_jk, s_im):
     return (s_ik * s_ik + s_mj * s_mj - s_jk * s_jk - s_im * s_im) / (2.0 * s_ij * s_mk)
 
 
-def _kernel(s_ij, s_mk, s_ik, s_mj, s_jk, s_im, clamp: bool, describe: str) -> tuple[float, bool]:
-    """Checked and bounded correlation of X_{i/j}, X_{m/k} from six vols,
-    and whether it was clamped."""
-    if not (_is_real(s_ij) and _is_real(s_mk)):
-        raise ValidationError(f"queried vols must be real numbers, not bools or strings: {describe}")
-    # written as "not in range" so that NaN fails the checks
+def _kernel(s_ij, s_mk, s_ik, s_mj, s_jk, s_im, clamp: bool, describe: Callable[[], str]) -> tuple[float, bool]:
+    """Bounded correlation of X_{i/j}, X_{m/k} from six vols that are real numbers, and
+    whether it was clamped.  ``describe()`` names the inputs, called only for a notice or an error."""
+    # written as "not in range" so that NaN fails the check
     if not (0.0 < s_ij < math.inf and 0.0 < s_mk < math.inf):
-        raise UndefinedCorrelationError(
-            f"zero or non-finite implied vol for a queried pair: {describe}"
-        )
-    for s in (s_ik, s_mj, s_jk, s_im):
-        _check_real(s, "cross vols", "finite and >= 0")
-    return _bound(_formula(s_ij, s_mk, s_ik, s_mj, s_jk, s_im), clamp, describe)
+        raise UndefinedCorrelationError(f"zero or non-finite implied vol for a queried pair: {describe()}")
+    raw = _formula(s_ij, s_mk, s_ik, s_mj, s_jk, s_im)
+    if not abs(raw) <= 1.0:  # a non-finite cross vol (an overflowed total variance) always lands here
+        for s in (s_ik, s_mj, s_jk, s_im):
+            _check_real(s, "cross vols", "finite and >= 0")
+    return _bound(raw, clamp, describe)
+
+
+def _checked_kernel(s_ij, s_mk, *cross, clamp: bool, describe: Callable[[], str]) -> float:
+    """The kernel on vols a caller passed in: the queried vols real numbers and,
+    unless the kernel rejects a queried vol first, the cross vols finite and >= 0."""
+    if not (_is_real(s_ij) and _is_real(s_mk)):
+        raise ValidationError(f"queried vols must be real numbers, not bools or strings: {describe()}")
+    if 0.0 < s_ij < math.inf and 0.0 < s_mk < math.inf:
+        for s in cross:
+            _check_real(s, "cross vols", "finite and >= 0")
+    return _kernel(s_ij, s_mk, *cross, clamp, describe)[0]
 
 
 def triangle_corr(sigma_ik: float, sigma_ij: float, sigma_jk: float, *, clamp: bool = False) -> float:
     """Correlation of rates X_{i/k}, X_{i/j} sharing denominating currency i,
     from their vols and the cross vol of X_{j/k}."""
-    return _kernel(
-        sigma_ij, sigma_ik, sigma_ik, sigma_ij, sigma_jk, 0.0, clamp,
-        f"triangle vols ({sigma_ik}, {sigma_ij}, {sigma_jk})",
-    )[0]
+    return _checked_kernel(
+        sigma_ij, sigma_ik, sigma_ik, sigma_ij, sigma_jk, 0.0, clamp=clamp,
+        describe=lambda: f"triangle vols ({sigma_ik}, {sigma_ij}, {sigma_jk})",
+    )
 
 
 def cross_corr(
@@ -169,10 +178,10 @@ def cross_corr(
 ) -> float:
     """Correlation of rates X_{i/j}, X_{m/k} with different denominating
     currencies, from the vols of all six cross rates of {i, j, k, m}."""
-    return _kernel(
-        sigma_ij, sigma_mk, sigma_ik, sigma_mj, sigma_jk, sigma_im, clamp,
-        f"cross vols ({sigma_ij}, {sigma_mk}, {sigma_ik}, {sigma_mj}, {sigma_jk}, {sigma_im})",
-    )[0]
+    return _checked_kernel(
+        sigma_ij, sigma_mk, sigma_ik, sigma_mj, sigma_jk, sigma_im, clamp=clamp,
+        describe=lambda: f"cross vols ({sigma_ij}, {sigma_mk}, {sigma_ik}, {sigma_mj}, {sigma_jk}, {sigma_im})",
+    )
 
 
 def _plan(query: CorrQuery, snapshot: MarketSnapshot, start: float, end: float) -> tuple[str, str, str, tuple]:
@@ -195,15 +204,14 @@ def _plan(query: CorrQuery, snapshot: MarketSnapshot, start: float, end: float) 
         raise MissingDataError(f"{exc} (needed over ({start}, {end}])") from exc
 
 
-def _evaluate(plan: tuple, start: float, end: float, clamp: bool) -> tuple:
-    """A planned query's role-ordered vols over (start, end], its correlation and whether it was clamped."""
-    formula, label_a, label_b, vols = plan
+def _correlate(plan: tuple, sigma, start: float, end: float, clamp: bool) -> tuple[float, bool]:
+    """A planned query's correlation from its role-ordered vols over (start, end], and whether it was clamped."""
+    formula, label_a, label_b, _ = plan
     if formula == "degenerate":
-        return (), (1.0 if label_a == label_b else -1.0), False
-    sigma = [0.0 if ts is None else horizon_vol(ts, start, end) for _, _, ts in vols]
+        return (1.0 if label_a == label_b else -1.0), False
     # the triangle (s_ik, s_ij, s_jk) is the case s_mk = s_ik, s_mj = s_ij, s_im = 0
     six = sigma if formula == "cross" else (sigma[1], sigma[0], sigma[0], sigma[1], sigma[2], 0.0)
-    return sigma, *_kernel(*six, clamp, f"{label_a} vs {label_b} over ({start}, {end}]")
+    return _kernel(*six, clamp, lambda: f"{label_a} vs {label_b} over ({start}, {end}]")
 
 
 def _record(plan: tuple, start: float, end: float, sigma, value: float, clamped: bool) -> CorrResult:
@@ -220,7 +228,8 @@ def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = Fa
     """
     start, end = query.horizon
     plan = _plan(query, snapshot, start, end)
-    return _record(plan, start, end, *_evaluate(plan, start, end, clamp))
+    sigma = [0.0 if ts is None else horizon_vol(ts, start, end) for _, _, ts in plan[3]]
+    return _record(plan, start, end, sigma, *_correlate(plan, sigma, start, end, clamp))
 
 
 def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
@@ -232,14 +241,22 @@ def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
 
 
 def _bucket_loop(query: CorrQuery, snapshot: MarketSnapshot, buckets: Iterable[float], clamp: bool):
-    """The one per-bucket loop: the breakpoints, the query's plan and each bucket's (left, right, *_evaluate)."""
+    """The one per-bucket loop: the breakpoints, the query's plan and each bucket's (left, right,
+    vols, value, clamped).  Each role's total variance is read once per breakpoint after 0, where
+    it is 0: a bucket's end is the next bucket's start."""
     breakpoints = normalize_breakpoints(buckets)
     rows = []
     for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
         try:
             if n == 0:  # one plan serves every bucket, so a missing vol fails bucket 0
                 plan = _plan(query, snapshot, left, right)
-            rows.append((left, right, *_evaluate(plan, left, right, clamp)))
+                structures = [ts for _, _, ts in plan[3]]
+                starts = [0.0] * len(structures)
+            ends = [0.0 if ts is None else ts._total_variance(right) for ts in structures]
+            sigma = [0.0 if ts is None else _span_vol(ts, left, right, tv_start, tv_end)
+                     for ts, tv_start, tv_end in zip(structures, starts, ends)]
+            rows.append((left, right, sigma, *_correlate(plan, sigma, left, right, clamp)))
+            starts = ends
         except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
             raise type(exc)(f"bucket {n} ({left}, {right}]: {exc}") from exc
     return breakpoints, plan, rows
@@ -420,10 +437,10 @@ def build_matrix(
     # by bucket in row-major order: a missing vol raised by role, else clamped or raised.
     for n, e in np.argwhere(~(np.abs(upper) <= 1.0)).tolist():
         (left, right), pa, pb = spans[n], canon[rows[e]], canon[cols[e]]
-        describe = f"{pa} vs {pb} over ({left}, {right}]"
         try:
             _plan(CorrQuery(pa, pb, (left, right)), snapshot, left, right)
-            upper[n, e] = _kernel(*(float(v[n, e]) for v in sigma), clamp, describe)[0]
+            upper[n, e] = _kernel(*(float(v[n, e]) for v in sigma), clamp,
+                                  lambda: f"{pa} vs {pb} over ({left}, {right}]")[0]
         except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
             raise type(exc)(f"matrix entry ({pa}, {pb}) bucket {n} ({left}, {right}]: {exc}") from exc
     stack = np.tile(np.eye(len(canon)), (len(spans), 1, 1))

@@ -54,6 +54,8 @@ class PiecewiseConstant:
         values = tuple(self.values) if isinstance(self.values, Iterable) else None  # a list or an array, as a tuple
         if values is None or len(values) != n:
             raise ValidationError(f"{n} buckets need {n} values, got {self.values!r}")
+        if not all(map(_is_real, values)):  # NaN and inf are checked where the values are integrated or simulated
+            raise ValidationError(f"step values must be real numbers, not bools or strings, got {values}")
         object.__setattr__(self, "values", values)
 
     @property

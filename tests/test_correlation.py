@@ -17,6 +17,7 @@ from fxcorr import (
     MissingDataError,
     UndefinedCorrelationError,
     ValidationError,
+    VolTermStructure,
     bootstrap_piecewise_vol,
     bucket_corrs,
     build_matrix,
@@ -920,3 +921,83 @@ class TestTermCorrIsBucketCorrsValues:
             counts.update(dict.fromkeys(counts, 0))
             fn(query, self.WORLD, (0.25, 0.5, 1, 2))
             assert tuple(counts.values()) == want, fn.__name__
+
+    def test_term_corr_reads_each_total_variance_once_per_breakpoint(self, monkeypatch):
+        reads = {}
+        real = VolTermStructure._total_variance
+
+        def counting(ts, maturity):
+            reads[ts.pair.label] = reads.get(ts.pair.label, 0) + 1
+            return real(ts, maturity)
+        monkeypatch.setattr(VolTermStructure, "_total_variance", counting)
+        query = CorrQuery.total(pair("JPY/USD"), pair("EUR/GBP"), 2.0)  # a cross query: 6 vols
+        term_corr(query, self.WORLD, (0.25, 0.5, 1, 2))
+        assert reads == dict.fromkeys(("GBP/JPY", "EUR/JPY", "EUR/USD", "GBP/USD", "EUR/GBP", "JPY/USD"), 4)
+
+
+ARB = load_snapshot(Path(__file__).parent / "data" / "golden" / "arb.json")  # EUR/USD vs EUR/JPY: 1.03125 on (0, 1]
+LATER = loads_snapshot(json.dumps(later_bucket_doc()))
+RANGE = "outside [-1, 1]: {}; the input vols admit arbitrage (pass clamp to force the nearest bound)"
+ZERO = "zero or non-finite implied vol for a queried pair: {}"
+
+
+class TestMessageText:
+    """The text of a range error, a clamp notice and a zero-vol error, word for
+    word, from a query, a term_corr bucket and the two public formulas."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: implied_corr(CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0), ARB),
+         CorrelationRangeError, "implied correlation 1.03125 " + RANGE.format("EUR/USD vs EUR/JPY over (0.0, 1.0]")),
+        (lambda: term_corr(CorrQuery.total(pair("JPY/EUR"), pair("JPY/USD"), 1.0), LATER, (0.125, 0.25, 1)),
+         CorrelationRangeError, "bucket 2 (0.25, 1.0]: implied correlation 1.02675688061 "
+         + RANGE.format("JPY/EUR vs JPY/USD over (0.25, 1.0]")),
+        (lambda: triangle_corr(0.1, 0.1, 0.3),
+         CorrelationRangeError, "implied correlation -3.5 " + RANGE.format("triangle vols (0.1, 0.1, 0.3)")),
+        (lambda: cross_corr(0.1, 0.1, 0.3, 0.3, 0.0, 0.0),
+         CorrelationRangeError, "implied correlation 9 " + RANGE.format("cross vols (0.1, 0.1, 0.3, 0.3, 0.0, 0.0)")),
+        (lambda: implied_corr(CorrQuery(pair("EUR/USD"), pair("EUR/JPY"), (0.25, 1.0)), LATER),
+         UndefinedCorrelationError, ZERO.format("EUR/USD vs EUR/JPY over (0.25, 1.0]")),
+        (lambda: term_corr(CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0), LATER, (0.125, 0.25, 1)),
+         UndefinedCorrelationError, "bucket 2 (0.25, 1.0]: " + ZERO.format("EUR/USD vs EUR/JPY over (0.25, 1.0]")),
+        (lambda: triangle_corr(0.1, 0.0, 0.1),
+         UndefinedCorrelationError, ZERO.format("triangle vols (0.1, 0.0, 0.1)")),
+        (lambda: cross_corr(0.1, 0.0, 0.1, 0.1, 0.1, 0.1),
+         UndefinedCorrelationError, ZERO.format("cross vols (0.1, 0.0, 0.1, 0.1, 0.1, 0.1)")),
+    ], ids=["implied-range", "term-range", "triangle-range", "cross-range",
+            "implied-zero", "term-zero", "triangle-zero", "cross-zero"])
+    def test_error(self, make, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                make()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("make, value, message", [
+        (lambda: implied_corr(CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0), ARB, clamp=True).value,
+         1.0, "implied correlation 1.03125 clamped to +1 (EUR/USD vs EUR/JPY over (0.0, 1.0])"),
+        (lambda: term_corr(CorrQuery.total(pair("JPY/EUR"), pair("JPY/USD"), 1.0), LATER, (0.125, 0.25, 1),
+                           clamp=True).values[2],
+         1.0, "implied correlation 1.02675688061 clamped to +1 (JPY/EUR vs JPY/USD over (0.25, 1.0])"),
+        (lambda: triangle_corr(0.1, 0.1, 0.3, clamp=True),
+         -1.0, "implied correlation -3.5 clamped to -1 (triangle vols (0.1, 0.1, 0.3))"),
+        (lambda: cross_corr(0.1, 0.1, 0.3, 0.3, 0.0, 0.0, clamp=True),
+         1.0, "implied correlation 9 clamped to +1 (cross vols (0.1, 0.1, 0.3, 0.3, 0.0, 0.0))"),
+    ], ids=["implied", "term", "triangle", "cross"])
+    def test_clamp_notice(self, make, value, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert make() == value
+        assert [(w.category, str(w.message)) for w in caught] == [(CorrelationClampWarning, message)]
+
+    @pytest.mark.parametrize("make", [
+        lambda snap: implied_corr(CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0), snap),
+        lambda snap: term_corr(CorrQuery.total(pair("EUR/USD"), pair("EUR/JPY"), 1.0), snap, (0.5, 1.0)),
+        lambda snap: build_matrix([pair("EUR/USD"), pair("EUR/JPY")], snap, (0.5, 1.0)),
+    ], ids=["implied", "term", "matrix"])
+    def test_overflowed_cross_vol_is_rejected(self, make):
+        # USD/JPY at 1e160 has an infinite total variance: the cross vol of
+        # EUR/USD vs EUR/JPY is inf, and the queried vols are finite
+        doc = three_ccy_doc()
+        doc["vols"][2]["points"] = [{"T": 1.0, "sigma": 1e160}, {"T": 2.0, "sigma": 1e160}]
+        with pytest.raises(ValidationError, match=r"^cross vols must be finite and >= 0, got inf$"):
+            make(loads_snapshot(json.dumps(doc)))

@@ -584,7 +584,7 @@ def _override(vol):
 
 VANILLA = VanillaPayoff(FxPair(EUR, USD), 1.25, "call")
 ONE_STEP = SimulationConfig(10, 1, (1.0,))
-BAD_VOL = r"^vol of EUR/USD on bucket 0 \(0.0, 1.0\] must be finite and >= 0, got "
+STEP_VALUES = r"^step values must be real numbers, not bools or strings, got "
 
 
 class TestBucketedInputs:
@@ -607,14 +607,20 @@ class TestBucketedInputs:
         (lambda s: RateCurve(EUR, None), r"^EUR rate points must be \(T, value\) pairs, got None$"),
         (lambda s: RateCurve(EUR, ((1.0,),)), r"^EUR rate points must be \(T, value\) pairs"),
         (lambda s: RateCurve(EUR, ((1.0, 0.02, 2.0),)), "EUR rate points must be"),
-        (lambda s: price(VANILLA, s, ONE_STEP, vols=_override(True)), BAD_VOL + "True"),
-        (lambda s: price(VANILLA, s, ONE_STEP, vols=_override("0.2")), BAD_VOL + "0.2"),
-        (lambda s: simulate_increments([FxPair(EUR, USD)], _override(True), None, ONE_STEP), BAD_VOL + "True"),
-        (lambda s: simulate_increments([FxPair(EUR, USD)], _override("0.2"), None, ONE_STEP), BAD_VOL + "0.2"),
+        (lambda s: price(VANILLA, s, ONE_STEP, vols=_override(True)), STEP_VALUES + r"\(True,\)$"),
+        (lambda s: price(VANILLA, s, ONE_STEP, vols=_override("0.2")), STEP_VALUES + r"\('0.2',\)$"),
+        (lambda s: simulate_increments([FxPair(EUR, USD)], _override(True), None, ONE_STEP),
+         STEP_VALUES + r"\(True,\)$"),
+        (lambda s: simulate_increments([FxPair(EUR, USD)], _override("0.2"), None, ONE_STEP),
+         STEP_VALUES + r"\('0.2',\)$"),
+        (lambda s: total_variance(PiecewiseConstant((0.0, 1.0), (True,)), 1.0), STEP_VALUES + r"\(True,\)$"),
+        (lambda s: PiecewiseConstant((0.0, 1.0, 2.0), (0.1, "0.1")), STEP_VALUES + r"\(0.1, '0.1'\)$"),
+        (lambda s: PiecewiseConstant((0.0, 1.0), np.array([True])), STEP_VALUES),
     ], ids=["step-breakpoints-scalar", "step-breakpoints-none", "step-breakpoints-str", "step-values-scalar",
             "step-values-none", "matrix-scalar", "matrix-start-0.5", "matrix-start-negative", "matrix-start-nan",
             "vol-points-scalar", "vol-points-short", "vol-points-long", "rate-points-none", "rate-points-short",
-            "rate-points-long", "price-vol-true", "price-vol-str", "simulate-vol-true", "simulate-vol-str"])
+            "rate-points-long", "price-vol-true", "price-vol-str", "simulate-vol-true", "simulate-vol-str",
+            "step-values-bool", "step-values-str", "step-values-bool-array"])
     def test_rejected(self, make, message):
         snapshot = loads_snapshot(json.dumps(three_ccy_doc()))
         with pytest.raises(ValidationError, match=message):

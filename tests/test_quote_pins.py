@@ -183,13 +183,15 @@ class TestErrorParity:
         assert [(v.pair, v.sigma) for v in jk] == [("CHF/CHF", 0.0)]
 
 def test_term_corr_beyond_last_quote_warns_per_role_and_bucket():
-    # GBP/JPY vs USD/EUR is a cross query on four currencies: 6 vols.
-    # (0.5, 2.5] reads each beyond T=2 once, (2.5, 4] twice: 18 warnings.
+    # GBP/JPY vs USD/EUR is a cross query on four currencies: 6 vols.  Each
+    # vol's total variance is read once at each breakpoint, and 2.5 and 4
+    # lie beyond T=2: 12 warnings, each with its own message.
     snap = load_snapshot(WORLD)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         term_corr(_query("GBP/JPY", "USD/EUR", 0.0, 4.0), snap, [0.5, 2.5, 4])
-    assert [w.category for w in caught] == [ExtrapolationWarning] * 18
+    assert [w.category for w in caught] == [ExtrapolationWarning] * 12
+    assert len({str(w.message) for w in caught}) == 12
 
 
 if __name__ == "__main__":
