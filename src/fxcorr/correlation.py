@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .market_data import FxPair, MarketSnapshot, _check_real, _is_real, _time_list, _warn, canonicalize
-from .term_structure import PiecewiseConstant, _bucket, _bucket_vols, _check_breakpoints, _span_vol, horizon_vol
+from .term_structure import PiecewiseConstant, _Breakpoints, _bucket, _bucket_vols, _check_breakpoints, horizon_vol
 
 RANGE_SNAP = 1e-12
 PSD_TOL = 1e-10
@@ -221,6 +221,12 @@ def _record(plan: tuple, start: float, end: float, sigma, value: float, clamped:
     return CorrResult(value, CorrProvenance(formula, label_a, label_b, start, end, used, clamped))
 
 
+def _read_once(plan: tuple, zero, read: Callable) -> list:
+    """``read(structure)`` for each role of a plan, once per distinct structure, and ``zero`` for no structure."""
+    done = {id(None): zero}  # by identity
+    return [done[id(ts)] if id(ts) in done else done.setdefault(id(ts), read(ts)) for _, _, ts in plan[3]]
+
+
 def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = False) -> CorrResult:
     """Correlation between the log-increments of the two pairs exactly as
     oriented in the query, with a provenance record listing every vol that
@@ -228,7 +234,7 @@ def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = Fa
     """
     start, end = query.horizon
     plan = _plan(query, snapshot, start, end)
-    sigma = [0.0 if ts is None else horizon_vol(ts, start, end) for _, _, ts in plan[3]]
+    sigma = _read_once(plan, 0.0, lambda ts: horizon_vol(ts, start, end))
     return _record(plan, start, end, sigma, *_correlate(plan, sigma, start, end, clamp))
 
 
@@ -237,26 +243,22 @@ def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
     buckets = _time_list(buckets, "bucket boundaries")
     if not all(map(_is_real, buckets)):  # before float(), which takes bools and numeric strings
         raise ValidationError(f"bucket boundaries must be numbers, got {buckets}")
-    return _check_breakpoints((0.0, *sorted({float(b) for b in buckets} - {0.0})), "bucket boundaries")
+    return _Breakpoints(_check_breakpoints((0.0, *sorted({float(b) for b in buckets} - {0.0})), "bucket boundaries"))
 
 
 def _bucket_loop(query: CorrQuery, snapshot: MarketSnapshot, buckets: Iterable[float], clamp: bool):
-    """The one per-bucket loop: the breakpoints, the query's plan and each bucket's (left, right,
-    vols, value, clamped).  Each role's total variance is read once per breakpoint after 0, where
-    it is 0: a bucket's end is the next bucket's start."""
+    """The one per-bucket loop: the breakpoints, the query's plan and each bucket's (left, right, vols,
+    value, clamped).  One plan serves every bucket, so a missing vol fails bucket 0, and each distinct
+    vol structure is read once, by ``_bucket_vols``, at every breakpoint before bucket 0 is evaluated."""
     breakpoints = normalize_breakpoints(buckets)
     rows = []
     for n, (left, right) in enumerate(zip(breakpoints, breakpoints[1:])):
         try:
-            if n == 0:  # one plan serves every bucket, so a missing vol fails bucket 0
+            if n == 0:
                 plan = _plan(query, snapshot, left, right)
-                structures = [ts for _, _, ts in plan[3]]
-                starts = [0.0] * len(structures)
-            ends = [0.0 if ts is None else ts._total_variance(right) for ts in structures]
-            sigma = [0.0 if ts is None else _span_vol(ts, left, right, tv_start, tv_end)
-                     for ts, tv_start, tv_end in zip(structures, starts, ends)]
+                columns = _read_once(plan, (0.0,) * len(breakpoints), lambda ts: _bucket_vols(ts, breakpoints[1:]))
+            sigma = [column[n] for column in columns]
             rows.append((left, right, sigma, *_correlate(plan, sigma, left, right, clamp)))
-            starts = ends
         except (CorrelationRangeError, MissingDataError, UndefinedCorrelationError) as exc:
             raise type(exc)(f"bucket {n} ({left}, {right}]: {exc}") from exc
     return breakpoints, plan, rows
@@ -389,7 +391,7 @@ def build_matrix(
     *,
     repair: bool = False,
     clamp: bool = False,
-    _vols: Mapping[FxPair, PiecewiseConstant] | None = None,
+    _vols: Mapping[FxPair, tuple[float, ...]] | None = None,
 ) -> BucketedCorrelationMatrix:
     """Pairwise term correlations assembled into one matrix per bucket.
 
@@ -421,7 +423,7 @@ def build_matrix(
     for a, b in combinations(range(len(codes)), 2):
         try:
             ts = snapshot._vol_by_code(codes[a], codes[b])
-            vols = ((_vols or {}).get(ts.pair) or _bucket_vols(ts, breakpoints[1:])).values
+            vols = (_vols or {}).get(ts.pair) or _bucket_vols(ts, breakpoints[1:])
         except MissingDataError:
             vols = math.nan
         s[:, a, b] = s[:, b, a] = vols

@@ -522,7 +522,8 @@ def price(
     for pair in derive:  # a vol is the same in either orientation: derive each currency pair once
         if pair not in vols and pair.inverse() not in vols:
             ts = snapshot.vol_structure(pair)
-            vols[pair] = derived[ts.pair] = _bucket_vols(ts, config.grid)
+            derived[ts.pair] = _bucket_vols(ts, config.grid)
+            vols[pair] = PiecewiseConstant((0.0, *config.grid), derived[ts.pair])
     if corr is None and len(pairs) > 1:
         corr = build_matrix(pairs, snapshot, config.grid, repair=repair, clamp=clamp, _vols=derived)
 

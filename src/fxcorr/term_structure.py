@@ -21,6 +21,7 @@ from .errors import CalendarArbitrageError, UndefinedCorrelationError, Validatio
 from .market_data import VolTermStructure, _check_real, _check_span, _check_times, _is_real, _time_list, _warn_flat
 
 MIN_BUCKET_WIDTH = 1e-12
+_Breakpoints = type("_Breakpoints", (tuple,), {})  # a grid normalize_breakpoints checked: not checked again
 
 
 def _check_breakpoints(points: Iterable[float], what: str) -> tuple[float, ...]:
@@ -49,7 +50,8 @@ class PiecewiseConstant:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, "breakpoints"))
+        if type(self.breakpoints) is not _Breakpoints:
+            object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, "breakpoints"))
         n = len(self.breakpoints) - 1
         values = tuple(self.values) if isinstance(self.values, Iterable) else None  # a list or an array, as a tuple
         if values is None or len(values) != n:
@@ -98,14 +100,17 @@ def bootstrap_piecewise_vol(ts: VolTermStructure) -> PiecewiseConstant:
     The result reproduces every quoted total variance exactly:
     total_variance(result, T_n) == sigma(0,T_n)^2 * T_n.
     """
-    return _bucket_vols(ts, ts.maturities)
+    return PiecewiseConstant((0.0, *ts.maturities), _bucket_vols(ts, ts.maturities))
 
 
-def _bucket_vols(ts: VolTermStructure, times: Sequence[float]) -> PiecewiseConstant:
-    """``horizon_vol`` of each bucket of (0, *times), as a step function: one read per time."""
-    breakpoints, tvs = (0.0, *times), (0.0, *map(ts._total_variance, times))
-    values = tuple(_span_vol(ts, *span) for span in zip(breakpoints, breakpoints[1:], tvs, tvs[1:]))
-    return PiecewiseConstant(breakpoints, values)
+def _bucket_vols(ts: VolTermStructure, times: Sequence[float]) -> tuple[float, ...]:
+    """The one bucket-vol reader: ``horizon_vol`` of each bucket of (0, *times), bit for bit, one read per time."""
+    vols, start, tv_start = [], 0.0, 0.0
+    for end in times:  # a plain loop: a comprehension's frame costs more than these few reads
+        tv_end = ts._total_variance(end)
+        vols.append(_span_vol(ts, start, end, tv_start, tv_end))
+        start, tv_start = end, tv_end
+    return tuple(vols)
 
 
 def total_variance(sigma: PiecewiseConstant, horizon: float) -> float:

@@ -922,7 +922,13 @@ class TestTermCorrIsBucketCorrsValues:
             fn(query, self.WORLD, (0.25, 0.5, 1, 2))
             assert tuple(counts.values()) == want, fn.__name__
 
-    def test_term_corr_reads_each_total_variance_once_per_breakpoint(self, monkeypatch):
+    @pytest.mark.parametrize("pair_a, pair_b, buckets, read", [
+        # a cross query of four currencies: 6 vol structures, one per role
+        ("JPY/USD", "EUR/GBP", (0.25, 0.5, 1, 2), ("GBP/JPY", "EUR/JPY", "EUR/USD", "GBP/USD", "EUR/GBP", "JPY/USD")),
+        # of three currencies: EUR/USD serves sigma_ij and sigma_ik, GBP/USD sigma_mk and sigma_mj
+        ("EUR/USD", "GBP/USD", (1, 3), ("EUR/USD", "GBP/USD", "EUR/GBP")),
+    ], ids=["four-currencies", "shared-currency"])
+    def test_term_corr_reads_each_total_variance_once_per_breakpoint(self, monkeypatch, pair_a, pair_b, buckets, read):
         reads = {}
         real = VolTermStructure._total_variance
 
@@ -930,9 +936,24 @@ class TestTermCorrIsBucketCorrsValues:
             reads[ts.pair.label] = reads.get(ts.pair.label, 0) + 1
             return real(ts, maturity)
         monkeypatch.setattr(VolTermStructure, "_total_variance", counting)
-        query = CorrQuery.total(pair("JPY/USD"), pair("EUR/GBP"), 2.0)  # a cross query: 6 vols
-        term_corr(query, self.WORLD, (0.25, 0.5, 1, 2))
-        assert reads == dict.fromkeys(("GBP/JPY", "EUR/JPY", "EUR/USD", "GBP/USD", "EUR/GBP", "JPY/USD"), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            term_corr(CorrQuery.total(pair(pair_a), pair(pair_b), max(buckets)), self.WORLD, buckets)
+        assert reads == dict.fromkeys(read, len(buckets))
+
+    def test_term_corr_checks_its_breakpoints_once(self, monkeypatch):
+        from fxcorr import correlation, term_structure
+
+        calls = []
+        real = term_structure._check_breakpoints
+
+        def counting(points, what):
+            calls.append(what)
+            return real(points, what)
+        for module in (correlation, term_structure):
+            monkeypatch.setattr(module, "_check_breakpoints", counting)
+        got = term_corr(CorrQuery.total(pair("JPY/USD"), pair("EUR/GBP"), 2.0), self.WORLD, (0.25, 0.5, 1, 2))
+        assert calls == ["bucket boundaries"] and got.breakpoints == (0.0, 0.25, 0.5, 1.0, 2.0)
 
 
 ARB = load_snapshot(Path(__file__).parent / "data" / "golden" / "arb.json")  # EUR/USD vs EUR/JPY: 1.03125 on (0, 1]

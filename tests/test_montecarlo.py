@@ -345,7 +345,8 @@ class TestPricingMeasure:
         payoff = PINNED_PAYOFFS["down-in-cross"]
         config = SimulationConfig(20_000, 113, (0.5, 1.0))
         pairs = (EURUSD, USDJPY)
-        bucket = {p: _bucket_vols(three_ccy_snapshot.vol_structure(p), config.grid) for p in pairs}
+        derived = {p: _bucket_vols(three_ccy_snapshot.vol_structure(p), config.grid) for p in pairs}
+        bucket = {p: PiecewiseConstant((0.0, *config.grid), vols) for p, vols in derived.items()}
         assert price(payoff, three_ccy_snapshot, config, vols=bucket) == price(payoff, three_ccy_snapshot, config)
         link = {**bucket, USDEUR: flat_vol(0.4)}  # a link, overriding the snapshot
         assert price(payoff, three_ccy_snapshot, config, vols=link) != price(payoff, three_ccy_snapshot, config)

@@ -17,6 +17,7 @@ from fxcorr import (
     BucketedCorrelationMatrix,
     BucketStatus,
     CorrelationClampWarning,
+    CorrelationRangeError,
     CorrQuery,
     ExtrapolationWarning,
     FxPair,
@@ -100,6 +101,35 @@ def test_notice_names_the_calling_line(category, call):
         call()
     assert category in {w.category for w in caught}
     assert {w.filename for w in caught} == {__file__} and len({w.lineno for w in caught}) == 1
+
+
+WORLD = load_snapshot(GOLDEN / "world.json")  # quotes end at T=2
+SHARED = CorrQuery.total(EURUSD, FxPair.parse("GBP/USD"), 3.0)  # a cross query of three currencies
+QUOTES = {
+    "implied_corr": lambda: implied_corr(SHARED, WORLD),
+    "bucket_corrs": lambda: bucket_corrs(SHARED, WORLD, (1, 3)),
+    "term_corr": lambda: term_corr(SHARED, WORLD, (1, 3)),
+}
+
+
+@pytest.mark.parametrize("call", QUOTES.values(), ids=QUOTES.keys())
+def test_a_structure_serving_two_roles_notifies_once(call):
+    # EUR/USD serves sigma_ij and sigma_ik, GBP/USD sigma_mk and sigma_mj: each is read once at T=3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    messages = [str(w.message) for w in caught if w.category is ExtrapolationWarning]
+    assert len(messages) == len(set(messages)) == 3
+
+
+def test_a_failing_quote_query_reads_every_breakpoint_first():
+    # every vol structure is read at T=1 and T=2 before bucket 0 raises its range error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CorrelationRangeError, match=r"^bucket 0 \(0.0, 1.0\]"):
+            term_corr(CorrQuery.total(EURUSD, EURJPY, 2.0), ARB, (1, 2))
+    beyond = "vol term structure extrapolated flat beyond T=1.0 to t=2.0"
+    assert sorted(str(w.message) for w in caught) == [f"{pair}: {beyond}" for pair in ("EUR/JPY", "EUR/USD", "JPY/USD")]
 
 
 def test_price_raises_each_notice_once():
