@@ -239,7 +239,9 @@ def implied_corr(query: CorrQuery, snapshot: MarketSnapshot, *, clamp: bool = Fa
 
 
 def normalize_breakpoints(buckets: Iterable[float]) -> tuple[float, ...]:
-    """Sorted bucket boundaries with a leading 0 (added when absent)."""
+    """Sorted bucket boundaries with a leading 0 (added when absent); a grid it returned passes through."""
+    if type(buckets) is _Breakpoints:
+        return buckets
     buckets = _time_list(buckets, "bucket boundaries")
     if not all(map(_is_real, buckets)):  # before float(), which takes bools and numeric strings
         raise ValidationError(f"bucket boundaries must be numbers, got {buckets}")
@@ -315,7 +317,9 @@ class BucketedCorrelationMatrix:
     def __post_init__(self):
         for name in ("pairs", "statuses"):  # lists as tuples, as in the other frozen inputs
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints, "breakpoints"))
+        breakpoints = self.breakpoints  # a grid normalize_breakpoints checked is stored as a plain tuple
+        object.__setattr__(self, "breakpoints", tuple(breakpoints) if type(breakpoints) is _Breakpoints
+                           else _check_breakpoints(breakpoints, "breakpoints"))
         flipped = [canonicalize(FxPair.parse(label))[1] for label in self.pairs]
         if any(flipped) or len(set(self.pairs)) != len(self.pairs):  # the labels build_matrix writes
             raise ValidationError(f"pairs must be distinct labels in canonical orientation, got {self.pairs}")

@@ -32,18 +32,19 @@ number of steps.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .correlation import PSD_TOL, RANGE_SNAP, BucketedCorrelationMatrix, build_matrix, canonicalize
+from .correlation import PSD_TOL, RANGE_SNAP, BucketedCorrelationMatrix, build_matrix, normalize_breakpoints
 from .errors import (
     CorrelationRangeError, FactorizationError, MissingDataError, SchemaError, ValidationError,
 )
 from .market_data import (
-    Currency, FxPair, MarketSnapshot, RateCurve,
+    Currency, FxPair, MarketSnapshot, RateCurve, canonicalize,
     _check_real, _check_times, _entries, _label, _number, _require_keys, _string, _unique, _warn_flat,
 )
 from .term_structure import PiecewiseConstant, _bucket, _bucket_vols
@@ -179,7 +180,10 @@ class _Steps:
 
 def _grid_index(grid: tuple[float, ...], t: float) -> int | None:
     """Index of the first grid time within ``_GRID_TOL`` of t, or None."""
-    return next((m for m, g in enumerate(grid) if abs(g - t) <= _GRID_TOL), None)
+    for m in range(bisect_left(grid, t - 2 * _GRID_TOL), len(grid)):  # none before: |g - t| > tol even rounded
+        if abs(grid[m] - t) <= _GRID_TOL:
+            return m
+    return None
 
 
 def _grid_buckets(grid: tuple[float, ...], mids: list[float], breakpoints: tuple[float, ...], what: str) -> list[int]:
@@ -410,27 +414,18 @@ def simulate_increments(
     return out
 
 
-def _involved_pairs(payoff: PayoffSpec) -> tuple[FxPair, ...]:
-    """The simulated pairs, the paying pair first (basket legs all pay in one currency)."""
+def _simulated(payoff: PayoffSpec) -> tuple[PayoffSpec, tuple[FxPair, ...]]:
+    """The payoff as simulated and its pairs, the paying pair first (basket legs all pay in one currency,
+    sorted by label).  A barrier on the inverse of its payoff pair is simulated as the barrier on the
+    payoff pair at 1/level, direction flipped, so a barrier has one pair or two."""
     if isinstance(payoff, VanillaPayoff):
-        return (payoff.pair,)
+        return payoff, (payoff.pair,)
     if isinstance(payoff, BasketPayoff):
-        return tuple(sorted(payoff.weights, key=lambda p: p.label))
-    pairs = [payoff.payoff_pair]
-    if payoff.barrier_pair != payoff.payoff_pair:
-        pairs.append(payoff.barrier_pair)
-    return tuple(pairs)
-
-
-def _monitoring_indices(payoff: BarrierPayoff, grid: tuple[float, ...]) -> set[int]:
-    if payoff.monitoring is None:
-        return set(range(len(grid)))
-    indices = set()
-    for t in payoff.monitoring:
-        if (m := _grid_index(grid, t)) is None:
-            raise ValidationError(f"barrier monitoring time {t} is not a grid time")
-        indices.add(m)
-    return indices
+        return payoff, tuple(sorted(payoff.weights, key=lambda p: p.label))
+    if payoff.barrier_pair == payoff.payoff_pair.inverse():
+        payoff = replace(payoff, barrier_pair=payoff.payoff_pair, barrier_level=1.0 / payoff.barrier_level,
+                         direction="down" if payoff.direction == "up" else "up")
+    return payoff, tuple(dict.fromkeys((payoff.payoff_pair, payoff.barrier_pair)))
 
 
 def _payoff_evaluator(
@@ -439,16 +434,19 @@ def _payoff_evaluator(
     spots: np.ndarray,
     config: SimulationConfig,
 ) -> Callable[[int, Iterator[np.ndarray]], np.ndarray]:
-    """One evaluator for every payoff, on the blocks ``price`` draws: test the
-    barrier pair's log-level (last row) at monitoring steps, then pay
-    max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (first rows)
-    after the last step.  A vanilla or a barrier pays on one leg of weight 1."""
+    """One evaluator for every payoff as ``_simulated`` gives it, on the blocks ``price`` draws:
+    test the barrier pair's log-level (last row) at its monitoring times (each a grid time, all of
+    them by default), then pay max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (first
+    rows) after the last step.  A vanilla or a barrier pays on one leg of weight 1."""
     sign = 1.0 if payoff.kind == "call" else -1.0
     weights = np.array([payoff.weights[pair] for pair in pairs] if isinstance(payoff, BasketPayoff) else [1.0])
     is_barrier = isinstance(payoff, BarrierPayoff)
-    monitor: set[int] = set()
+    monitor = set(range(len(config.grid))) if is_barrier and payoff.monitoring is None else set()
     if is_barrier:
-        monitor = _monitoring_indices(payoff, config.grid)
+        for t in payoff.monitoring or ():
+            if (m := _grid_index(config.grid, t)) is None:
+                raise ValidationError(f"barrier monitoring time {t} is not a grid time")
+            monitor.add(m)
         beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
         threshold = math.log(payoff.barrier_level) - math.log(spots[-1])
 
@@ -510,22 +508,21 @@ def price(
     """
     if isinstance(workers, bool) or not (isinstance(workers, int) and workers >= 1):
         raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
-    if isinstance(payoff, BarrierPayoff) and payoff.barrier_pair == payoff.payoff_pair.inverse():
-        payoff = replace(payoff, barrier_pair=payoff.payoff_pair, barrier_level=1.0 / payoff.barrier_level,
-                         direction="down" if payoff.direction == "up" else "up")
-    pairs = _involved_pairs(payoff)
+    payoff, pairs = _simulated(payoff)
     disc_ccy = pairs[0].denominating
     horizon = config.horizon
 
     derive = (*(pairs if vols is None else ()), *_links(pairs, disc_ccy))
     vols, derived = dict(vols or {}), {}  # derived: the snapshot's bucket vols by stored pair, for the matrix
+    grid = config.grid  # checked as bucket boundaries once, at the first derived pair or in the matrix
     for pair in derive:  # a vol is the same in either orientation: derive each currency pair once
         if pair not in vols and pair.inverse() not in vols:
             ts = snapshot.vol_structure(pair)
             derived[ts.pair] = _bucket_vols(ts, config.grid)
-            vols[pair] = PiecewiseConstant((0.0, *config.grid), derived[ts.pair])
+            grid = normalize_breakpoints(grid)
+            vols[pair] = PiecewiseConstant(grid, derived[ts.pair])
     if corr is None and len(pairs) > 1:
-        corr = build_matrix(pairs, snapshot, config.grid, repair=repair, clamp=clamp, _vols=derived)
+        corr = build_matrix(pairs, snapshot, grid, repair=repair, clamp=clamp, _vols=derived)
 
     steps = _prepare_steps(pairs, vols, corr, config, snapshot.rates, disc_ccy)
     steps = _terminal_steps(steps, bridged=isinstance(payoff, BarrierPayoff))
@@ -535,23 +532,20 @@ def price(
     disc_rate = snapshot.average_rate(disc_ccy, horizon)
     df = math.exp(-disc_rate * horizon)
 
-    def block_sums(start: int, size: int, step_increments: Iterator[np.ndarray]) -> tuple[float, float, int]:
+    def block_sums(start: int, size: int, step_increments: Iterator[np.ndarray]) -> tuple[float, float]:
         values = evaluate(size, step_increments)
         if config.antithetic:
-            half = len(values) // 2
-            values = 0.5 * (values[:half] + values[half:])
-        return float(values.sum()), float((values * values).sum()), values.size
+            values = 0.5 * (values[:size // 2] + values[size // 2:])
+        return float(values.sum()), float((values * values).sum())
 
-    partials = _run_blocks(steps, config, block_sums, workers)
+    n_eff = config.n_paths // 2 if config.antithetic else config.n_paths  # exact: every block size is even
     # plain left-to-right adds in block order: sum() compensates float adds
     # since Python 3.12, so the result bytes would depend on the interpreter
     total = 0.0
     total_sq = 0.0
-    n_eff = 0
-    for s1, s2, n in partials:
+    for s1, s2 in _run_blocks(steps, config, block_sums, workers):
         total += s1
         total_sq += s2
-        n_eff += n
     mean = total / n_eff
     if n_eff > 1:
         variance = max(total_sq - n_eff * mean * mean, 0.0) / (n_eff - 1)

@@ -87,6 +87,22 @@ def three_ccy_file(tmp_path):
 _ROUND_TRIP_PAIR = FxPair.parse("EUR/USD")
 
 
+@pytest.fixture
+def breakpoint_checks(monkeypatch):
+    """The ``what`` of each ``_check_breakpoints`` call, wherever fxcorr makes it."""
+    from fxcorr import correlation, term_structure
+
+    calls = []
+    real = term_structure._check_breakpoints
+
+    def counting(points, what):
+        calls.append(what)
+        return real(points, what)
+    for module in (correlation, term_structure):
+        monkeypatch.setattr(module, "_check_breakpoints", counting)
+    return calls
+
+
 def draw_invertible(rng: np.random.Generator):
     """One random (sigma, T, moneyness, rates) draw whose price actually
     pins sigma to 1e-10 in float64, or None for a dud draw.

@@ -955,6 +955,12 @@ class TestTermCorrIsBucketCorrsValues:
         got = term_corr(CorrQuery.total(pair("JPY/USD"), pair("EUR/GBP"), 2.0), self.WORLD, (0.25, 0.5, 1, 2))
         assert calls == ["bucket boundaries"] and got.breakpoints == (0.0, 0.25, 0.5, 1.0, 2.0)
 
+    def test_build_matrix_checks_its_breakpoints_once(self, breakpoint_checks):
+        # normalize_breakpoints checks the grid, and the matrix stores it as a plain tuple
+        matrix = build_matrix([pair("EUR/USD"), pair("GBP/USD")], self.WORLD, (0.5, 1, 2))
+        assert breakpoint_checks == ["bucket boundaries"]
+        assert type(matrix.breakpoints) is tuple and matrix.breakpoints == (0.0, 0.5, 1.0, 2.0)
+
 
 ARB = load_snapshot(Path(__file__).parent / "data" / "golden" / "arb.json")  # EUR/USD vs EUR/JPY: 1.03125 on (0, 1]
 LATER = loads_snapshot(json.dumps(later_bucket_doc()))

@@ -43,7 +43,7 @@ from fxcorr import (
 )
 from fxcorr import montecarlo
 from fxcorr.montecarlo import (
-    BLOCK_PATHS, _bridge, _payoff_evaluator, _prepare_steps, _run_blocks, _terminal_steps,
+    _GRID_TOL, BLOCK_PATHS, _bridge, _grid_index, _payoff_evaluator, _prepare_steps, _run_blocks, _terminal_steps,
 )
 from fxcorr.term_structure import _bucket_vols
 
@@ -617,6 +617,11 @@ class TestPriceBarrier:
             price(self.payoff("knock-out", 0.011, monitoring=(0.3,)),
                   three_ccy_snapshot, config)
 
+    def test_checks_its_grid_once(self, three_ccy_snapshot, breakpoint_checks):
+        # the vols of EUR/USD, JPY/USD and the JPY/EUR link and the matrix share one checked grid
+        price(self.payoff("knock-out", 0.0115), three_ccy_snapshot, SimulationConfig(1000, 71, (0.25, 0.5, 1.0)))
+        assert breakpoint_checks == ["bucket boundaries"]
+
     def test_monitoring_subset_loosens_the_barrier(self, three_ccy_snapshot):
         config = SimulationConfig(50_000, 67, (0.25, 0.5, 0.75, 1.0))
         full = price(self.payoff("knock-out", 0.0115), three_ccy_snapshot, config)
@@ -826,6 +831,31 @@ class TestGridCover:
         with pytest.raises(ValidationError, match="grid must include breakpoint 1.5 of the correlation matrix"):
             price(BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call"), three_ccy_snapshot, self.CONFIG,
                   corr=self.corr(1.5))
+
+
+def _scanned_grid_index(grid, t):
+    """The first grid time within the tolerance of t by a linear scan."""
+    return next((m for m, g in enumerate(grid) if abs(g - t) <= _GRID_TOL), None)
+
+
+class TestGridIndex:
+    """``_grid_index`` against the linear scan, at and just beyond the tolerance."""
+
+    @pytest.mark.parametrize("grid", [
+        tuple(m / 52 for m in range(1, 53)),
+        (0.25, 0.5, 0.5 + 0.4 * _GRID_TOL, 0.5 + 0.8 * _GRID_TOL, 0.5 + 1.6 * _GRID_TOL, 1.0),
+        (3.118688607266795e-13, 5.113284003962863e-12, 1.0),  # |g - t| rounds down to tol for t - tol > g
+        (4096.0, 4096.0 + 2.0 ** -40, 4096.0 + 2.0 ** -39, 8192.0),  # one ulp apart, less than tol
+    ], ids=["weekly", "closer-than-tol", "tiny-times", "ulp-apart"])
+    def test_matches_a_linear_scan(self, grid):
+        rng = np.random.default_rng(29)
+        times = [0.0, 2.0 * grid[-1], *rng.uniform(0.0, 1.1 * grid[-1], 50)]
+        for g in grid:
+            for t in (g - 2 * _GRID_TOL, g - _GRID_TOL, g, g + _GRID_TOL, g + 2 * _GRID_TOL,
+                      *(g + _GRID_TOL * rng.uniform(-3.0, 3.0, 20))):
+                times += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        for t in times:
+            assert _grid_index(grid, t) == _scanned_grid_index(grid, t), t
 
 
 class TestNonFinitePayoffs:
