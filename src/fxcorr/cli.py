@@ -13,7 +13,8 @@ repr), and exits with a stable status code:
 
 ``--pretty`` switches to a human-readable rendering (10 significant
 digits).  The only environment variable honoured is FXCORR_SNAPSHOT, an
-optional default snapshot path.
+optional default snapshot path.  Each command imports the module it runs,
+so the quote commands start without numpy or the Monte Carlo engine.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .correlation import CorrQuery, bucket_corrs, build_matrix, implied_corr, normalize_breakpoints
 from .errors import (
     CalendarArbitrageError,
     CorrelationRangeError,
@@ -36,9 +36,6 @@ from .errors import (
     ValidationError,
 )
 from .market_data import FxPair, MarketSnapshot, _loads_json, check_spot_triangles, load_snapshot
-from .montecarlo import SimulationConfig, payoff_from_dict, payoff_to_dict, price
-from .term_structure import bootstrap_piecewise_vol, total_variance
-from .vanilla import VanillaSpec, implied_vol
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -176,6 +173,7 @@ def _g10(x: float) -> str:
 
 
 def _cmd_implied_vol(args, snapshot: MarketSnapshot) -> int:
+    from .vanilla import VanillaSpec, implied_vol
     pair = FxPair.parse(args.pair)
     spec = VanillaSpec(pair, args.strike, args.maturity, args.kind)
     spot = snapshot.spot(pair)
@@ -193,6 +191,7 @@ def _cmd_implied_vol(args, snapshot: MarketSnapshot) -> int:
 
 
 def _cmd_corr(args, snapshot: MarketSnapshot) -> int:
+    from .correlation import CorrQuery, bucket_corrs, implied_corr, normalize_breakpoints
     pair_a = FxPair.parse(args.pair_a)
     pair_b = FxPair.parse(args.pair_b)
     resolved = {}
@@ -224,6 +223,7 @@ def _cmd_corr(args, snapshot: MarketSnapshot) -> int:
 
 
 def _cmd_corr_matrix(args, snapshot: MarketSnapshot) -> int:
+    from .correlation import build_matrix
     pairs = [FxPair.parse(label) for label in args.pairs]
     matrix = build_matrix(pairs, snapshot, args.buckets, repair=args.repair, clamp=args.clamp)
     result = matrix.to_dict()
@@ -240,6 +240,7 @@ def _cmd_corr_matrix(args, snapshot: MarketSnapshot) -> int:
 
 
 def _cmd_price(args, snapshot: MarketSnapshot) -> int:
+    from .montecarlo import SimulationConfig, payoff_from_dict, payoff_to_dict, price
     payoff = payoff_from_dict(_loads_json(Path(args.payoff).read_bytes()))
     result_obj = price(
         payoff, snapshot, SimulationConfig(args.paths, args.seed, args.grid, args.antithetic),
@@ -256,6 +257,7 @@ def _cmd_price(args, snapshot: MarketSnapshot) -> int:
 
 
 def _cmd_bootstrap(args, snapshot: MarketSnapshot) -> int:
+    from .term_structure import bootstrap_piecewise_vol, total_variance
     pair = FxPair.parse(args.pair)
     ts = snapshot.vol_structure(pair)
     pc = bootstrap_piecewise_vol(ts)

@@ -10,7 +10,8 @@ two rates sharing their denominating currency, is the case m = i: s_im = 0
 and three vols suffice.  Vols are orientation invariant, so flipping one
 queried pair negates the result exactly.  The formula evaluates on floats
 for one query and elementwise for a whole matrix, by index into the vols
-between the pairs' currencies; buckets use forward vols.
+between the pairs' currencies; buckets use forward vols.  Only the matrix
+code imports numpy, when it runs: the quote functions do not need it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     CorrelationClampWarning,
@@ -315,6 +314,7 @@ class BucketedCorrelationMatrix:
     statuses: tuple[BucketStatus, ...]
 
     def __post_init__(self):
+        import numpy as np
         for name in ("pairs", "statuses"):  # lists as tuples, as in the other frozen inputs
             object.__setattr__(self, name, tuple(getattr(self, name)))
         breakpoints = self.breakpoints  # a grid normalize_breakpoints checked is stored as a plain tuple
@@ -377,6 +377,7 @@ class BucketedCorrelationMatrix:
 
 def _clip_to_psd(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """One-pass eigenvalue clipping at 0 plus unit-diagonal renormalization."""
+    import numpy as np
     eigvals, eigvecs = np.linalg.eigh(matrix)
     clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
     scale = np.sqrt(np.maximum(np.diag(clipped), 1e-300))
@@ -408,6 +409,7 @@ def build_matrix(
     such matrix), reporting the Frobenius distance moved.  ``_vols`` holds the
     bucket vols ``price`` derived from the snapshot, by stored pair: not derived again.
     """
+    import numpy as np
     canon, seen = [], set()  # the set makes the duplicate check one hash per pair
     for pair in pairs:
         cpair, _ = canonicalize(pair)

@@ -186,15 +186,19 @@ def _grid_index(grid: tuple[float, ...], t: float) -> int | None:
     return None
 
 
-def _grid_buckets(grid: tuple[float, ...], mids: list[float], breakpoints: tuple[float, ...], what: str) -> list[int]:
+def _grid_buckets(grid: tuple[float, ...], mids: list[float], breakpoints: tuple[float, ...],
+                  what: Callable[[], str], mapped: dict[tuple[float, ...], list[int]]) -> list[int]:
     """Each grid step's bucket of a bucketed input, at the step's mid: the grid must include every breakpoint
-    before its end, and steps past the input's end read its last bucket, with one notice naming the input."""
-    for b in breakpoints[1:]:
-        if b < grid[-1] - _GRID_TOL and _grid_index(grid, b) is None:
-            raise ValidationError(f"grid must include breakpoint {b} of {what}")
+    before its end, and steps past the input's end read its last bucket, with one notice naming the input.
+    ``mapped`` holds each breakpoint grid already mapped, and ``what()`` is called only for an error or a notice."""
+    if breakpoints not in mapped:
+        for b in breakpoints[1:]:
+            if b < grid[-1] - _GRID_TOL and _grid_index(grid, b) is None:
+                raise ValidationError(f"grid must include breakpoint {b} of {what()}")
+        mapped[breakpoints] = [_bucket(breakpoints, t) for t in mids]
     if mids[-1] > breakpoints[-1]:
-        _warn_flat(what, breakpoints[-1], mids[-1])
-    return [_bucket(breakpoints, t) for t in mids]
+        _warn_flat(what(), breakpoints[-1], mids[-1])
+    return mapped[breakpoints]
 
 
 def _factor_matrix(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -234,17 +238,19 @@ def _prepare_steps(
     grid = np.array((0.0,) + config.grid)
     dt = np.diff(grid)
     mids = (0.5 * (grid[:-1] + grid[1:])).tolist()
+    mapped = {}  # each distinct breakpoint grid is mapped onto the steps once
     sigma = []  # per pair, each step's vol
     for pair in (*pairs, *links):  # a vol is the same in either orientation
         structure = vols.get(pair, vols.get(pair.inverse()))
         if structure is None:
             raise MissingDataError(f"no vol structure supplied for pair {pair}")
         values, bounds = structure.values, structure.breakpoints
-        for n, (s, left, right) in enumerate(zip(values, bounds, bounds[1:])):
-            _check_real(s, f"vol of {pair} on bucket {n} ({left}, {right}]", "finite and >= 0")
-        sigma.append([values[n] for n in _grid_buckets(config.grid, mids, bounds, f"vols of {pair}")])
+        for n, s in enumerate(values):
+            if not (type(s) is float and 0.0 <= s < math.inf):  # the message is built only for a bad vol
+                _check_real(s, f"vol of {pair} on bucket {n} ({bounds[n]}, {bounds[n + 1]}]", "finite and >= 0")
+        sigma.append([values[n] for n in _grid_buckets(config.grid, mids, bounds, lambda: f"vols of {pair}", mapped)])
     if corr is not None:
-        buckets = _grid_buckets(config.grid, mids, corr.breakpoints, "the correlation matrix")
+        buckets = _grid_buckets(config.grid, mids, corr.breakpoints, lambda: "the correlation matrix", mapped)
     sigma = np.column_stack(sigma)  # per step, in rows
     rate_diff = 0.0
     if rates is not None:

@@ -833,6 +833,56 @@ class TestGridCover:
                   corr=self.corr(1.5))
 
 
+class TestEngineInputPasses:
+    """``_prepare_steps`` maps each distinct breakpoint grid onto the steps
+    once, and writes an input's name only into an error or a notice."""
+
+    PAYOFF = BarrierPayoff(EURUSD, 1.25, "call", JPYUSD, 0.0115, "up", "knock-out")
+    CONFIG = SimulationConfig(1000, 71, (0.25, 0.5, 1.0))
+
+    def test_a_valid_price_names_no_pair(self, three_ccy_snapshot, monkeypatch):
+        named, inside = [], []
+        real_str, real_prepare = FxPair.__str__, montecarlo._prepare_steps
+
+        def prepare(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_prepare(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counting_str(pair):
+            if inside:
+                named.append(real_str(pair))
+            return real_str(pair)
+        monkeypatch.setattr(montecarlo, "_prepare_steps", prepare)
+        monkeypatch.setattr(FxPair, "__str__", counting_str)
+        price(self.PAYOFF, three_ccy_snapshot, self.CONFIG)
+        assert named == []
+        bad = {EURUSD: flat_vol(math.nan), JPYUSD: flat_vol(0.2)}  # the stand-in sees the message that is raised
+        with pytest.raises(ValidationError, match=r"vol of EUR/USD on bucket 0 \(0\.0, 1\.0\]"):
+            price(self.PAYOFF, three_ccy_snapshot, self.CONFIG, vols=bad)
+        assert named == ["EUR/USD"]
+
+    def test_a_shared_grid_is_mapped_once(self, three_ccy_snapshot, monkeypatch):
+        # the vols of EUR/USD, JPY/USD and the JPY/EUR link and the matrix all lie on price's grid
+        lookups = []
+        real = montecarlo._bucket
+        monkeypatch.setattr(montecarlo, "_bucket", lambda breakpoints, t: lookups.append(t) or real(breakpoints, t))
+        price(self.PAYOFF, three_ccy_snapshot, self.CONFIG)
+        assert lookups == [0.125, 0.375, 0.75]  # one lookup per step
+
+    def test_each_override_read_past_its_end_gives_its_own_notice(self, three_ccy_snapshot):
+        basket = BasketPayoff({EURUSD: 0.5, EURJPY: 0.005}, 1.25, "call")  # both in EUR: no link vols
+        vols = {EURUSD: flat_vol(0.2, 0.5), EURJPY: flat_vol(0.25, 0.5)}  # one grid, both short of T=1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            price(basket, three_ccy_snapshot, SimulationConfig(1000, 71, (0.5, 1.0)), vols=vols)
+        assert sorted(str(w.message) for w in caught if w.category is ExtrapolationWarning) == [
+            f"vols of {pair} extrapolated flat beyond T=0.5 to t=0.75" for pair in ("EUR/JPY", "EUR/USD")
+        ]
+
+
 def _scanned_grid_index(grid, t):
     """The first grid time within the tolerance of t by a linear scan."""
     return next((m for m, g in enumerate(grid) if abs(g - t) <= _GRID_TOL), None)
