@@ -190,6 +190,13 @@ def _cmd_implied_vol(args, snapshot: MarketSnapshot) -> int:
     return EXIT_OK
 
 
+def _audit_lines(provenance, indent: str) -> list[str]:
+    """A correlation's provenance as ``--pretty`` prints it: the formula, then each vol by role."""
+    return [f"{indent}formula: {provenance.formula}"] + [
+        f"{indent}{v.role} [{v.pair}] ({_g10(v.start)}, {_g10(v.end)}]: {_g10(v.sigma)}" for v in provenance.vols
+    ]
+
+
 def _cmd_corr(args, snapshot: MarketSnapshot) -> int:
     from .correlation import CorrQuery, bucket_corrs, implied_corr, normalize_breakpoints
     pair_a = FxPair.parse(args.pair_a)
@@ -202,9 +209,7 @@ def _cmd_corr(args, snapshot: MarketSnapshot) -> int:
             result["provenance"] = res.provenance.to_dict()
         pretty = [f"corr({pair_a}, {pair_b}; T={_g10(args.maturity)}) = {_g10(res.value)}"]
         if args.audit:
-            pretty.append(f"  formula: {res.provenance.formula}")
-            for v in res.provenance.vols:
-                pretty.append(f"  {v.role} [{v.pair}] ({_g10(v.start)}, {_g10(v.end)}]: {_g10(v.sigma)}")
+            pretty += _audit_lines(res.provenance, "  ")
     else:
         breakpoints = resolved["buckets"] = normalize_breakpoints(args.buckets)
         query = CorrQuery.total(pair_a, pair_b, breakpoints[-1])
@@ -214,10 +219,11 @@ def _cmd_corr(args, snapshot: MarketSnapshot) -> int:
              **({"provenance": r.provenance.to_dict()} if args.audit else {})}
             for r in results
         ]}
-        pretty = [f"corr({pair_a}, {pair_b}) per bucket:"] + [
-            f"  ({_g10(r.provenance.start)}, {_g10(r.provenance.end)}]: {_g10(r.value)}"
-            for r in results
-        ]
+        pretty = [f"corr({pair_a}, {pair_b}) per bucket:"]
+        for r in results:
+            pretty.append(f"  ({_g10(r.provenance.start)}, {_g10(r.provenance.end)}]: {_g10(r.value)}")
+            if args.audit:
+                pretty += _audit_lines(r.provenance, "    ")
     _emit(result, args, pretty, **resolved)
     return EXIT_OK
 

@@ -87,18 +87,9 @@ class CorrProvenance:
     clamped: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "formula": self.formula,
-            "pair_a": self.pair_a,
-            "pair_b": self.pair_b,
-            "start": self.start,
-            "end": self.end,
-            "clamped": self.clamped,
-            "vols": [
-                {"role": v.role, "pair": v.pair, "start": v.start, "end": v.end, "sigma": v.sigma}
-                for v in self.vols
-            ],
-        }
+        d = dict(vars(self))
+        d["vols"] = [dict(vars(v)) for v in d.pop("vols")]  # popped and set again: last, as the documents have it
+        return d
 
 
 @dataclass(frozen=True)
@@ -366,9 +357,7 @@ class BucketedCorrelationMatrix:
                     "start": self.breakpoints[n],
                     "end": self.breakpoints[n + 1],
                     "matrix": [list(row) for row in self.matrices[n]],
-                    "status": self.statuses[n].status,
-                    "min_eigenvalue": self.statuses[n].min_eigenvalue,
-                    "frobenius_change": self.statuses[n].frobenius_change,
+                    **vars(self.statuses[n]),
                 }
                 for n in range(self.n_buckets)
             ],

@@ -9,7 +9,7 @@ lexicographically smaller code); both orientations are indexed when the
 snapshot is built, through the identity X_{j/i} = 1/X_{i/j}, and implied
 vols are orientation-invariant.
 
-Snapshot file schema (JSON, strict — unknown keys are rejected)::
+Snapshot file schema (JSON, strict — unknown keys and duplicate keys are rejected)::
 
     {
       "as_of": "2026-01-05",
@@ -438,10 +438,23 @@ def _check_inverse_vols(pair: FxPair, a: VolTermStructure, b: VolTermStructure) 
 # Snapshot document parsing
 
 
+class _Repeats(dict):
+    """A decoded object that gave ``key`` more than once (the last value kept), rejected by ``_require_keys``."""
+
+
+def _object(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # mark the object: its path is known only where it is checked
+        seen = set()
+        obj = _Repeats(obj)
+        obj.key = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return obj
+
+
 def _loads_json(text: str | bytes):
     """Decode JSON text or file bytes; any decoding failure is a SchemaError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except (ValueError, RecursionError) as exc:  # bad bytes, digit limit, deep nesting
@@ -453,6 +466,8 @@ def _path(where: str, key: str) -> str:
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str = "") -> None:
+    if type(obj) is _Repeats:
+        raise SchemaError(f"duplicate key {obj.key!r}", field=_path(where, obj.key))
     for key in obj:
         if key not in allowed:
             raise SchemaError(f"unknown key {key!r}", field=_path(where, key))

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
@@ -161,7 +161,7 @@ class PricingResult:
     discount_rate: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +379,16 @@ def _run_blocks(
     apply: Callable[[int, int, Iterator[np.ndarray]], object],
     workers: int = 1,
 ) -> list:
-    """``apply(first_path, size, step_increments)`` on every path block, on
-    up to ``workers`` threads; the results come back in block order."""
+    """``apply(first_path, size, step_increments)`` on every path block, on a
+    pool of ``workers`` threads; the results come back in block order."""
 
     def run(block: int) -> object:
         start = block * BLOCK_PATHS
         size = min(BLOCK_PATHS, config.n_paths - start)
         return apply(start, size, _block_steps(steps, config, block, size))
 
-    blocks = range(math.ceil(config.n_paths / BLOCK_PATHS))
-    if workers <= 1:
-        return [run(block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # map cancels the queued blocks when one raises
+        return list(pool.map(run, range(math.ceil(config.n_paths / BLOCK_PATHS))))
 
 
 def simulate_increments(

@@ -84,14 +84,7 @@ def forward_vol(sigma_near: float, sigma_far: float, t_near: float, t_far: float
     _check_span(t_near, t_far, "t_near < t_far")
     for sigma in (sigma_near, sigma_far):
         _check_real(sigma, "vols", "finite and >= 0")
-    tv_near = sigma_near * sigma_near * t_near
-    tv_far = sigma_far * sigma_far * t_far
-    if tv_far < tv_near:
-        raise CalendarArbitrageError(
-            f"negative forward variance on ({t_near}, {t_far}]: "
-            f"total variance {tv_far:.12g} at T={t_far} < {tv_near:.12g} at T={t_near}"
-        )
-    return math.sqrt((tv_far - tv_near) / (t_far - t_near))
+    return _span_vol(None, t_near, t_far, sigma_near * sigma_near * t_near, sigma_far * sigma_far * t_far)
 
 
 def bootstrap_piecewise_vol(ts: VolTermStructure) -> PiecewiseConstant:
@@ -178,8 +171,12 @@ def horizon_vol(ts: VolTermStructure, start: float, end: float) -> float:
     return _span_vol(ts, start, end, tv_start, tv_end)
 
 
-def _span_vol(ts: VolTermStructure, start: float, end: float, tv_start: float, tv_end: float) -> float:
-    """Vol over (start, end] from the total variances at its ends."""
+def _span_vol(ts: VolTermStructure | None, start: float, end: float, tv_start: float, tv_end: float) -> float:
+    """The one forward-variance check: the vol over (start, end] from the total variances at its ends,
+    read from ``ts`` (named in the error) or, with None, from two spot vols."""
     if tv_end < tv_start:
-        raise CalendarArbitrageError(f"{ts.pair}: negative forward variance on ({start}, {end}]")
+        raise CalendarArbitrageError(
+            f"{'' if ts is None else f'{ts.pair}: '}negative forward variance on ({start}, {end}]: "
+            f"total variance {tv_end:.12g} at T={end} < {tv_start:.12g} at T={start}"
+        )
     return math.sqrt((tv_end - tv_start) / (end - start))

@@ -177,6 +177,15 @@ class TestCorr:
         for b in buckets:
             assert b["correlation"] == pytest.approx(0.5, rel=1e-14)
 
+    def test_bucketed_audit_prints_each_provenance(self, capsys, snapshot_path):
+        # one bucket over (0, 1] is the total horizon: its audit lines are the maturity form's, indented under it
+        argv = ["corr", snapshot_path, "--pair-a", "EUR/USD", "--pair-b", "EUR/JPY", "--audit", "--pretty"]
+        _, total, _ = run(capsys, argv + ["--maturity", "1.0"])
+        _, bucketed, _ = run(capsys, argv + ["--buckets", "1.0"])
+        audit = total.splitlines()[1:]
+        assert audit[0] == "  formula: triangle" and len(audit) == 4
+        assert bucketed.splitlines()[2:] == ["  " + line for line in audit]
+
     def test_audit_is_sufficient_to_recompute(self, capsys, snapshot_path):
         doc = run_doc(capsys, [
             "corr", snapshot_path, "--pair-a", "EUR/USD", "--pair-b", "EUR/JPY",

@@ -44,6 +44,8 @@ from fxcorr import (
     triangle_corr,
 )
 
+from fxcorr.market_data import _loads_json
+
 from conftest import json_with_huge_integer, snapshot_doc, three_ccy_doc
 
 
@@ -434,6 +436,28 @@ class TestFieldPaths:
         with pytest.raises(SchemaError) as exc:
             parse()
         assert exc.value.field == field
+
+
+class TestDuplicateKeys:
+    """A key given twice in one object is a SchemaError at its path: the last value is not kept."""
+
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda d: d.update(DUP=[]), "spots", id="top-level"),
+        pytest.param(lambda d: d["vols"][0]["points"][1].update(DUP=0.3), "vols[0].points[1].sigma", id="nested"),
+    ])
+    def test_snapshot_key_given_twice(self, edit, field):
+        doc = three_ccy_doc()
+        edit(doc)
+        key = field.rsplit(".", 1)[-1]
+        with pytest.raises(SchemaError, match=f"duplicate key '{key}'") as exc:
+            loads_snapshot(json.dumps(doc).replace('"DUP"', f'"{key}"'))
+        assert exc.value.field == field
+
+    def test_payoff_key_given_twice(self):
+        text = '{"type": "vanilla", "pair": "EUR/USD", "strike": 1.25, "kind": "call", "strike": 1.5}'
+        with pytest.raises(SchemaError, match="duplicate key 'strike'") as exc:
+            payoff_from_dict(_loads_json(text))
+        assert exc.value.field == "strike"
 
 
 class TestUndecodableFile:

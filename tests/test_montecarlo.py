@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -1148,6 +1149,23 @@ class TestLongGridBitsArePinned:
         payoff = PINNED_PAYOFFS[name]
         got = pinned_price(three_ccy_snapshot, payoff, 20_000, antithetic, workers, self.GRID)
         assert got == self.PRICES[name, antithetic]
+
+
+class TestRunBlocks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_error_reaches_the_caller_and_cancels_the_rest(self, workers):
+        # the other blocks sleep, so the caller sees block 0's error while blocks are still queued
+        def apply(start, size, step_increments):
+            ran.append(start)
+            if start == 0:
+                raise KeyError("block 0 failed")
+            time.sleep(0.05)
+
+        ran = []
+        with pytest.raises(KeyError) as exc:  # apply never reads the increments: no steps needed
+            _run_blocks(None, SimulationConfig(20 * BLOCK_PATHS, 1, (1.0,)), apply, workers)
+        assert type(exc.value) is KeyError and exc.value.args == ("block 0 failed",)
+        assert 0 in ran and len(ran) < 20
 
 
 class TestBlockMemory:

@@ -18,7 +18,7 @@ from fxcorr import (
     integrated_correlation,
     total_variance,
 )
-from fxcorr.term_structure import _bucket_vols
+from fxcorr.term_structure import _bucket_vols, _span_vol
 
 PAIR = FxPair.parse("EUR/USD")
 
@@ -125,6 +125,17 @@ class TestForwardVol:
             fv = forward_vol(s1, s2, t1, t2)
             lhs = s1 * s1 * t1 + fv * fv * (t2 - t1)
             assert lhs == pytest.approx(s2 * s2 * t2, abs=1e-15)
+
+
+class TestSpanVol:
+    def test_structure_read_names_the_pair_and_both_variances(self):
+        # forward_vol's text, prefixed with the pair when the variances were read from a structure
+        text = "negative forward variance on (1.0, 2.0]: total variance 0.02 at T=2.0 < 0.04 at T=1.0"
+        with pytest.raises(CalendarArbitrageError) as spots:
+            forward_vol(0.2, 0.1, 1.0, 2.0)
+        with pytest.raises(CalendarArbitrageError) as structure:
+            _span_vol(VolTermStructure(PAIR, ((1.0, 0.2),)), 1.0, 2.0, 0.04, 0.02)
+        assert (str(spots.value), str(structure.value)) == (text, f"EUR/USD: {text}")
 
 
 class TestBootstrap:
