@@ -54,12 +54,15 @@ VOL_INVERSE_TOL = 1e-10
 
 
 def _interpolate(ts: Sequence[float], ys: Sequence[float], t: float) -> float:
-    """Linear interpolation of the knots (ts, ys) at ts[0] < t <= ts[-1]."""
+    """Linear interpolation of the knots (ts, ys) at ts[0] < t <= ts[-1], kept between its two knots:
+    rounding can carry it past the later one, and a span just below a knot would then read a falling
+    total variance."""
     n = bisect_left(ts, t)
     if ts[n] == t:
         return ys[n]
-    w = (t - ts[n - 1]) / (ts[n] - ts[n - 1])
-    return ys[n - 1] + w * (ys[n] - ys[n - 1])
+    lo, hi = ys[n - 1], ys[n]
+    value = lo + (t - ts[n - 1]) / (ts[n] - ts[n - 1]) * (hi - lo)
+    return value if (value <= hi) == (lo <= hi) else hi  # rounding never carries it back past lo
 
 
 def _time_list(times: Iterable[float], what: str) -> tuple:

@@ -15,7 +15,9 @@ where D_m = diag(sigma_m sqrt(dt_m)) and C_m is step m's correlation.  So
 and the breakpoint checks.  A barrier draws its paying pair the same way,
 from the same stream, and then its barrier pair step by step given that
 draw (a Brownian bridge), so an unreachable barrier is the vanilla bit for
-bit.  Every pair is simulated under the measure of the paying currency.
+bit.  A path whose payoff is 0 is worth 0 whatever its barrier does, so
+only the paths that pay are bridged, and only up to the last monitoring
+time.  Every pair is simulated under the measure of the paying currency.
 
 Determinism: paths are partitioned into fixed-size blocks and every
 (block, pair-slot) draws its own segment of a counter-based generator
@@ -26,16 +28,17 @@ in block order, which keeps results bit-identical for any worker count.
 Layout: no block is held whole.  A block streams one grid step at a time
 through two reused (rows, size) buffers, the normals and the increments
 (a barrier's log-levels), so a worker's memory does not grow with the
-number of steps.
+number of steps; a barrier's bridged paths are moved to the front of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Callable, Iterator, Literal, Mapping, Sequence
+from typing import Callable, Generator, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -176,6 +179,10 @@ class _Steps:
     drift: np.ndarray       # (M, P, 1), includes the dt factor
     factors: tuple[np.ndarray, ...]  # per step, (P, P) with L L^T = C
     bridge: np.ndarray | None = None  # (M, 5): a barrier pair's q, L_mm, u (see _bridge), scale, drift
+
+
+# a block's steps: the bridged paths' indices come back through send (see _block_steps)
+_StepLevels = Generator[np.ndarray, np.ndarray | None, None]
 
 
 def _grid_index(grid: tuple[float, ...], t: float) -> int | None:
@@ -342,11 +349,15 @@ def _bridge(rho: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 def _block_steps(
     steps: _Steps, config: SimulationConfig, block: int, size: int
-) -> Iterator[np.ndarray]:
+) -> _StepLevels:
     """Yield one path block's (rows, size) increments grid step by grid
     step, in one reused buffer: read each step before asking for the next.
-    With a bridge, yield at each step the paying pair's terminal increment
-    and the barrier pair's log-level, moved by x_m = q_m (Z - S_m) + L_mm w_m."""
+    With a bridge, yield first the paying pair's terminal increment and
+    then, at each grid step, the barrier pair's log-level (last row), moved
+    by x_m = q_m (Z - S_m) + L_mm w_m, on the paths whose ascending
+    indices are sent in reply to the terminal: only those, moved to the
+    front of the buffers, with one w_m per path (per pair: an antithetic
+    block sends both paths of each pair)."""
     n_steps, n_pairs = steps.drift.shape[:2]
     n_draw = size // 2 if config.antithetic else size
     # counter layout: bits 128+ block, bits 96..127 pair slot, rest stream
@@ -362,9 +373,13 @@ def _block_steps(
         np.matmul(steps.factors[m], z[:n_pairs], out=y[:n_pairs])
         y[:n_pairs] *= steps.scale[m]
         y[:n_pairs] += steps.drift[m]
-        if steps.bridge is None:
-            yield y
-    for q, diagonal, u, scale, drift in () if steps.bridge is None else steps.bridge:
+        paths = yield y
+    if steps.bridge is None:
+        return
+    z[0, :len(paths)] = z[0, paths]  # only the bridge reads z[0], and y[1] is still 0 on every path
+    z, y = z[:, :len(paths)], y[:, :len(paths)]
+    n_draw = len(paths) // 2 if config.antithetic else len(paths)
+    for q, diagonal, u, scale, drift in steps.bridge:
         rngs[1].standard_normal(out=z[1, :n_draw])  # w_m; z[0] is Z - S_m, with S_m+1 = S_m + u_m w_m
         if config.antithetic:
             np.negative(z[1, :n_draw], out=z[1, n_draw:])
@@ -376,7 +391,7 @@ def _block_steps(
 def _run_blocks(
     steps: _Steps,
     config: SimulationConfig,
-    apply: Callable[[int, int, Iterator[np.ndarray]], object],
+    apply: Callable[[int, int, _StepLevels], object],
     workers: int = 1,
 ) -> list:
     """``apply(first_path, size, step_increments)`` on every path block, on a
@@ -436,11 +451,14 @@ def _payoff_evaluator(
     pairs: tuple[FxPair, ...],
     spots: np.ndarray,
     config: SimulationConfig,
-) -> Callable[[int, Iterator[np.ndarray]], np.ndarray]:
-    """One evaluator for every payoff as ``_simulated`` gives it, on the blocks ``price`` draws:
-    test the barrier pair's log-level (last row) at its monitoring times (each a grid time, all of
-    them by default), then pay max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (first
-    rows) after the last step.  A vanilla or a barrier pays on one leg of weight 1."""
+) -> Callable[[int, _StepLevels], np.ndarray]:
+    """One evaluator for every payoff as ``_simulated`` gives it, on the blocks ``price`` draws: pay
+    max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (first rows of the first step), then,
+    for a barrier, bridge the paths that pay (an antithetic pair if either half pays) up to the last
+    monitoring time and test the barrier pair's log-level (last row) at each monitoring time (each a
+    grid time, all of them by default).  A path that pays 0 is worth 0 in either style whatever its
+    barrier does, so knock-in and knock-out bridge the same paths.  A vanilla or a barrier pays on
+    one leg of weight 1."""
     sign = 1.0 if payoff.kind == "call" else -1.0
     weights = np.array([payoff.weights[pair] for pair in pairs] if isinstance(payoff, BasketPayoff) else [1.0])
     is_barrier = isinstance(payoff, BarrierPayoff)
@@ -453,21 +471,28 @@ def _payoff_evaluator(
         beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
         threshold = math.log(payoff.barrier_level) - math.log(spots[-1])
 
-    def evaluate(size: int, step_levels: Iterator[np.ndarray]) -> np.ndarray:
-        breached = np.zeros(size, dtype=bool)
-        for m, y in enumerate(step_levels):
-            if m in monitor:
-                breached |= beyond(y[-1], threshold)
-        terminal = np.ascontiguousarray(y[:len(weights)].T)  # (paths, legs) rows for the matvec
-        del y  # a view of the step buffers: free them before the payoff
-        np.exp(terminal, out=terminal)
+    def evaluate(size: int, step_levels: _StepLevels) -> np.ndarray:
+        terminal = np.ascontiguousarray(next(step_levels)[:len(weights)].T)  # (paths, legs) for the matvec
+        if not is_barrier:
+            step_levels.close()  # free the step buffers before the payoff
+        np.exp(terminal, out=terminal)  # one leg: in the step buffer, whose first row the bridge never reads
         terminal *= spots[:len(weights)]
         value = terminal @ weights  # x * 1.0 == x: one leg pays its own level bit for bit
         value -= payoff.strike
         value *= sign
         np.maximum(value, 0.0, out=value)
         if is_barrier:
-            value *= breached if payoff.style == "knock-in" else ~breached
+            pays = value > 0.0
+            paths = np.flatnonzero(pays[:size // 2] | pays[size // 2:] if config.antithetic else pays)
+            if config.antithetic:
+                paths = np.concatenate((paths, paths + size // 2))
+            breached = np.zeros(len(paths), dtype=bool)
+            if len(paths):  # zip asks for no step past the last monitoring time: none is drawn
+                bridged = itertools.chain((step_levels.send(paths),), step_levels)
+                for m, y in zip(range(max(monitor) + 1), bridged):
+                    if m in monitor:
+                        breached |= beyond(y[-1], threshold)
+            value[paths] *= breached if payoff.style == "knock-in" else ~breached
         return value
 
     return evaluate
@@ -491,9 +516,11 @@ def price(
     and the implied correlation matrix across the payoff's pairs with the
     grid as buckets.  ``vols`` must be finite and non-negative.  A vanilla
     or basket draws one terminal step from the grid's summed drift and
-    covariance, and a barrier draws its paying pair so and its barrier pair
-    step by step given that draw; the grid sets the maturity and must cover
-    every breakpoint.  A barrier on the inverse of its payoff pair is
+    covariance, and a barrier draws its paying pair so and then, on the
+    paths that pay (in antithetic sampling, the pairs of which either half
+    pays), its barrier pair step by step given that draw up to the last
+    monitoring time; the grid sets the maturity and must cover every
+    breakpoint.  A barrier on the inverse of its payoff pair is
     priced as the barrier on the payoff pair at 1/level, direction flipped.
 
     Every pair is simulated under the measure of the paying pair's
@@ -535,7 +562,7 @@ def price(
     disc_rate = snapshot.average_rate(disc_ccy, horizon)
     df = math.exp(-disc_rate * horizon)
 
-    def block_sums(start: int, size: int, step_increments: Iterator[np.ndarray]) -> tuple[float, float]:
+    def block_sums(start: int, size: int, step_increments: _StepLevels) -> tuple[float, float]:
         values = evaluate(size, step_increments)
         if config.antithetic:
             values = 0.5 * (values[:size // 2] + values[size // 2:])

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -739,6 +740,81 @@ class TestBridge:
             assert not q.any() and (factor == np.eye(52)).all()
 
 
+@pytest.fixture
+def normals_drawn(monkeypatch):
+    """The normals the engine draws, counted by (block, pair slot) through a stand-in generator."""
+    drawn = collections.Counter()
+    real = np.random.Generator
+
+    class Counting:
+        def __init__(self, bit_generator):
+            words = bit_generator.state["state"]["counter"]  # (block << 128) | (slot << 96), in 64-bit words
+            self.key = int(words[2]), int(words[1]) >> 32
+            self.rng = real(bit_generator)
+
+        def standard_normal(self, out):
+            drawn[self.key] += out.size
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(montecarlo.np.random, "Generator", Counting)
+    return drawn
+
+
+class TestBridgedPaths:
+    """A barrier bridges its barrier pair only on the paths whose payoff is
+    above 0 (an antithetic pair if either half is), up to its last
+    monitoring time."""
+
+    GRID = (0.25, 0.5, 0.75, 1.0)
+    VOLS = {p: flat_vol(0.2) for p in (EURUSD, JPYUSD, EURJPY)}
+
+    def block_values(self, snapshot, payoff, config):
+        """Each block's path values of ``payoff`` on the bridged EUR/USD and JPY/USD steps, as ``price`` draws
+        them; a vanilla reads the same terminal draws and bridges nothing."""
+        pairs = (EURUSD, JPYUSD)
+        steps = _terminal_steps(_prepare_steps(pairs, self.VOLS, build_matrix(pairs, snapshot, [1.0]), config,
+                                               snapshot.rates, EURUSD.denominating), bridged=True)
+        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), config)
+        return _run_blocks(steps, config, lambda start, size, it: evaluate(size, it))
+
+    @pytest.mark.parametrize("monitoring, n_bridged", [(None, 4), ((0.5,), 2)], ids=["every-step", "stops-early"])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_one_normal_per_paying_path_or_pair_and_step(self, three_ccy_snapshot, normals_drawn,
+                                                         antithetic, monitoring, n_bridged):
+        config = SimulationConfig(20_000, 149, self.GRID, antithetic)  # blocks of 16,384 and 3,616
+        payoff = BarrierPayoff(EURUSD, 1.25, "call", JPYUSD, 0.0115, "up", "knock-out", monitoring)
+        vanilla = self.block_values(three_ccy_snapshot, VanillaPayoff(EURUSD, 1.25, "call"), config)
+        assert not any(slot for _, slot in normals_drawn)  # a vanilla bridges nothing
+        normals_drawn.clear()
+        self.block_values(three_ccy_snapshot, payoff, config)
+        for block, values in enumerate(vanilla):
+            pays = values > 0.0
+            if antithetic:
+                pays = pays[:values.size // 2] | pays[values.size // 2:]
+            assert 0 < pays.sum() < pays.size
+            assert normals_drawn[block, 1] == pays.sum() * n_bridged
+            assert normals_drawn[block, 0] == pays.size
+
+    @pytest.mark.parametrize("kind, direction, level, antithetic", [
+        ("put", "down", 0.0095, False), ("call", "up", 0.0115, True),
+    ], ids=["put-down", "antithetic"])
+    def test_per_path_in_out_parity(self, three_ccy_snapshot, kind, direction, level, antithetic):
+        config = SimulationConfig(20_000, 151, self.GRID, antithetic)
+        k_in, k_out = (np.concatenate(self.block_values(
+            three_ccy_snapshot, BarrierPayoff(EURUSD, 1.25, kind, JPYUSD, level, direction, style), config))
+            for style in ("knock-in", "knock-out"))
+        vanilla = np.concatenate(self.block_values(three_ccy_snapshot, VanillaPayoff(EURUSD, 1.25, kind), config))
+        assert (k_in > 0).any() and (k_out > 0).any()
+        assert np.array_equal(k_in + k_out, vanilla)
+
+    @pytest.mark.parametrize("style", ["knock-in", "knock-out"])
+    def test_no_paying_path_draws_no_bridge(self, three_ccy_snapshot, normals_drawn, style):
+        payoff = BarrierPayoff(EURUSD, 1e3, "call", JPYUSD, 0.0115, "up", style)
+        result = price(payoff, three_ccy_snapshot, SimulationConfig(1000, 157, self.GRID))
+        assert result.price == 0.0 and result.standard_error == 0.0
+        assert dict(normals_drawn) == {(0, 0): 1000}
+
+
 class TestRepairAndClamp:
     """``price`` hands ``repair`` and ``clamp`` to the matrix it builds: each
     gives the price of that matrix passed as ``corr=``, bit for bit."""
@@ -1094,13 +1170,13 @@ class TestBitsArePinned:
         ("basket", 37_002, True): ("0x1.67ccafbefd164p-3", "0x1.2a027a5ce2ce7p-10"),
         ("basket", 40_000, True): ("0x1.684852d3e5c77p-3", "0x1.1eb1db4344337p-10"),
         ("down-in-cross", 5, False): ("0x1.e19ea3fb6406cp-6", "0x1.e19ea3fb6406dp-6"),
-        ("down-in-cross", 37_002, False): ("0x1.03e04995ff869p-5", "0x1.bf5bdd7ba97f5p-12"),
-        ("down-in-cross", 40_000, False): ("0x1.03e9afd24828cp-5", "0x1.af107e5d18ac8p-12"),
+        ("down-in-cross", 37_002, False): ("0x1.ff9784bea0b97p-6", "0x1.ba29b9c2c8dd0p-12"),
+        ("down-in-cross", 40_000, False): ("0x1.033dd1976df27p-5", "0x1.ae17e3da3b0b8p-12"),
         ("down-in-cross", 37_002, True): ("0x1.0a6eb05ed31fcp-5", "0x1.a03e542fa9f3ep-12"),
         ("down-in-cross", 40_000, True): ("0x1.06ef8c3a9f686p-5", "0x1.8e55bade27bacp-12"),
         ("up-out-own-pair", 5, False): ("0x1.0bff427343a7ap-5", "0x1.0bff427343a7ap-5"),
-        ("up-out-own-pair", 37_002, False): ("0x1.5a23211d34cbbp-6", "0x1.0e51308b3ce0ap-12"),
-        ("up-out-own-pair", 40_000, False): ("0x1.5c4b3dd968a25p-6", "0x1.05081a69c5d46p-12"),
+        ("up-out-own-pair", 37_002, False): ("0x1.5df4a1c06c266p-6", "0x1.10082434fc96bp-12"),
+        ("up-out-own-pair", 40_000, False): ("0x1.60aa910ebd2dfp-6", "0x1.07058701bb67dp-12"),
         ("up-out-own-pair", 37_002, True): ("0x1.57ccb878374bfp-6", "0x1.e91c3e5537a97p-13"),
         ("up-out-own-pair", 40_000, True): ("0x1.59fd4bcf3a06ap-6", "0x1.d7f52f9b3c14ap-13"),
         ("vanilla", 5, False): ("0x1.157d2f44ad089p-3", "0x1.42f7eeee8d14fp-4"),
@@ -1130,9 +1206,9 @@ class TestLongGridBitsArePinned:
     GRID = tuple(k / 260 for k in range(1, 261))
     INCREMENTS = "d23d7b8b4480b3e61d38563c131cb96f43191b600e30d0349060f3e0329d5d65"
     PRICES = {
-        ("down-in-cross", False): ("0x1.f68961803dbd8p-6", "0x1.2a4d9421f694cp-11"),
+        ("down-in-cross", False): ("0x1.f7addd7456bbbp-6", "0x1.2d8fa5d622499p-11"),
         ("down-in-cross", True): ("0x1.0d3be7476c227p-5", "0x1.1ea637fcc12dep-11"),
-        ("up-out-own-pair", False): ("0x1.f1ccc660c1739p-7", "0x1.3322556a23464p-12"),
+        ("up-out-own-pair", False): ("0x1.f025bf0d7dadep-7", "0x1.304ea90265d60p-12"),
         ("up-out-own-pair", True): ("0x1.dd1bae7f9830cp-7", "0x1.155794bed47b1p-12"),
         ("vanilla", False): ("0x1.7bb14919c7d4cp-4", "0x1.22256bb0593c1p-10"),
         ("vanilla", True): ("0x1.74c05e152e60fp-4", "0x1.d1521ab22b0b7p-11"),

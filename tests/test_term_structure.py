@@ -313,6 +313,12 @@ class TestHorizonVol:
         with pytest.raises(ValidationError):
             horizon_vol(ts, 1.0, 1.0)
 
+    def test_one_float_span_below_a_knot(self):
+        # the interpolated total variance one float below the 3.25 knot must not round above the knot's
+        ts = VolTermStructure(PAIR, ((0.99, 0.188), (3.25, 0.19)))
+        assert horizon_vol(ts, 3.2499999999999996, 3.25) == 0.0
+        assert ts.total_variance(3.2499999999999996) <= ts.total_variance(3.25)
+
     @pytest.mark.parametrize("times", [(1.0, 2.0), (0.25, 0.5, 1.5), (0.5, 2.0, 2.5, 3.0), (1, 3)],
                              ids=["quoted", "inside", "beyond", "ints"])
     def test_bucket_vols_are_horizon_vols_bit_for_bit(self, times):
