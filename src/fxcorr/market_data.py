@@ -111,6 +111,13 @@ def _check_real(value, what: str, rule: str) -> None:
         raise ValidationError(f"{what} must be {rule}, got {value}")
 
 
+def _check_strike_kind(strike, kind) -> None:
+    """An option's strike and kind: a strike > 0 and finite, a kind "call" or "put"."""
+    _check_real(strike, "strike", "positive and finite")
+    if kind not in ("call", "put"):
+        raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
+
+
 def _check_span(start, end, names: str = "start < end") -> None:
     """The one check of a span (start, end]: real numbers, not bools, 0 <= start < end < inf."""
     if not (_is_real(start) and _is_real(end) and 0 <= start < end < math.inf):

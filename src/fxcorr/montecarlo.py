@@ -25,10 +25,12 @@ keyed by the seed, so path p is identical no matter how blocks are
 scheduled across workers.  Reductions accumulate per-block partial sums
 in block order, which keeps results bit-identical for any worker count.
 
-Layout: no block is held whole.  A block streams one grid step at a time
-through two reused (rows, size) buffers, the normals and the increments
-(a barrier's log-levels), so a worker's memory does not grow with the
-number of steps; a barrier's bridged paths are moved to the front of them.
+Layout: no block is held whole.  A block streams one grid step at a time,
+each in chunks of ``CHUNK_PATHS`` paths through two reused buffers (the
+normals and the increments), so a worker holds two chunks and one float per
+path whatever the number of steps; Philox is counter-based, so a stream read
+in chunks gives the normals it gives whole.  A barrier keeps its paying
+pair's terminal normals for the bridge, which steps its paths whole.
 """
 
 from __future__ import annotations
@@ -48,12 +50,13 @@ from .errors import (
 )
 from .market_data import (
     Currency, FxPair, MarketSnapshot, RateCurve, canonicalize,
-    _check_real, _check_times, _entries, _label, _number, _require_keys, _string, _unique, _warn_flat,
+    _check_real, _check_strike_kind, _check_times, _entries, _label, _number, _require_keys, _string, _unique,
+    _warn_flat,
 )
 from .term_structure import PiecewiseConstant, _bucket, _bucket_vols
-from .vanilla import _check_strike_kind
 
 BLOCK_PATHS = 16384
+CHUNK_PATHS = 2048  # a multiple of 8: the payoff's BLAS matvec sums rows in groups, which no chunk may split
 _GRID_TOL = 1e-12
 
 
@@ -181,8 +184,9 @@ class _Steps:
     bridge: np.ndarray | None = None  # (M, 5): a barrier pair's q, L_mm, u (see _bridge), scale, drift
 
 
-# a block's steps: the bridged paths' indices come back through send (see _block_steps)
-_StepLevels = Generator[np.ndarray, np.ndarray | None, None]
+# a block's steps, each as (paths, y) chunks or a bridged step's barrier log-level; the bridged paths'
+# indices come back through send (see _block_steps)
+_StepLevels = Generator[Iterator[tuple[np.ndarray, np.ndarray]] | np.ndarray, np.ndarray | None, None]
 
 
 def _grid_index(grid: tuple[float, ...], t: float) -> int | None:
@@ -350,42 +354,59 @@ def _bridge(rho: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def _block_steps(
     steps: _Steps, config: SimulationConfig, block: int, size: int
 ) -> _StepLevels:
-    """Yield one path block's (rows, size) increments grid step by grid
-    step, in one reused buffer: read each step before asking for the next.
-    With a bridge, yield first the paying pair's terminal increment and
-    then, at each grid step, the barrier pair's log-level (last row), moved
-    by x_m = q_m (Z - S_m) + L_mm w_m, on the paths whose ascending
-    indices are sent in reply to the terminal: only those, moved to the
-    front of the buffers, with one w_m per path (per pair: an antithetic
-    block sends both paths of each pair)."""
+    """Yield one path block's grid steps, each as an iterator of (paths, y)
+    chunks, y the (rows, len(paths)) increments of at most ``CHUNK_PATHS``
+    of its paths, in reused buffers: read each before asking for the next.
+    With a bridge, the one such step is the paying pair's terminal increment;
+    then, at each grid step, yield the barrier pair's log-level, moved by
+    x_m = q_m (Z - S_m) + L_mm w_m, on the paths whose ascending indices are
+    sent in reply to the terminal: only those, with one w_m per path (per
+    pair: an antithetic block sends both paths of each pair)."""
     n_steps, n_pairs = steps.drift.shape[:2]
-    n_draw = size // 2 if config.antithetic else size
+    halves = 2 if config.antithetic else 1
+    n_draw = size // halves
+    # two columns at least: BLAS computes a one-column product as a matrix-vector one, which rounds otherwise
+    width = max(CHUNK_PATHS, 2) // halves
+    cuts = [*range(0, max(n_draw - 1, 1), width), n_draw]  # a last chunk of one draw joins the one before
     # counter layout: bits 128+ block, bits 96..127 pair slot, rest stream
     rngs = [np.random.Generator(np.random.Philox(key=config.seed, counter=(block << 128) | (slot << 96)))
             for slot in range(n_pairs + (steps.bridge is not None))]
-    z, y = np.empty((2, len(rngs), size))
-    y[n_pairs:] = 0.0  # a bridged barrier pair's log-level
+    z_flat, y_flat = np.empty((2, n_pairs * halves * min(n_draw, width + 1)))  # each chunk's (rows, paths)
+    z_pay = np.empty(size) if steps.bridge is not None else None  # the paying pair's terminal normals Z
+    first = np.arange(halves)[:, None] * n_draw  # each half's first path
+
+    def chunks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start, end in zip(cuts, cuts[1:]):  # each slot's stream continues chunk by chunk, step by step
+            k = end - start
+            z = z_flat[:n_pairs * halves * k].reshape(n_pairs, halves * k)
+            y = y_flat[:n_pairs * halves * k].reshape(n_pairs, halves * k)
+            for row, rng in zip(z, rngs):
+                rng.standard_normal(out=row[:k])
+            if config.antithetic:
+                np.negative(z[:, :k], out=z[:, k:])
+            np.matmul(steps.factors[m], z, out=y)
+            y *= steps.scale[m]
+            y += steps.drift[m]
+            paths = (first + np.arange(start, end)).ravel()
+            if z_pay is not None:
+                z_pay[paths] = z[0]
+            yield paths, y
+
     for m in range(n_steps):
-        for slot, rng in enumerate(rngs[:n_pairs]):  # each slot's stream continues step by step
-            rng.standard_normal(out=z[slot, :n_draw])
-        if config.antithetic:
-            np.negative(z[:n_pairs, :n_draw], out=z[:n_pairs, n_draw:])
-        np.matmul(steps.factors[m], z[:n_pairs], out=y[:n_pairs])
-        y[:n_pairs] *= steps.scale[m]
-        y[:n_pairs] += steps.drift[m]
-        paths = yield y
+        paths = yield chunks(m)
     if steps.bridge is None:
         return
-    z[0, :len(paths)] = z[0, paths]  # only the bridge reads z[0], and y[1] is still 0 on every path
-    z, y = z[:, :len(paths)], y[:, :len(paths)]
-    n_draw = len(paths) // 2 if config.antithetic else len(paths)
+    z_pay[:len(paths)] = z_pay[paths]
+    z_pay = z_pay[:len(paths)]  # Z - S_m, with S_m+1 = S_m + u_m w_m
+    w, level = np.empty(len(paths)), np.zeros(len(paths))
+    n_draw = len(paths) // halves
     for q, diagonal, u, scale, drift in steps.bridge:
-        rngs[1].standard_normal(out=z[1, :n_draw])  # w_m; z[0] is Z - S_m, with S_m+1 = S_m + u_m w_m
+        rngs[1].standard_normal(out=w[:n_draw])
         if config.antithetic:
-            np.negative(z[1, :n_draw], out=z[1, n_draw:])
-        y[1] += scale * (q * z[0] + diagonal * z[1]) + drift
-        z[0] -= u * z[1]
-        yield y
+            np.negative(w[:n_draw], out=w[n_draw:])
+        level += scale * (q * z_pay + diagonal * w) + drift
+        z_pay -= u * w
+        yield level
 
 
 def _run_blocks(
@@ -424,9 +445,10 @@ def simulate_increments(
     steps = _prepare_steps(pairs, vols, corr, config, rates)
     out = np.empty((config.n_paths,) + steps.drift.shape[:2])
 
-    def store(start: int, size: int, step_increments: Iterator[np.ndarray]) -> None:
-        for m, y in enumerate(step_increments):
-            out[start:start + size, m] = y.T
+    def store(start: int, size: int, step_increments: _StepLevels) -> None:
+        for m, chunks in enumerate(step_increments):
+            for paths, y in chunks:
+                out[start + paths, m] = y.T
 
     _run_blocks(steps, config, store)
     return out
@@ -453,9 +475,9 @@ def _payoff_evaluator(
     config: SimulationConfig,
 ) -> Callable[[int, _StepLevels], np.ndarray]:
     """One evaluator for every payoff as ``_simulated`` gives it, on the blocks ``price`` draws: pay
-    max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (first rows of the first step), then,
+    max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (the first step, chunk by chunk), then,
     for a barrier, bridge the paths that pay (an antithetic pair if either half pays) up to the last
-    monitoring time and test the barrier pair's log-level (last row) at each monitoring time (each a
+    monitoring time and test the barrier pair's log-level at each monitoring time (each a
     grid time, all of them by default).  A path that pays 0 is worth 0 in either style whatever its
     barrier does, so knock-in and knock-out bridge the same paths.  A vanilla or a barrier pays on
     one leg of weight 1."""
@@ -472,12 +494,11 @@ def _payoff_evaluator(
         threshold = math.log(payoff.barrier_level) - math.log(spots[-1])
 
     def evaluate(size: int, step_levels: _StepLevels) -> np.ndarray:
-        terminal = np.ascontiguousarray(next(step_levels)[:len(weights)].T)  # (paths, legs) for the matvec
-        if not is_barrier:
-            step_levels.close()  # free the step buffers before the payoff
-        np.exp(terminal, out=terminal)  # one leg: in the step buffer, whose first row the bridge never reads
-        terminal *= spots[:len(weights)]
-        value = terminal @ weights  # x * 1.0 == x: one leg pays its own level bit for bit
+        value = np.empty(size)
+        for paths, y in next(step_levels):  # the terminal step, chunk by chunk
+            terminal = np.exp(y.T, out=np.empty(y.shape[::-1]))  # (paths, legs) in C order, for the matvec
+            terminal *= spots[:len(weights)]
+            value[paths] = terminal @ weights  # x * 1.0 == x: one leg pays its own level bit for bit
         value -= payoff.strike
         value *= sign
         np.maximum(value, 0.0, out=value)
@@ -489,9 +510,9 @@ def _payoff_evaluator(
             breached = np.zeros(len(paths), dtype=bool)
             if len(paths):  # zip asks for no step past the last monitoring time: none is drawn
                 bridged = itertools.chain((step_levels.send(paths),), step_levels)
-                for m, y in zip(range(max(monitor) + 1), bridged):
+                for m, level in zip(range(max(monitor) + 1), bridged):
                     if m in monitor:
-                        breached |= beyond(y[-1], threshold)
+                        breached |= beyond(level, threshold)
             value[paths] *= breached if payoff.style == "knock-in" else ~breached
         return value
 

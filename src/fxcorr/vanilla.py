@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import NoImpliedVolError, ValidationError
-from .market_data import FxPair, _check_real
+from .errors import NoImpliedVolError
+from .market_data import FxPair, _check_real, _check_strike_kind
 
 OptionKind = Literal["call", "put"]
 
@@ -52,12 +52,6 @@ class VanillaSpec:
     def __post_init__(self):
         _check_strike_kind(self.strike, self.kind)
         _check_real(self.maturity, "maturity", "positive and finite")
-
-
-def _check_strike_kind(strike: float, kind: str) -> None:
-    _check_real(strike, "strike", "positive and finite")
-    if kind not in ("call", "put"):
-        raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
 
 
 @dataclass(frozen=True)

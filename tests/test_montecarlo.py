@@ -266,8 +266,15 @@ def measured_increments(pairs, vols, corr, config, rates=None, measure=None):
     """The engine's stepped increments under ``measure``'s measure, shaped
     (n_paths, n_steps, n_pairs) as ``simulate_increments`` returns them."""
     steps = _prepare_steps(pairs, vols, corr, config, rates, measure)
-    blocks = _run_blocks(steps, config, lambda start, size, it: np.stack([y.T.copy() for y in it], axis=1))
-    return np.concatenate(blocks)
+    out = np.empty((config.n_paths, len(config.grid), len(pairs)))
+
+    def store(start, size, step_increments):
+        for m, chunks in enumerate(step_increments):
+            for paths, y in chunks:
+                out[start + paths, m] = y.T
+
+    _run_blocks(steps, config, store)
+    return out
 
 
 class TestPricingMeasure:
@@ -1244,9 +1251,26 @@ class TestRunBlocks:
         assert 0 in ran and len(ran) < 20
 
 
+NINE_CODES = ["USD", "AUD", "CAD", "CHF", "EUR", "GBP", "JPY", "NOK", "NZD", "SEK"]
+NINE_PAIR_BASKET = BasketPayoff({FxPair.parse(f"USD/{c}"): 1 / 9 for c in NINE_CODES[1:]}, 1.0, "call")
+
+
+def nine_pair_snapshot():
+    """Every pair of ten currencies at spot 1, 20% vol and 1% rates."""
+    labels = [f"{a}/{b}" for a, b in itertools.combinations(NINE_CODES, 2)]
+    return loads_snapshot(json.dumps(snapshot_doc(
+        spots={label: 1.0 for label in labels},
+        vols={label: [(1.0, 0.2)] for label in labels},
+        rates={code: [(1.0, 0.01)] for code in NINE_CODES},
+    )))
+
+
 class TestBlockMemory:
-    """``price`` holds about one block of increments per worker; a second
-    block-sized array shows as a peak above 2 blocks."""
+    """``price`` holds, per worker, two chunks of ``CHUNK_PATHS`` paths (the
+    normals and the increments) and one float per path of its block (the
+    payoff values), whatever the number of blocks: the nine-pair basket's
+    peak stays under one (9, 16,384) step array, which a step drawn whole
+    would pass."""
 
     GRID = tuple(k / 52 for k in range(1, 53))
     PAYOFFS = {
@@ -1268,28 +1292,86 @@ class TestBlockMemory:
             tracemalloc.stop()
         assert peak <= 2.25 * block_bytes
 
-    @pytest.mark.parametrize("blocks", [1, 3])
-    def test_nine_pair_basket_holds_four_step_arrays(self, blocks):
-        # the two step buffers, then the running log-level and its transposed
-        # copy once the steps are freed, are (9, size) each; anything else
-        # must stay well below one
-        codes = ["USD", "AUD", "CAD", "CHF", "EUR", "GBP", "JPY", "NOK", "NZD", "SEK"]
-        labels = [f"{a}/{b}" for a, b in itertools.combinations(codes, 2)]
-        snapshot = loads_snapshot(json.dumps(snapshot_doc(
-            spots={label: 1.0 for label in labels},
-            vols={label: [(1.0, 0.2)] for label in labels},
-            rates={code: [(1.0, 0.01)] for code in codes},
-        )))
-        payoff = BasketPayoff({FxPair.parse(f"USD/{c}"): 1 / 9 for c in codes[1:]}, 1.0, "call")
+    def nine_pair_peak(self, blocks, workers):
+        snapshot = nine_pair_snapshot()
         config = SimulationConfig(blocks * BLOCK_PATHS, 103, self.GRID, antithetic=True)
-        step_bytes = 9 * BLOCK_PATHS * 8
         tracemalloc.start()
         try:
-            price(payoff, snapshot, config)
-            peak = tracemalloc.get_traced_memory()[1]
+            price(NINE_PAIR_BASKET, snapshot, config, workers=workers)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * step_bytes
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_nine_pair_basket_holds_under_one_step_array(self, blocks):
+        # the two chunk buffers and a chunk's transposed levels are (9, 2,048) each, and the block's
+        # payoff values are (16,384,): about 0.8 of one (9, 16,384) step array, which the block
+        # held three of, whole, before it was drawn in chunks
+        step_bytes = 9 * BLOCK_PATHS * 8
+        assert self.nine_pair_peak(blocks, workers=1) <= 1.0 * step_bytes
+
+    def test_two_workers_hold_twice_one_worker(self):
+        # each worker holds its own chunks and values, and nothing is shared that grows with them
+        assert self.nine_pair_peak(3, workers=2) <= 2 * self.nine_pair_peak(3, workers=1)
+
+
+class TestChunks:
+    """A block draws each step in chunks of ``CHUNK_PATHS`` paths.  Philox is
+    counter-based, so each pair slot's stream read in chunks gives the normals
+    it gives whole, and no chunk size moves a bit: 1 (two draws a chunk, the
+    fewest), 37 (no chunk boundary on a block's) and ``BLOCK_PATHS`` (each
+    block in one chunk).  37,002 paths are 2 x 16,384 + 4,234, a multiple of
+    no chunk size.  A chunk of 1, the slow case, runs only at 2 workers."""
+
+    RUNS = [(1, 2), *itertools.product([37, BLOCK_PATHS], [1, 2, 3])]
+
+    @pytest.mark.parametrize("chunk, workers", RUNS)
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", ["basket", "down-in-cross", "vanilla"])
+    def test_prices_keep_their_bytes(self, three_ccy_snapshot, monkeypatch, name, antithetic, chunk, workers):
+        monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
+        got = pinned_price(three_ccy_snapshot, PINNED_PAYOFFS[name], 37_002, antithetic, workers)
+        assert got == TestBitsArePinned.PRICES[name, 37_002, antithetic]
+
+    @pytest.mark.parametrize("chunk", [1, 37, BLOCK_PATHS])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_increments_keep_their_bytes(self, three_ccy_snapshot, monkeypatch, antithetic, chunk):
+        want = pinned_increments_digest(three_ccy_snapshot, 37_002, antithetic, (0.5, 1.0))
+        monkeypatch.setattr(montecarlo, "CHUNK_PATHS", chunk)
+        assert pinned_increments_digest(three_ccy_snapshot, 37_002, antithetic, (0.5, 1.0)) == want
+
+    def test_a_one_path_remainder_joins_the_chunk_before(self, monkeypatch):
+        # 2,049 paths draw one chunk, as one block of 2,049 does: a last chunk of one path would be
+        # a matrix-vector product, which BLAS rounds otherwise for some of its nine entries
+        pairs = [FxPair.parse(f"{c}/USD") for c in sorted(NINE_CODES[1:])]
+        matrix = np.corrcoef(np.random.default_rng(1).standard_normal((9, 40)))
+        matrix = 0.5 * (matrix + matrix.T)
+        np.fill_diagonal(matrix, 1.0)
+        corr = manual_corr([p.label for p in pairs], matrix)
+        vols = {p: flat_vol(0.2) for p in pairs}
+        config = SimulationConfig(2049, 97, (1.0,))
+        chunked = simulate_increments(pairs, vols, corr, config)
+        monkeypatch.setattr(montecarlo, "CHUNK_PATHS", BLOCK_PATHS)
+        assert chunked.tobytes() == simulate_increments(pairs, vols, corr, config).tobytes()
+
+    @pytest.mark.parametrize("n_paths, antithetic", [(40_001, False), (37_002, True)])
+    def test_nine_pair_basket_values_keep_their_bytes(self, monkeypatch, n_paths, antithetic):
+        # each path's value, not only their sum: the weighted sum over nine legs is a BLAS
+        # matrix-vector product, and a chunk must split no group of rows that it sums together
+        snapshot = nine_pair_snapshot()
+        payoff, pairs = montecarlo._simulated(NINE_PAIR_BASKET)
+        config = SimulationConfig(n_paths, 5, (0.5, 1.0), antithetic)
+        vols = {p: flat_vol(0.2) for p in pairs}
+        steps = _terminal_steps(_prepare_steps(pairs, vols, build_matrix(pairs, snapshot, [1.0]), config,
+                                               snapshot.rates, pairs[0].denominating))
+        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), config)
+
+        def values():
+            return np.concatenate(_run_blocks(steps, config, lambda start, size, it: evaluate(size, it)))
+
+        chunked = values()
+        monkeypatch.setattr(montecarlo, "CHUNK_PATHS", BLOCK_PATHS)
+        assert (chunked > 0).any() and chunked.tobytes() == values().tobytes()
 
 
 class TestStepMemory:

@@ -89,3 +89,20 @@ def test_only_the_matrix_and_the_engine_load_numpy(command):
     run = run_python(_CLI, *argv)
     assert run.returncode == 0, run.stderr
     assert run.stderr.splitlines()[-1] == str(loads_numpy)
+
+
+_PRICE = """import sys
+from fxcorr.cli import main
+status = main(sys.argv[1:])
+print("fxcorr.vanilla" in sys.modules, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def test_price_loads_no_vanilla_module():
+    # the engine checks strikes by the market_data rule; vanilla holds the closed forms, which price never runs
+    golden = Path(WORLD).parent  # the price-basket case of tests/test_golden.py
+    run = run_python(_PRICE, "price", WORLD, str(golden / "basket.json"), "--grid", "0.5,1.0", "--paths", "20000",
+                     "--seed", "5", "--antithetic")
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == "False"
