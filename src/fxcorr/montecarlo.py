@@ -29,18 +29,20 @@ Layout: no block is held whole.  A block streams one grid step at a time,
 each in chunks of ``CHUNK_PATHS`` paths through two reused buffers (the
 normals and the increments), so a worker holds two chunks and one float per
 path whatever the number of steps; Philox is counter-based, so a stream read
-in chunks gives the normals it gives whole.  A barrier keeps its paying
-pair's terminal normals for the bridge, which steps its paths whole.
+in chunks gives the normals it gives whole.  A chunk is a range of draws
+in each half of the block, which its consumers write through a
+(halves, draws) view of their block arrays.  The draws know no payoff: a
+barrier's payoff stage keeps its paying pair's terminal normals and bridges
+the paths that pay itself, whole, from the block's slot-1 stream.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Callable, Generator, Iterator, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -184,9 +186,7 @@ class _Steps:
     bridge: np.ndarray | None = None  # (M, 5): a barrier pair's q, L_mm, u (see _bridge), scale, drift
 
 
-# a block's steps, each as (paths, y) chunks or a bridged step's barrier log-level; the bridged paths'
-# indices come back through send (see _block_steps)
-_StepLevels = Generator[Iterator[tuple[np.ndarray, np.ndarray]] | np.ndarray, np.ndarray | None, None]
+_BlockSteps = Iterator[Iterator[tuple[int, int, np.ndarray, np.ndarray]]]  # see _block_steps
 
 
 def _grid_index(grid: tuple[float, ...], t: float) -> int | None:
@@ -351,31 +351,30 @@ def _bridge(rho: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return q, diagonal, np.divide(q, np.sqrt(t * (t + q2)), out=np.zeros_like(q), where=t * (t + q2) > 0)
 
 
-def _block_steps(
-    steps: _Steps, config: SimulationConfig, block: int, size: int
-) -> _StepLevels:
-    """Yield one path block's grid steps, each as an iterator of (paths, y)
-    chunks, y the (rows, len(paths)) increments of at most ``CHUNK_PATHS``
-    of its paths, in reused buffers: read each before asking for the next.
-    With a bridge, the one such step is the paying pair's terminal increment;
-    then, at each grid step, yield the barrier pair's log-level, moved by
-    x_m = q_m (Z - S_m) + L_mm w_m, on the paths whose ascending indices are
-    sent in reply to the terminal: only those, with one w_m per path (per
-    pair: an antithetic block sends both paths of each pair)."""
+def _streams(config: SimulationConfig, block: int, slots: Iterable[int]) -> list[np.random.Generator]:
+    """One path block's Philox streams, one per pair slot: slot p draws pair
+    p's normals, and a barrier bridges from slot 1.  Counter layout: bits
+    128 and up the block, bits 96..127 the slot, the rest the stream."""
+    return [np.random.Generator(np.random.Philox(key=config.seed, counter=(block << 128) | (slot << 96)))
+            for slot in slots]
+
+
+def _block_steps(steps: _Steps, config: SimulationConfig, block: int, size: int) -> _BlockSteps:
+    """Yield one path block's grid steps, each as an iterator of (start, end,
+    z, y) chunks: draws start..end of each half of the block (an antithetic
+    block's second half mirrors its first), z their (rows, halves * (end -
+    start)) normals and y their increments, half after half, in two reused
+    buffers: read each chunk before asking for the next."""
     n_steps, n_pairs = steps.drift.shape[:2]
     halves = 2 if config.antithetic else 1
     n_draw = size // halves
     # two columns at least: BLAS computes a one-column product as a matrix-vector one, which rounds otherwise
     width = max(CHUNK_PATHS, 2) // halves
     cuts = [*range(0, max(n_draw - 1, 1), width), n_draw]  # a last chunk of one draw joins the one before
-    # counter layout: bits 128+ block, bits 96..127 pair slot, rest stream
-    rngs = [np.random.Generator(np.random.Philox(key=config.seed, counter=(block << 128) | (slot << 96)))
-            for slot in range(n_pairs + (steps.bridge is not None))]
+    rngs = _streams(config, block, range(n_pairs))
     z_flat, y_flat = np.empty((2, n_pairs * halves * min(n_draw, width + 1)))  # each chunk's (rows, paths)
-    z_pay = np.empty(size) if steps.bridge is not None else None  # the paying pair's terminal normals Z
-    first = np.arange(halves)[:, None] * n_draw  # each half's first path
 
-    def chunks(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def chunks(m: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         for start, end in zip(cuts, cuts[1:]):  # each slot's stream continues chunk by chunk, step by step
             k = end - start
             z = z_flat[:n_pairs * halves * k].reshape(n_pairs, halves * k)
@@ -387,36 +386,21 @@ def _block_steps(
             np.matmul(steps.factors[m], z, out=y)
             y *= steps.scale[m]
             y += steps.drift[m]
-            paths = (first + np.arange(start, end)).ravel()
-            if z_pay is not None:
-                z_pay[paths] = z[0]
-            yield paths, y
+            yield start, end, z, y
 
     for m in range(n_steps):
-        paths = yield chunks(m)
-    if steps.bridge is None:
-        return
-    z_pay[:len(paths)] = z_pay[paths]
-    z_pay = z_pay[:len(paths)]  # Z - S_m, with S_m+1 = S_m + u_m w_m
-    w, level = np.empty(len(paths)), np.zeros(len(paths))
-    n_draw = len(paths) // halves
-    for q, diagonal, u, scale, drift in steps.bridge:
-        rngs[1].standard_normal(out=w[:n_draw])
-        if config.antithetic:
-            np.negative(w[:n_draw], out=w[n_draw:])
-        level += scale * (q * z_pay + diagonal * w) + drift
-        z_pay -= u * w
-        yield level
+        yield chunks(m)
 
 
 def _run_blocks(
     steps: _Steps,
     config: SimulationConfig,
-    apply: Callable[[int, int, _StepLevels], object],
+    apply: Callable[[int, int, _BlockSteps], object],
     workers: int = 1,
 ) -> list:
-    """``apply(first_path, size, step_increments)`` on every path block, on a
-    pool of ``workers`` threads; the results come back in block order."""
+    """``apply(first_path, size, block_steps)`` on every path block, with
+    ``block_steps`` its ``_block_steps``, on a pool of ``workers`` threads;
+    the results come back in block order."""
 
     def run(block: int) -> object:
         start = block * BLOCK_PATHS
@@ -444,11 +428,13 @@ def simulate_increments(
     """
     steps = _prepare_steps(pairs, vols, corr, config, rates)
     out = np.empty((config.n_paths,) + steps.drift.shape[:2])
+    halves = 2 if config.antithetic else 1
 
-    def store(start: int, size: int, step_increments: _StepLevels) -> None:
-        for m, chunks in enumerate(step_increments):
-            for paths, y in chunks:
-                out[start + paths, m] = y.T
+    def store(start: int, size: int, block_steps: _BlockSteps) -> None:
+        by_half = out[start:start + size].reshape(halves, -1, *out.shape[1:])
+        for m, chunks in enumerate(block_steps):
+            for begin, end, _, y in chunks:
+                by_half[:, begin:end, m] = y.T.reshape(halves, end - begin, -1)
 
     _run_blocks(steps, config, store)
     return out
@@ -472,17 +458,20 @@ def _payoff_evaluator(
     payoff: PayoffSpec,
     pairs: tuple[FxPair, ...],
     spots: np.ndarray,
+    bridge: np.ndarray | None,
     config: SimulationConfig,
-) -> Callable[[int, _StepLevels], np.ndarray]:
+) -> Callable[[int, int, _BlockSteps], np.ndarray]:
     """One evaluator for every payoff as ``_simulated`` gives it, on the blocks ``price`` draws: pay
-    max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (the first step, chunk by chunk), then,
-    for a barrier, bridge the paths that pay (an antithetic pair if either half pays) up to the last
-    monitoring time and test the barrier pair's log-level at each monitoring time (each a
-    grid time, all of them by default).  A path that pays 0 is worth 0 in either style whatever its
-    barrier does, so knock-in and knock-out bridge the same paths.  A vanilla or a barrier pays on
-    one leg of weight 1."""
+    max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (the one step, chunk by chunk).  A
+    barrier keeps its paying pair's terminal normals Z and then, on the paths that pay (an antithetic
+    pair if either half pays), moves the barrier pair's log-level by x_m = q_m (Z - S_m) + L_mm w_m
+    (``bridge``'s rows, see ``_terminal_steps``), one w_m per path or pair from the block's slot-1
+    stream, up to the last monitoring time, testing it at each monitoring time (each a grid time, all
+    of them by default).  A path that pays 0 is worth 0 in either style whatever its barrier does, so
+    knock-in and knock-out bridge the same paths.  A vanilla or a barrier pays on one leg of weight 1."""
     sign = 1.0 if payoff.kind == "call" else -1.0
     weights = np.array([payoff.weights[pair] for pair in pairs] if isinstance(payoff, BasketPayoff) else [1.0])
+    halves = 2 if config.antithetic else 1
     is_barrier = isinstance(payoff, BarrierPayoff)
     monitor = set(range(len(config.grid))) if is_barrier and payoff.monitoring is None else set()
     if is_barrier:
@@ -493,28 +482,33 @@ def _payoff_evaluator(
         beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
         threshold = math.log(payoff.barrier_level) - math.log(spots[-1])
 
-    def evaluate(size: int, step_levels: _StepLevels) -> np.ndarray:
-        value = np.empty(size)
-        for paths, y in next(step_levels):  # the terminal step, chunk by chunk
+    def evaluate(start: int, size: int, block_steps: _BlockSteps) -> np.ndarray:
+        value = np.empty((halves, size // halves))  # by half: returned in path order
+        z_pay = np.empty_like(value) if is_barrier else None  # the paying pair's terminal normals Z
+        for begin, end, z, y in next(block_steps):  # the one step, chunk by chunk
             terminal = np.exp(y.T, out=np.empty(y.shape[::-1]))  # (paths, legs) in C order, for the matvec
             terminal *= spots[:len(weights)]
-            value[paths] = terminal @ weights  # x * 1.0 == x: one leg pays its own level bit for bit
+            # x * 1.0 == x: one leg pays its own level bit for bit
+            value[:, begin:end] = (terminal @ weights).reshape(halves, -1)
+            if is_barrier:
+                z_pay[:, begin:end] = z[0].reshape(halves, -1)
         value -= payoff.strike
         value *= sign
         np.maximum(value, 0.0, out=value)
-        if is_barrier:
-            pays = value > 0.0
-            paths = np.flatnonzero(pays[:size // 2] | pays[size // 2:] if config.antithetic else pays)
-            if config.antithetic:
-                paths = np.concatenate((paths, paths + size // 2))
-            breached = np.zeros(len(paths), dtype=bool)
-            if len(paths):  # zip asks for no step past the last monitoring time: none is drawn
-                bridged = itertools.chain((step_levels.send(paths),), step_levels)
-                for m, level in zip(range(max(monitor) + 1), bridged):
-                    if m in monitor:
-                        breached |= beyond(level, threshold)
-            value[paths] *= breached if payoff.style == "knock-in" else ~breached
-        return value
+        paths = np.flatnonzero((value > 0.0).any(axis=0)) if is_barrier else ()
+        if len(paths):  # nothing is drawn when no path pays, nor past the last monitoring time
+            z_pay = z_pay.take(paths, axis=1)  # Z - S_m, with S_m+1 = S_m + u_m w_m
+            w, level, breached = np.empty_like(z_pay), np.zeros_like(z_pay), np.zeros_like(z_pay, dtype=bool)
+            rng, = _streams(config, start // BLOCK_PATHS, [1])
+            for m, (q, diagonal, u, scale, drift) in enumerate(bridge[:max(monitor) + 1]):
+                rng.standard_normal(out=w[0])
+                np.negative(w[0], out=w[1:])  # the mirror half, if any
+                level += scale * (q * z_pay + diagonal * w) + drift
+                z_pay -= u * w
+                if m in monitor:
+                    breached |= beyond(level, threshold)
+            value[:, paths] *= breached if payoff.style == "knock-in" else ~breached
+        return value.ravel()
 
     return evaluate
 
@@ -578,13 +572,13 @@ def price(
     steps = _prepare_steps(pairs, vols, corr, config, snapshot.rates, disc_ccy)
     steps = _terminal_steps(steps, bridged=isinstance(payoff, BarrierPayoff))
     spots = np.array([snapshot.spot(pair) for pair in pairs])
-    evaluate = _payoff_evaluator(payoff, pairs, spots, config)
+    evaluate = _payoff_evaluator(payoff, pairs, spots, steps.bridge, config)
 
     disc_rate = snapshot.average_rate(disc_ccy, horizon)
     df = math.exp(-disc_rate * horizon)
 
-    def block_sums(start: int, size: int, step_increments: _StepLevels) -> tuple[float, float]:
-        values = evaluate(size, step_increments)
+    def block_sums(start: int, size: int, block_steps: _BlockSteps) -> tuple[float, float]:
+        values = evaluate(start, size, block_steps)
         if config.antithetic:
             values = 0.5 * (values[:size // 2] + values[size // 2:])
         return float(values.sum()), float((values * values).sum())

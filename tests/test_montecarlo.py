@@ -268,10 +268,11 @@ def measured_increments(pairs, vols, corr, config, rates=None, measure=None):
     steps = _prepare_steps(pairs, vols, corr, config, rates, measure)
     out = np.empty((config.n_paths, len(config.grid), len(pairs)))
 
-    def store(start, size, step_increments):
-        for m, chunks in enumerate(step_increments):
-            for paths, y in chunks:
-                out[start + paths, m] = y.T
+    def store(start, size, block_steps):
+        by_half = out[start:start + size].reshape(2 if config.antithetic else 1, -1, *out.shape[1:])
+        for m, chunks in enumerate(block_steps):
+            for begin, end, _, y in chunks:
+                by_half[:, begin:end, m] = y.T.reshape(len(by_half), end - begin, -1)
 
     _run_blocks(steps, config, store)
     return out
@@ -680,8 +681,8 @@ class TestPriceBarrier:
             corr = build_matrix(pairs, three_ccy_snapshot, [1.0]) if len(pairs) > 1 else None
             steps = _terminal_steps(_prepare_steps(pairs, vols, corr, config, three_ccy_snapshot.rates,
                                                    EURUSD.denominating), bridged)
-            evaluate = _payoff_evaluator(payoff, pairs, np.array([spots[p] for p in pairs]), config)
-            return np.concatenate(_run_blocks(steps, config, lambda start, size, it: evaluate(size, it)))
+            evaluate = _payoff_evaluator(payoff, pairs, np.array([spots[p] for p in pairs]), steps.bridge, config)
+            return np.concatenate(_run_blocks(steps, config, evaluate))
 
         vanilla = VanillaPayoff(EURUSD, 1.25, "call")
         alone = values(vanilla, (EURUSD,), bridged=False)  # the vanilla's own draw
@@ -775,25 +776,29 @@ class TestBridgedPaths:
     GRID = (0.25, 0.5, 0.75, 1.0)
     VOLS = {p: flat_vol(0.2) for p in (EURUSD, JPYUSD, EURJPY)}
 
-    def block_values(self, snapshot, payoff, config):
-        """Each block's path values of ``payoff`` on the bridged EUR/USD and JPY/USD steps, as ``price`` draws
-        them; a vanilla reads the same terminal draws and bridges nothing."""
-        pairs = (EURUSD, JPYUSD)
-        steps = _terminal_steps(_prepare_steps(pairs, self.VOLS, build_matrix(pairs, snapshot, [1.0]), config,
-                                               snapshot.rates, EURUSD.denominating), bridged=True)
-        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), config)
-        return _run_blocks(steps, config, lambda start, size, it: evaluate(size, it))
+    def block_values(self, snapshot, payoff, config, pairs=(EURUSD, JPYUSD)):
+        """Each block's path values of ``payoff`` on the bridged steps of ``pairs`` (EUR/USD first), as
+        ``price`` draws them; a vanilla reads the same terminal draws and bridges nothing."""
+        corr = build_matrix(pairs, snapshot, [1.0]) if len(pairs) > 1 else None
+        steps = _terminal_steps(_prepare_steps(pairs, self.VOLS, corr, config, snapshot.rates, EURUSD.denominating),
+                                bridged=True)
+        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), steps.bridge, config)
+        return _run_blocks(steps, config, evaluate)
 
-    @pytest.mark.parametrize("monitoring, n_bridged", [(None, 4), ((0.5,), 2)], ids=["every-step", "stops-early"])
+    # the own-pair barrier's bridge ends with t_M = 0: its last step draws a normal that it weights by 0
+    @pytest.mark.parametrize("barrier, level, monitoring, n_bridged", [
+        (JPYUSD, 0.0115, None, 4), (JPYUSD, 0.0115, (0.5,), 2), (EURUSD, 1.3, None, 4),
+    ], ids=["every-step", "stops-early", "own-pair"])
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_one_normal_per_paying_path_or_pair_and_step(self, three_ccy_snapshot, normals_drawn,
-                                                         antithetic, monitoring, n_bridged):
+                                                         antithetic, barrier, level, monitoring, n_bridged):
         config = SimulationConfig(20_000, 149, self.GRID, antithetic)  # blocks of 16,384 and 3,616
-        payoff = BarrierPayoff(EURUSD, 1.25, "call", JPYUSD, 0.0115, "up", "knock-out", monitoring)
-        vanilla = self.block_values(three_ccy_snapshot, VanillaPayoff(EURUSD, 1.25, "call"), config)
+        pairs = tuple(dict.fromkeys((EURUSD, barrier)))
+        payoff = BarrierPayoff(EURUSD, 1.25, "call", barrier, level, "up", "knock-out", monitoring)
+        vanilla = self.block_values(three_ccy_snapshot, VanillaPayoff(EURUSD, 1.25, "call"), config, pairs)
         assert not any(slot for _, slot in normals_drawn)  # a vanilla bridges nothing
         normals_drawn.clear()
-        self.block_values(three_ccy_snapshot, payoff, config)
+        self.block_values(three_ccy_snapshot, payoff, config, pairs)
         for block, values in enumerate(vanilla):
             pays = values > 0.0
             if antithetic:
@@ -1268,7 +1273,8 @@ def nine_pair_snapshot():
 class TestBlockMemory:
     """``price`` holds, per worker, two chunks of ``CHUNK_PATHS`` paths (the
     normals and the increments) and one float per path of its block (the
-    payoff values), whatever the number of blocks: the nine-pair basket's
+    payoff values; a barrier also keeps its terminal normals and bridges the
+    paths that pay), whatever the number of blocks: the nine-pair basket's
     peak stays under one (9, 16,384) step array, which a step drawn whole
     would pass."""
 
@@ -1277,20 +1283,22 @@ class TestBlockMemory:
         "barrier": BarrierPayoff(EURUSD, 1.25, "call", USDJPY, 110.0, "up", "knock-out"),
         "basket": BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call"),
     }
+    # each payoff's peak in block rows of 16,384 floats (0.13 MB): measured 4.9 (barrier) and 2.8 (basket)
+    # at 52 steps, 5.6 and 3.4 at 260; a (2, 16,384) array held again, two rows more, fails each bound
+    PEAK_ROWS = {"barrier": 6.25, "basket": 4.0}
 
     @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("name", sorted(PAYOFFS))
     def test_peak_is_near_one_block(self, three_ccy_snapshot, name, blocks):
         antithetic = name == "basket"
         config = SimulationConfig(blocks * BLOCK_PATHS, 103, self.GRID, antithetic)
-        block_bytes = 2 * len(self.GRID) * BLOCK_PATHS * 8  # two pairs
         tracemalloc.start()
         try:
             price(self.PAYOFFS[name], three_ccy_snapshot, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * block_bytes
+        assert peak <= self.PEAK_ROWS[name] * BLOCK_PATHS * 8
 
     def nine_pair_peak(self, blocks, workers):
         snapshot = nine_pair_snapshot()
@@ -1364,10 +1372,10 @@ class TestChunks:
         vols = {p: flat_vol(0.2) for p in pairs}
         steps = _terminal_steps(_prepare_steps(pairs, vols, build_matrix(pairs, snapshot, [1.0]), config,
                                                snapshot.rates, pairs[0].denominating))
-        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), config)
+        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), steps.bridge, config)
 
         def values():
-            return np.concatenate(_run_blocks(steps, config, lambda start, size, it: evaluate(size, it)))
+            return np.concatenate(_run_blocks(steps, config, evaluate))
 
         chunked = values()
         monkeypatch.setattr(montecarlo, "CHUNK_PATHS", BLOCK_PATHS)
@@ -1375,22 +1383,21 @@ class TestChunks:
 
 
 class TestStepMemory:
-    """``price`` streams a block one grid step at a time: its peak is a
-    fraction of one 52-step block and does not grow with the step count."""
+    """``price`` streams a block one grid step at a time: its peak stays
+    within ``TestBlockMemory``'s few block rows at 52 steps and at 260."""
 
-    PAYOFFS = TestBlockMemory.PAYOFFS
+    PAYOFFS, PEAK_ROWS = TestBlockMemory.PAYOFFS, TestBlockMemory.PEAK_ROWS
 
     @pytest.mark.parametrize("n_steps", [52, 260])
     @pytest.mark.parametrize("name", sorted(PAYOFFS))
     def test_peak_does_not_grow_with_steps(self, three_ccy_snapshot, name, n_steps):
         grid = tuple(k / n_steps for k in range(1, n_steps + 1))
         config = SimulationConfig(BLOCK_PATHS, 103, grid, name == "basket")
-        block_bytes = 2 * 52 * BLOCK_PATHS * 8  # two pairs, 52 steps
         tracemalloc.start()
         try:
             price(self.PAYOFFS[name], three_ccy_snapshot, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.25 * block_bytes
+        assert peak <= self.PEAK_ROWS[name] * BLOCK_PATHS * 8
 
