@@ -17,7 +17,12 @@ from the same stream, and then its barrier pair step by step given that
 draw (a Brownian bridge), so an unreachable barrier is the vanilla bit for
 bit.  A path whose payoff is 0 is worth 0 whatever its barrier does, so
 only the paths that pay are bridged, and only up to the last monitoring
-time.  Every pair is simulated under the measure of the paying currency.
+time.  Each bridged path is also read on the bridge driven by the negated
+normals, which costs no draw (its level is a line in Z less the path's),
+and pays its value times the share of the two bridges that breach
+(knock-in) or do not (knock-out): antithetic variates on the bridge, so
+knock-in plus knock-out is still the vanilla path by path.  Every pair is
+simulated under the measure of the paying currency.
 
 Determinism: paths are partitioned into fixed-size blocks and every
 (block, pair-slot) draws its own segment of a counter-based generator
@@ -466,9 +471,13 @@ def _payoff_evaluator(
     barrier keeps its paying pair's terminal normals Z and then, on the paths that pay (an antithetic
     pair if either half pays), moves the barrier pair's log-level by x_m = q_m (Z - S_m) + L_mm w_m
     (``bridge``'s rows, see ``_terminal_steps``), one w_m per path or pair from the block's slot-1
-    stream, up to the last monitoring time, testing it at each monitoring time (each a grid time, all
-    of them by default).  A path that pays 0 is worth 0 in either style whatever its barrier does, so
-    knock-in and knock-out bridge the same paths.  A vanilla or a barrier pays on one leg of weight 1."""
+    stream (none where L_mm and u_m are both 0), up to the last monitoring time, testing it at each
+    monitoring time (each a grid time, all of them by default).  The bridge on -w has x'_m = 2 q_m Z -
+    x_m, so its level is 2 (c_m Z + D_m) - level, c_m and D_m the running sums of scale q and drift; it
+    is tested at the same times, and a path pays its value times hits / 2 (knock-in) or 1 - hits / 2
+    (knock-out), hits the number of the two bridges that breach.  A path that pays 0 is worth 0 in
+    either style whatever its barrier does, so knock-in and knock-out bridge the same paths.  A vanilla
+    or a barrier pays on one leg of weight 1."""
     sign = 1.0 if payoff.kind == "call" else -1.0
     weights = np.array([payoff.weights[pair] for pair in pairs] if isinstance(payoff, BasketPayoff) else [1.0])
     halves = 2 if config.antithetic else 1
@@ -481,6 +490,8 @@ def _payoff_evaluator(
             monitor.add(m)
         beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
         threshold = math.log(payoff.barrier_level) - math.log(spots[-1])
+        # the bridge on -w has level 2 c_m Z + 2 D_m - level: it breaches where beyond(line_m Z + shift_m, level)
+        line, shift = 2.0 * np.cumsum(bridge[:, 3] * bridge[:, 0]), 2.0 * np.cumsum(bridge[:, 4]) - threshold
 
     def evaluate(start: int, size: int, block_steps: _BlockSteps) -> np.ndarray:
         value = np.empty((halves, size // halves))  # by half: returned in path order
@@ -497,17 +508,24 @@ def _payoff_evaluator(
         np.maximum(value, 0.0, out=value)
         paths = np.flatnonzero((value > 0.0).any(axis=0)) if is_barrier else ()
         if len(paths):  # nothing is drawn when no path pays, nor past the last monitoring time
-            z_pay = z_pay.take(paths, axis=1)  # Z - S_m, with S_m+1 = S_m + u_m w_m
-            w, level, breached = np.empty_like(z_pay), np.zeros_like(z_pay), np.zeros_like(z_pay, dtype=bool)
+            z_pay = z_pay.take(paths, axis=1)
+            rest = z_pay.copy()  # Z - S_m, with S_m+1 = S_m + u_m w_m
+            w, level = np.zeros((2, *z_pay.shape))  # a w weighted by 0 is not drawn, but must be finite
+            breached, mirrored = np.zeros((2, *z_pay.shape), dtype=bool)
             rng, = _streams(config, start // BLOCK_PATHS, [1])
             for m, (q, diagonal, u, scale, drift) in enumerate(bridge[:max(monitor) + 1]):
-                rng.standard_normal(out=w[0])
-                np.negative(w[0], out=w[1:])  # the mirror half, if any
-                level += scale * (q * z_pay + diagonal * w) + drift
-                z_pay -= u * w
-                if m in monitor:
+                if diagonal or u:  # else t_m = 0 (an own-pair bridge's end): w is weighted by 0, and not drawn
+                    rng.standard_normal(out=w[0])
+                    np.negative(w[0], out=w[1:])  # the antithetic half, if any
+                level += scale * (q * rest + diagonal * w) + drift
+                rest -= u * w
+                if m in monitor:  # w is spent until the next draw: it holds the mirrored bridge's line
                     breached |= beyond(level, threshold)
-            value[:, paths] *= breached if payoff.style == "knock-in" else ~breached
+                    np.multiply(z_pay, line[m], out=w)
+                    w += shift[m]
+                    mirrored |= beyond(w, level)
+            hits = np.add(breached, mirrored, out=w, dtype=float)  # 0, 1 or 2 of the path and its mirror
+            value[:, paths] *= hits / 2 if payoff.style == "knock-in" else (2.0 - hits) / 2
         return value.ravel()
 
     return evaluate
@@ -534,9 +552,12 @@ def price(
     covariance, and a barrier draws its paying pair so and then, on the
     paths that pay (in antithetic sampling, the pairs of which either half
     pays), its barrier pair step by step given that draw up to the last
-    monitoring time; the grid sets the maturity and must cover every
-    breakpoint.  A barrier on the inverse of its payoff pair is
-    priced as the barrier on the payoff pair at 1/level, direction flipped.
+    monitoring time.  Each such path is weighed by the share of its bridge
+    and the bridge on the negated normals that breach (0, 1/2 or 1), so
+    the knock-in and knock-out prices still add up to the vanilla's.  The
+    grid sets the maturity and must cover every breakpoint.  A barrier on
+    the inverse of its payoff pair is priced as the barrier on the payoff
+    pair at 1/level, direction flipped.
 
     Every pair is simulated under the measure of the paying pair's
     denominating currency d, the currency the price is paid in.  A

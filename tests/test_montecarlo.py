@@ -45,7 +45,8 @@ from fxcorr import (
 )
 from fxcorr import montecarlo
 from fxcorr.montecarlo import (
-    _GRID_TOL, BLOCK_PATHS, _bridge, _grid_index, _payoff_evaluator, _prepare_steps, _run_blocks, _terminal_steps,
+    _GRID_TOL, BLOCK_PATHS, _bridge, _grid_index, _payoff_evaluator, _prepare_steps, _run_blocks, _streams,
+    _terminal_steps,
 )
 from fxcorr.term_structure import _bucket_vols
 
@@ -785,9 +786,9 @@ class TestBridgedPaths:
         evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), steps.bridge, config)
         return _run_blocks(steps, config, evaluate)
 
-    # the own-pair barrier's bridge ends with t_M = 0: its last step draws a normal that it weights by 0
+    # the own-pair barrier's bridge ends with t_M = 0: its last step would weight a normal by 0, and draws none
     @pytest.mark.parametrize("barrier, level, monitoring, n_bridged", [
-        (JPYUSD, 0.0115, None, 4), (JPYUSD, 0.0115, (0.5,), 2), (EURUSD, 1.3, None, 4),
+        (JPYUSD, 0.0115, None, 4), (JPYUSD, 0.0115, (0.5,), 2), (EURUSD, 1.3, None, 3),
     ], ids=["every-step", "stops-early", "own-pair"])
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_one_normal_per_paying_path_or_pair_and_step(self, three_ccy_snapshot, normals_drawn,
@@ -818,6 +819,44 @@ class TestBridgedPaths:
         vanilla = np.concatenate(self.block_values(three_ccy_snapshot, VanillaPayoff(EURUSD, 1.25, kind), config))
         assert (k_in > 0).any() and (k_out > 0).any()
         assert np.array_equal(k_in + k_out, vanilla)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("direction, level", [("up", 0.0105), ("down", 0.0095)])
+    def test_each_path_weighs_its_bridge_and_the_mirrored_bridge(self, three_ccy_snapshot, direction, level,
+                                                                 antithetic):
+        # the bridge of ``_bridge``'s docstring run here on each block's slot-1 normals w and on -w, from
+        # the paying paths' terminal normals Z (-Z and -w on an antithetic block's second half): a
+        # knock-out path keeps its value times the share of the two bridges that do not breach
+        config = SimulationConfig(20_000, 163, self.GRID, antithetic)
+        halves = 2 if antithetic else 1
+        pairs = (EURUSD, JPYUSD)
+        steps = _prepare_steps(pairs, self.VOLS, build_matrix(pairs, three_ccy_snapshot, [1.0]), config,
+                               three_ccy_snapshot.rates, EURUSD.denominating)
+        bridge = _terminal_steps(steps, bridged=True).bridge
+        threshold = math.log(level) - math.log(three_ccy_snapshot.spot(JPYUSD))
+        beyond = np.greater_equal if direction == "up" else np.less_equal
+        payoff = BarrierPayoff(EURUSD, 1.25, "call", JPYUSD, level, direction, "knock-out")
+        vanilla = self.block_values(three_ccy_snapshot, VanillaPayoff(EURUSD, 1.25, "call"), config)
+        k_out = self.block_values(three_ccy_snapshot, payoff, config)
+        for block, (values, out) in enumerate(zip(vanilla, k_out)):
+            values, out = values.reshape(halves, -1), out.reshape(halves, -1)
+            paths = np.flatnonzero((values > 0.0).any(axis=0))
+            z = _streams(config, block, [0])[0].standard_normal(values.shape[1])[paths]
+            z = np.stack([z, -z][:halves])
+            hits = np.zeros(z.shape)
+            for mirror in (1.0, -1.0):
+                rng, = _streams(config, block, [1])
+                rest, log_level, breached = z.copy(), np.zeros(z.shape), np.zeros(z.shape, dtype=bool)
+                for q, diagonal, u, scale, drift in bridge:
+                    w = mirror * rng.standard_normal(len(paths))
+                    w = np.stack([w, -w][:halves])
+                    log_level += scale * (q * rest + diagonal * w) + drift
+                    rest -= u * w
+                    breached |= beyond(log_level, threshold)
+                hits += breached
+            assert set(np.unique(hits)) == {0.0, 1.0, 2.0}
+            assert np.array_equal(out[:, paths], values[:, paths] * ((2.0 - hits) / 2.0))
+            assert np.array_equal(np.delete(out, paths, axis=1), np.delete(values, paths, axis=1))
 
     @pytest.mark.parametrize("style", ["knock-in", "knock-out"])
     def test_no_paying_path_draws_no_bridge(self, three_ccy_snapshot, normals_drawn, style):
@@ -1181,16 +1220,16 @@ class TestBitsArePinned:
         ("basket", 40_000, False): ("0x1.6e0371ec0b8f0p-3", "0x1.72e61bc8b121fp-10"),
         ("basket", 37_002, True): ("0x1.67ccafbefd164p-3", "0x1.2a027a5ce2ce7p-10"),
         ("basket", 40_000, True): ("0x1.684852d3e5c77p-3", "0x1.1eb1db4344337p-10"),
-        ("down-in-cross", 5, False): ("0x1.e19ea3fb6406cp-6", "0x1.e19ea3fb6406dp-6"),
-        ("down-in-cross", 37_002, False): ("0x1.ff9784bea0b97p-6", "0x1.ba29b9c2c8dd0p-12"),
-        ("down-in-cross", 40_000, False): ("0x1.033dd1976df27p-5", "0x1.ae17e3da3b0b8p-12"),
-        ("down-in-cross", 37_002, True): ("0x1.0a6eb05ed31fcp-5", "0x1.a03e542fa9f3ep-12"),
-        ("down-in-cross", 40_000, True): ("0x1.06ef8c3a9f686p-5", "0x1.8e55bade27bacp-12"),
-        ("up-out-own-pair", 5, False): ("0x1.0bff427343a7ap-5", "0x1.0bff427343a7ap-5"),
-        ("up-out-own-pair", 37_002, False): ("0x1.5df4a1c06c266p-6", "0x1.10082434fc96bp-12"),
-        ("up-out-own-pair", 40_000, False): ("0x1.60aa910ebd2dfp-6", "0x1.07058701bb67dp-12"),
-        ("up-out-own-pair", 37_002, True): ("0x1.57ccb878374bfp-6", "0x1.e91c3e5537a97p-13"),
-        ("up-out-own-pair", 40_000, True): ("0x1.59fd4bcf3a06ap-6", "0x1.d7f52f9b3c14ap-13"),
+        ("down-in-cross", 5, False): ("0x1.e19ea3fb6406cp-7", "0x1.e19ea3fb6406dp-7"),
+        ("down-in-cross", 37_002, False): ("0x1.03d2c56bdec6dp-5", "0x1.26a50bb79fc79p-12"),
+        ("down-in-cross", 40_000, False): ("0x1.04f8083a89025p-5", "0x1.1cbda86c308e6p-12"),
+        ("down-in-cross", 37_002, True): ("0x1.04f41d808741bp-5", "0x1.fbad6d9ea01f1p-13"),
+        ("down-in-cross", 40_000, True): ("0x1.0331281da0020p-5", "0x1.e7aa2c3429d40p-13"),
+        ("up-out-own-pair", 5, False): ("0x1.a06666ac7e9b3p-5", "0x1.0ff4c006dba5fp-5"),
+        ("up-out-own-pair", 37_002, False): ("0x1.61b51729fc8f9p-6", "0x1.ad77b19cb1f18p-13"),
+        ("up-out-own-pair", 40_000, False): ("0x1.619ec71840af6p-6", "0x1.9cefd56f479ecp-13"),
+        ("up-out-own-pair", 37_002, True): ("0x1.5e92f4fa43d6ep-6", "0x1.68910c4734c9dp-13"),
+        ("up-out-own-pair", 40_000, True): ("0x1.5e49995265558p-6", "0x1.5b26fc3593024p-13"),
         ("vanilla", 5, False): ("0x1.157d2f44ad089p-3", "0x1.42f7eeee8d14fp-4"),
         ("vanilla", 37_002, False): ("0x1.79c0fb49aea9fp-4", "0x1.aa7dc2766efd4p-11"),
         ("vanilla", 40_000, False): ("0x1.79382dc62b0bdp-4", "0x1.9a95908d344adp-11"),
@@ -1218,10 +1257,10 @@ class TestLongGridBitsArePinned:
     GRID = tuple(k / 260 for k in range(1, 261))
     INCREMENTS = "d23d7b8b4480b3e61d38563c131cb96f43191b600e30d0349060f3e0329d5d65"
     PRICES = {
-        ("down-in-cross", False): ("0x1.f7addd7456bbbp-6", "0x1.2d8fa5d622499p-11"),
-        ("down-in-cross", True): ("0x1.0d3be7476c227p-5", "0x1.1ea637fcc12dep-11"),
-        ("up-out-own-pair", False): ("0x1.f025bf0d7dadep-7", "0x1.304ea90265d60p-12"),
-        ("up-out-own-pair", True): ("0x1.dd1bae7f9830cp-7", "0x1.155794bed47b1p-12"),
+        ("down-in-cross", False): ("0x1.025edd5d0b13bp-5", "0x1.9208cc79641bap-12"),
+        ("down-in-cross", True): ("0x1.0852a880d491ap-5", "0x1.5d89453f07461p-12"),
+        ("up-out-own-pair", False): ("0x1.f1ef46b8a452fp-7", "0x1.c151db9cab665p-13"),
+        ("up-out-own-pair", True): ("0x1.ea0a88690a01ap-7", "0x1.8069034ffda63p-13"),
         ("vanilla", False): ("0x1.7bb14919c7d4cp-4", "0x1.22256bb0593c1p-10"),
         ("vanilla", True): ("0x1.74c05e152e60fp-4", "0x1.d1521ab22b0b7p-11"),
     }
@@ -1283,8 +1322,8 @@ class TestBlockMemory:
         "barrier": BarrierPayoff(EURUSD, 1.25, "call", USDJPY, 110.0, "up", "knock-out"),
         "basket": BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call"),
     }
-    # each payoff's peak in block rows of 16,384 floats (0.13 MB): measured 4.9 (barrier) and 2.8 (basket)
-    # at 52 steps, 5.6 and 3.4 at 260; a (2, 16,384) array held again, two rows more, fails each bound
+    # each payoff's peak in block rows of 16,384 floats (0.13 MB): measured 5.4 (barrier) and 2.8 (basket)
+    # at 52 steps, 6.2 and 3.4 at 260; a (2, 16,384) array held again, two rows more, fails each bound
     PEAK_ROWS = {"barrier": 6.25, "basket": 4.0}
 
     @pytest.mark.parametrize("blocks", [1, 3])

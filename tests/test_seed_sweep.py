@@ -63,17 +63,23 @@ def test_vanilla_against_garman_kohlhagen(world, snapshot):
     assert_unbiased_with_true_errors(*sweep(VanillaPayoff(FxPair.parse("EUR/USD"), strike, "call"), snapshot, exact))
 
 
+BARRIERS = [(pair, direction) for direction in ("up", "down") for pair in ("EUR/USD", "JPY/USD", "GBP/EUR")]
+
+
 @pytest.mark.parametrize("style", ["knock-in", "knock-out"])
-@pytest.mark.parametrize("barrier", ["EUR/USD", "JPY/USD", "GBP/EUR"])
-def test_one_date_barrier(world, snapshot, barrier, style):
-    # EUR/USD call struck at the forward, paid in EUR, the barrier half an SD above its t1 forward;
-    # JPY/USD and GBP/EUR are not denominated in EUR, so they carry the quanto drift
+@pytest.mark.parametrize("barrier, direction", BARRIERS,
+                         ids=[pair if direction == "up" else f"{pair}-down" for pair, direction in BARRIERS])
+def test_one_date_barrier(world, snapshot, barrier, style, direction):
+    # EUR/USD call struck at the forward, paid in EUR, the barrier half an SD above (up) or below (down)
+    # its t1 forward; JPY/USD and GBP/EUR are not denominated in EUR, so they carry the quanto drift.
+    # Each bridged path is weighed with its mirrored bridge, whose breach test turns with the direction
     a, b = barrier.split("/")
     strike = math.exp(world.log_forward("EUR", "USD", T))
-    level = math.exp(world.log_forward(a, b, T1) + 0.5 * math.sqrt(world.variance(a, b, T1)))
-    payoff = BarrierPayoff(FxPair.parse("EUR/USD"), strike, "call", FxPair.parse(barrier), level, "up", style,
+    shift = 0.5 if direction == "up" else -0.5
+    level = math.exp(world.log_forward(a, b, T1) + shift * math.sqrt(world.variance(a, b, T1)))
+    payoff = BarrierPayoff(FxPair.parse("EUR/USD"), strike, "call", FxPair.parse(barrier), level, direction, style,
                            monitoring=(T1,))
-    exact = world.one_date_barrier_call("EUR/USD", strike, barrier, level, "up", style, T1, T)
+    exact = world.one_date_barrier_call("EUR/USD", strike, barrier, level, direction, style, T1, T)
     assert_unbiased_with_true_errors(*sweep(payoff, snapshot, exact))
 
 
