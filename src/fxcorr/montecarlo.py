@@ -17,12 +17,13 @@ from the same stream, and then its barrier pair step by step given that
 draw (a Brownian bridge), so an unreachable barrier is the vanilla bit for
 bit.  A path whose payoff is 0 is worth 0 whatever its barrier does, so
 only the paths that pay are bridged, and only up to the last monitoring
-time.  Each bridged path is also read on the bridge driven by the negated
-normals, which costs no draw (its level is a line in Z less the path's),
-and pays its value times the share of the two bridges that breach
-(knock-in) or do not (knock-out): antithetic variates on the bridge, so
-knock-in plus knock-out is still the vanilla path by path.  Every pair is
-simulated under the measure of the paying currency.
+time.  Each bridged path is read on four bridges from one draw: the bridge
+driven by its normals w, the one driven by eps w (the signs alternating
+step by step, again an exact draw), and the mirrors of both, driven by -w
+and -eps w, whose levels are a line in Z less the bridges'.  It pays its
+value times the share of the four that breach (knock-in) or do not
+(knock-out), so knock-in plus knock-out is still the vanilla path by path.
+Every pair is simulated under the measure of the paying currency.
 
 Determinism: paths are partitioned into fixed-size blocks and every
 (block, pair-slot) draws its own segment of a counter-based generator
@@ -472,12 +473,13 @@ def _payoff_evaluator(
     pair if either half pays), moves the barrier pair's log-level by x_m = q_m (Z - S_m) + L_mm w_m
     (``bridge``'s rows, see ``_terminal_steps``), one w_m per path or pair from the block's slot-1
     stream (none where L_mm and u_m are both 0), up to the last monitoring time, testing it at each
-    monitoring time (each a grid time, all of them by default).  The bridge on -w has x'_m = 2 q_m Z -
-    x_m, so its level is 2 (c_m Z + D_m) - level, c_m and D_m the running sums of scale q and drift; it
-    is tested at the same times, and a path pays its value times hits / 2 (knock-in) or 1 - hits / 2
-    (knock-out), hits the number of the two bridges that breach.  A path that pays 0 is worth 0 in
-    either style whatever its barrier does, so knock-in and knock-out bridge the same paths.  A vanilla
-    or a barrier pays on one leg of weight 1."""
+    monitoring time (each a grid time, all of them by default).  The same normals drive a second bridge
+    as eps_m w_m, eps_m = 1 on even steps and -1 on odd ones.  The bridge on -w has x'_m = 2 q_m Z - x_m,
+    so its level is 2 (c_m Z + D_m) - level, c_m and D_m the running sums of scale q and drift, and so
+    has the bridge on -eps w against the one on eps w.  A path pays its value v times (4 - hits) / 4 on a
+    knock-out and v less that on a knock-in, hits the number of the four bridges that breach.  A path
+    that pays 0 is worth 0 in either style whatever its barrier does, so knock-in and knock-out bridge
+    the same paths.  A vanilla or a barrier pays on one leg of weight 1."""
     sign = 1.0 if payoff.kind == "call" else -1.0
     weights = np.array([payoff.weights[pair] for pair in pairs] if isinstance(payoff, BasketPayoff) else [1.0])
     halves = 2 if config.antithetic else 1
@@ -489,15 +491,54 @@ def _payoff_evaluator(
                 raise ValidationError(f"barrier monitoring time {t} is not a grid time")
             monitor.add(m)
         beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
-        threshold = math.log(payoff.barrier_level) - math.log(spots[-1])
-        # the bridge on -w has level 2 c_m Z + 2 D_m - level: it breaches where beyond(line_m Z + shift_m, level)
-        line, shift = 2.0 * np.cumsum(bridge[:, 3] * bridge[:, 0]), 2.0 * np.cumsum(bridge[:, 4]) - threshold
+        q, diagonal, u, scale, drift = bridge[:max(monitor) + 1].T
+        # levels net of the running drift D_m, which the thresholds take: a bridge breaches where
+        # beyond(level, bound_m), and its mirror, at 2 c_m Z - level, where beyond(line_m Z - bound_m, level)
+        bound = math.log(payoff.barrier_level) - math.log(spots[-1]) - np.cumsum(drift)
+        by_rest = scale * q
+        line = 2.0 * np.cumsum(by_rest)
+
+    def knock_out_shares(start: int, z_pay: np.ndarray) -> np.ndarray:
+        """(4 - hits) / 4 on each paying path or pair of terminal normals ``z_pay``, hits the number of its four
+        bridges that breach: those driven by w and by eps w, and their mirrors.  The steps write into the
+        buffers made here, with no temporaries, and the buffers are freed on return."""
+        rests = np.stack([z_pay, z_pay])  # Z - S_m on the bridges driven by w and by eps w
+        levels, (w, work) = np.zeros((2, *rests.shape))  # a w weighted by 0 is not drawn, but must be finite
+        bridges, mirrors, flags = np.zeros((3, *rests.shape), dtype=bool)  # which breach, by bridge
+        rng, = _streams(config, start // BLOCK_PATHS, [1])
+        for m in range(len(q)):
+            if diagonal[m] or u[m]:  # else t_m = 0 (an own-pair bridge's end): w is weighted by 0, and not drawn
+                rng.standard_normal(out=w[0])
+                if halves == 2:
+                    np.negative(w[0], out=w[1])
+            plus, minus = (np.add, np.subtract) if m % 2 == 0 else (np.subtract, np.add)  # eps_m = 1 or -1
+            for level, rest in zip(levels, rests):
+                np.multiply(rest, by_rest[m], out=work)
+                level += work
+            np.multiply(w, scale[m] * diagonal[m], out=work)
+            levels[0] += work
+            plus(levels[1], work, out=levels[1])
+            w *= u[m]
+            rests[0] -= w
+            minus(rests[1], w, out=rests[1])
+            if m in monitor:  # w is spent until the next draw: it holds the mirrors' line
+                np.multiply(z_pay, line[m], out=w)
+                w -= bound[m]
+                bridges |= beyond(levels, bound[m], out=flags)
+                mirrors |= beyond(w, levels, out=flags)
+        w.fill(1.0)
+        for hit in (*bridges, *mirrors):
+            np.subtract(w, 0.25, out=w, where=hit)
+        return w
 
     def evaluate(start: int, size: int, block_steps: _BlockSteps) -> np.ndarray:
         value = np.empty((halves, size // halves))  # by half: returned in path order
         z_pay = np.empty_like(value) if is_barrier else None  # the paying pair's terminal normals Z
+        exp_out = np.empty(0)  # the chunk's terminal levels: one buffer per block, grown for a longer last chunk
         for begin, end, z, y in next(block_steps):  # the one step, chunk by chunk
-            terminal = np.exp(y.T, out=np.empty(y.shape[::-1]))  # (paths, legs) in C order, for the matvec
+            if exp_out.size < y.size:
+                exp_out = np.empty(y.size)
+            terminal = np.exp(y.T, out=exp_out[:y.size].reshape(y.shape[::-1]))  # (paths, legs) in C order
             terminal *= spots[:len(weights)]
             # x * 1.0 == x: one leg pays its own level bit for bit
             value[:, begin:end] = (terminal @ weights).reshape(halves, -1)
@@ -506,26 +547,16 @@ def _payoff_evaluator(
         value -= payoff.strike
         value *= sign
         np.maximum(value, 0.0, out=value)
-        paths = np.flatnonzero((value > 0.0).any(axis=0)) if is_barrier else ()
-        if len(paths):  # nothing is drawn when no path pays, nor past the last monitoring time
-            z_pay = z_pay.take(paths, axis=1)
-            rest = z_pay.copy()  # Z - S_m, with S_m+1 = S_m + u_m w_m
-            w, level = np.zeros((2, *z_pay.shape))  # a w weighted by 0 is not drawn, but must be finite
-            breached, mirrored = np.zeros((2, *z_pay.shape), dtype=bool)
-            rng, = _streams(config, start // BLOCK_PATHS, [1])
-            for m, (q, diagonal, u, scale, drift) in enumerate(bridge[:max(monitor) + 1]):
-                if diagonal or u:  # else t_m = 0 (an own-pair bridge's end): w is weighted by 0, and not drawn
-                    rng.standard_normal(out=w[0])
-                    np.negative(w[0], out=w[1:])  # the antithetic half, if any
-                level += scale * (q * rest + diagonal * w) + drift
-                rest -= u * w
-                if m in monitor:  # w is spent until the next draw: it holds the mirrored bridge's line
-                    breached |= beyond(level, threshold)
-                    np.multiply(z_pay, line[m], out=w)
-                    w += shift[m]
-                    mirrored |= beyond(w, level)
-            hits = np.add(breached, mirrored, out=w, dtype=float)  # 0, 1 or 2 of the path and its mirror
-            value[:, paths] *= hits / 2 if payoff.style == "knock-in" else (2.0 - hits) / 2
+        if is_barrier and (pays := (value > 0.0).any(axis=0)).any():  # else nothing is drawn, nor past the last
+            z_pay = z_pay.compress(pays, axis=1)  # monitoring time; in C order, as the draws into w[0] need
+            # knock-out keeps kept = v (4 - hits) / 4 and knock-in v - kept: they add up to v bit for bit for every
+            # finite v >= 0 (tests/test_properties.py).  Where kept >= v / 2, v - kept is exact (Sterbenz); where
+            # kept is v / 4, fl(3v/4) misses 3v/4 by half an ulp of v only when v's significand is even, and
+            # ties-to-even gives back v.  Paying v hits / 4 would not do: an odd subnormal v / 2 rounds, twice
+            for row, kept in zip(value, knock_out_shares(start, z_pay)):  # boolean indexing in 1-d needs no index
+                paid = row[pays]
+                kept *= paid
+                row[pays] = kept if payoff.style == "knock-out" else np.subtract(paid, kept, out=paid)
         return value.ravel()
 
     return evaluate
@@ -552,9 +583,11 @@ def price(
     covariance, and a barrier draws its paying pair so and then, on the
     paths that pay (in antithetic sampling, the pairs of which either half
     pays), its barrier pair step by step given that draw up to the last
-    monitoring time.  Each such path is weighed by the share of its bridge
-    and the bridge on the negated normals that breach (0, 1/2 or 1), so
-    the knock-in and knock-out prices still add up to the vanilla's.  The
+    monitoring time.  Each such path is weighed by the share of four
+    bridges from one draw that breach (0, 1/4, ..., 1): its bridge, the
+    bridge on the same normals with alternating signs, and the mirrors of
+    both on the negated normals; the knock-in and knock-out prices still
+    add up to the vanilla's, path by path and bit for bit.  The
     grid sets the maturity and must cover every breakpoint.  A barrier on
     the inverse of its payoff pair is priced as the barrier on the payoff
     pair at 1/level, direction flipped.

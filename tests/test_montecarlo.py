@@ -824,9 +824,10 @@ class TestBridgedPaths:
     @pytest.mark.parametrize("direction, level", [("up", 0.0105), ("down", 0.0095)])
     def test_each_path_weighs_its_bridge_and_the_mirrored_bridge(self, three_ccy_snapshot, direction, level,
                                                                  antithetic):
-        # the bridge of ``_bridge``'s docstring run here on each block's slot-1 normals w and on -w, from
-        # the paying paths' terminal normals Z (-Z and -w on an antithetic block's second half): a
-        # knock-out path keeps its value times the share of the two bridges that do not breach
+        # the bridge of ``_bridge``'s docstring run here on each block's slot-1 normals w, on -w, on eps w
+        # (eps_m = 1 on even steps and -1 on odd ones) and on -eps w, from the paying paths' terminal normals
+        # Z (-Z and -w on an antithetic block's second half): a knock-out path keeps its value times the
+        # share of the four bridges that do not breach
         config = SimulationConfig(20_000, 163, self.GRID, antithetic)
         halves = 2 if antithetic else 1
         pairs = (EURUSD, JPYUSD)
@@ -838,25 +839,28 @@ class TestBridgedPaths:
         payoff = BarrierPayoff(EURUSD, 1.25, "call", JPYUSD, level, direction, "knock-out")
         vanilla = self.block_values(three_ccy_snapshot, VanillaPayoff(EURUSD, 1.25, "call"), config)
         k_out = self.block_values(three_ccy_snapshot, payoff, config)
+        eps = np.resize([1.0, -1.0], len(bridge))
+        seen = set()
         for block, (values, out) in enumerate(zip(vanilla, k_out)):
             values, out = values.reshape(halves, -1), out.reshape(halves, -1)
             paths = np.flatnonzero((values > 0.0).any(axis=0))
             z = _streams(config, block, [0])[0].standard_normal(values.shape[1])[paths]
             z = np.stack([z, -z][:halves])
             hits = np.zeros(z.shape)
-            for mirror in (1.0, -1.0):
+            for signs in (np.ones_like(eps), -np.ones_like(eps), eps, -eps):
                 rng, = _streams(config, block, [1])
                 rest, log_level, breached = z.copy(), np.zeros(z.shape), np.zeros(z.shape, dtype=bool)
-                for q, diagonal, u, scale, drift in bridge:
-                    w = mirror * rng.standard_normal(len(paths))
+                for sign, (q, diagonal, u, scale, drift) in zip(signs, bridge):
+                    w = sign * rng.standard_normal(len(paths))
                     w = np.stack([w, -w][:halves])
                     log_level += scale * (q * rest + diagonal * w) + drift
                     rest -= u * w
                     breached |= beyond(log_level, threshold)
                 hits += breached
-            assert set(np.unique(hits)) == {0.0, 1.0, 2.0}
-            assert np.array_equal(out[:, paths], values[:, paths] * ((2.0 - hits) / 2.0))
+            seen.update(np.unique(hits))
+            assert np.array_equal(out[:, paths], values[:, paths] * ((4.0 - hits) / 4.0))
             assert np.array_equal(np.delete(out, paths, axis=1), np.delete(values, paths, axis=1))
+        assert seen == {0.0, 1.0, 2.0, 3.0, 4.0}
 
     @pytest.mark.parametrize("style", ["knock-in", "knock-out"])
     def test_no_paying_path_draws_no_bridge(self, three_ccy_snapshot, normals_drawn, style):
@@ -1220,16 +1224,16 @@ class TestBitsArePinned:
         ("basket", 40_000, False): ("0x1.6e0371ec0b8f0p-3", "0x1.72e61bc8b121fp-10"),
         ("basket", 37_002, True): ("0x1.67ccafbefd164p-3", "0x1.2a027a5ce2ce7p-10"),
         ("basket", 40_000, True): ("0x1.684852d3e5c77p-3", "0x1.1eb1db4344337p-10"),
-        ("down-in-cross", 5, False): ("0x1.e19ea3fb6406cp-7", "0x1.e19ea3fb6406dp-7"),
-        ("down-in-cross", 37_002, False): ("0x1.03d2c56bdec6dp-5", "0x1.26a50bb79fc79p-12"),
-        ("down-in-cross", 40_000, False): ("0x1.04f8083a89025p-5", "0x1.1cbda86c308e6p-12"),
-        ("down-in-cross", 37_002, True): ("0x1.04f41d808741bp-5", "0x1.fbad6d9ea01f1p-13"),
-        ("down-in-cross", 40_000, True): ("0x1.0331281da0020p-5", "0x1.e7aa2c3429d40p-13"),
-        ("up-out-own-pair", 5, False): ("0x1.a06666ac7e9b3p-5", "0x1.0ff4c006dba5fp-5"),
-        ("up-out-own-pair", 37_002, False): ("0x1.61b51729fc8f9p-6", "0x1.ad77b19cb1f18p-13"),
-        ("up-out-own-pair", 40_000, False): ("0x1.619ec71840af6p-6", "0x1.9cefd56f479ecp-13"),
-        ("up-out-own-pair", 37_002, True): ("0x1.5e92f4fa43d6ep-6", "0x1.68910c4734c9dp-13"),
-        ("up-out-own-pair", 40_000, True): ("0x1.5e49995265558p-6", "0x1.5b26fc3593024p-13"),
+        ("down-in-cross", 5, False): ("0x1.e19ea3fb6406cp-8", "0x1.e19ea3fb6406dp-8"),
+        ("down-in-cross", 37_002, False): ("0x1.03590e3a9e00fp-5", "0x1.d841aa4cf3dd7p-13"),
+        ("down-in-cross", 40_000, False): ("0x1.03857c396d207p-5", "0x1.c639aad1acf18p-13"),
+        ("down-in-cross", 37_002, True): ("0x1.05534459590f9p-5", "0x1.675eaeafd5b86p-13"),
+        ("down-in-cross", 40_000, True): ("0x1.04b27643e7026p-5", "0x1.5ad4d89b58c77p-13"),
+        ("up-out-own-pair", 5, False): ("0x1.5d66960fadb15p-5", "0x1.b3eea3b06c2a0p-6"),
+        ("up-out-own-pair", 37_002, False): ("0x1.6169cc2be0425p-6", "0x1.9800f32b41697p-13"),
+        ("up-out-own-pair", 40_000, False): ("0x1.616c3bfda65e4p-6", "0x1.87e383734b3c3p-13"),
+        ("up-out-own-pair", 37_002, True): ("0x1.5f78679a05adbp-6", "0x1.4e320405a0840p-13"),
+        ("up-out-own-pair", 40_000, True): ("0x1.5ed56fdc6dc64p-6", "0x1.411863f07a933p-13"),
         ("vanilla", 5, False): ("0x1.157d2f44ad089p-3", "0x1.42f7eeee8d14fp-4"),
         ("vanilla", 37_002, False): ("0x1.79c0fb49aea9fp-4", "0x1.aa7dc2766efd4p-11"),
         ("vanilla", 40_000, False): ("0x1.79382dc62b0bdp-4", "0x1.9a95908d344adp-11"),
@@ -1257,10 +1261,10 @@ class TestLongGridBitsArePinned:
     GRID = tuple(k / 260 for k in range(1, 261))
     INCREMENTS = "d23d7b8b4480b3e61d38563c131cb96f43191b600e30d0349060f3e0329d5d65"
     PRICES = {
-        ("down-in-cross", False): ("0x1.025edd5d0b13bp-5", "0x1.9208cc79641bap-12"),
-        ("down-in-cross", True): ("0x1.0852a880d491ap-5", "0x1.5d89453f07461p-12"),
-        ("up-out-own-pair", False): ("0x1.f1ef46b8a452fp-7", "0x1.c151db9cab665p-13"),
-        ("up-out-own-pair", True): ("0x1.ea0a88690a01ap-7", "0x1.8069034ffda63p-13"),
+        ("down-in-cross", False): ("0x1.00e48c1d68aa6p-5", "0x1.3fb44a277acefp-12"),
+        ("down-in-cross", True): ("0x1.061a998ea2f30p-5", "0x1.ea975106c8e0ap-13"),
+        ("up-out-own-pair", False): ("0x1.f1e80a7f00be0p-7", "0x1.9467941a2fcb8p-13"),
+        ("up-out-own-pair", True): ("0x1.e8d123009a859p-7", "0x1.4e43d31be11d9p-13"),
         ("vanilla", False): ("0x1.7bb14919c7d4cp-4", "0x1.22256bb0593c1p-10"),
         ("vanilla", True): ("0x1.74c05e152e60fp-4", "0x1.d1521ab22b0b7p-11"),
     }
@@ -1322,8 +1326,9 @@ class TestBlockMemory:
         "barrier": BarrierPayoff(EURUSD, 1.25, "call", USDJPY, 110.0, "up", "knock-out"),
         "basket": BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call"),
     }
-    # each payoff's peak in block rows of 16,384 floats (0.13 MB): measured 5.4 (barrier) and 2.8 (basket)
-    # at 52 steps, 6.2 and 3.4 at 260; a (2, 16,384) array held again, two rows more, fails each bound
+    # each payoff's peak in block rows of 16,384 floats (0.13 MB), at 1 and 3 blocks: measured 5.34 and 5.34
+    # (barrier) and 2.78 and 2.81 (basket) at 52 steps, 6.09 and 6.14 and 3.38 and 3.41 at 260; a (2, 16,384)
+    # array held again, two rows more, fails each bound
     PEAK_ROWS = {"barrier": 6.25, "basket": 4.0}
 
     @pytest.mark.parametrize("blocks", [1, 3])

@@ -1,8 +1,10 @@
-"""Round-trip properties of the two documents on generated valid inputs."""
+"""Round-trip properties of the two documents on generated valid inputs, and the
+exactness of the barrier evaluator's knock-in/knock-out split."""
 
 import itertools
+import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fxcorr import (
     BarrierPayoff,
@@ -93,3 +95,21 @@ class TestRoundTrips:
     @given(payoffs())
     def test_payoff_document(self, payoff):
         assert payoff_from_dict(payoff_to_dict(payoff)) == payoff
+
+
+class TestKnockShares:
+    """A bridged barrier path of value v pays v (4 - hits) / 4 as a knock-out and v less that as a
+    knock-in (``montecarlo._payoff_evaluator``), hits the number of its four bridges that breach: the
+    two always add up to v, subnormal and near-overflow values included."""
+
+    @deterministic
+    @given(st.floats(min_value=0.0, allow_infinity=False), st.integers(min_value=0, max_value=4))
+    @example(5e-324, 2)  # v (2/4) + v (2/4) would be 0: 5e-324 / 2 rounds to even, down
+    @example(3 * 5e-324, 1)
+    @example(sys.float_info.min * (1 + 2**-52), 1)  # a normal v whose v / 4 is subnormal
+    @example(sys.float_info.max, 1)
+    @example(sys.float_info.max, 3)
+    def test_knock_in_plus_knock_out_is_the_value(self, v, hits):
+        knock_out = v * ((4 - hits) / 4)
+        knock_in = v - knock_out
+        assert 0.0 <= knock_in <= v and knock_in + knock_out == v
