@@ -31,15 +31,17 @@ keyed by the seed, so path p is identical no matter how blocks are
 scheduled across workers.  Reductions accumulate per-block partial sums
 in block order, which keeps results bit-identical for any worker count.
 
-Layout: no block is held whole.  A block streams one grid step at a time,
-each in chunks of ``CHUNK_PATHS`` paths through two reused buffers (the
-normals and the increments), so a worker holds two chunks and one float per
-path whatever the number of steps; Philox is counter-based, so a stream read
-in chunks gives the normals it gives whole.  A chunk is a range of draws
-in each half of the block, which its consumers write through a
-(halves, draws) view of their block arrays.  The draws know no payoff: a
-barrier's payoff stage keeps its paying pair's terminal normals and bridges
-the paths that pay itself, whole, from the block's slot-1 stream.
+Layout: no block is held whole.  The block runner only schedules blocks,
+and each stage opens the block's streams it reads: Philox is counter-based,
+so a stream read in chunks gives the normals it gives whole.  ``_block_steps``
+yields a block's steps one after another, each in chunks of ``CHUNK_PATHS``
+paths through two reused buffers (the normals and the increments), so a
+worker holds two chunks and one float per path whatever the number of
+steps.  A chunk is a range of draws in each half of the block, which its
+consumers write through a (halves, draws) view of their block arrays.  The
+draws know no payoff: a barrier's payoff stage keeps its paying pair's
+terminal normals, frees the chunk buffers, and bridges the paths that pay
+itself, whole, from the block's slot-1 stream.
 """
 
 from __future__ import annotations
@@ -190,9 +192,6 @@ class _Steps:
     drift: np.ndarray       # (M, P, 1), includes the dt factor
     factors: tuple[np.ndarray, ...]  # per step, (P, P) with L L^T = C
     bridge: np.ndarray | None = None  # (M, 5): a barrier pair's q, L_mm, u (see _bridge), scale, drift
-
-
-_BlockSteps = Iterator[Iterator[tuple[int, int, np.ndarray, np.ndarray]]]  # see _block_steps
 
 
 def _grid_index(grid: tuple[float, ...], t: float) -> int | None:
@@ -365,12 +364,12 @@ def _streams(config: SimulationConfig, block: int, slots: Iterable[int]) -> list
             for slot in slots]
 
 
-def _block_steps(steps: _Steps, config: SimulationConfig, block: int, size: int) -> _BlockSteps:
-    """Yield one path block's grid steps, each as an iterator of (start, end,
-    z, y) chunks: draws start..end of each half of the block (an antithetic
-    block's second half mirrors its first), z their (rows, halves * (end -
-    start)) normals and y their increments, half after half, in two reused
-    buffers: read each chunk before asking for the next."""
+def _block_steps(steps: _Steps, config: SimulationConfig, block: int, size: int
+                 ) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray]]:
+    """Yield one path block's (m, start, end, z, y) chunks, step by step: grid step m on draws start..end
+    of each half of the block (an antithetic block's second half mirrors its first), z their (rows,
+    halves * (end - start)) normals and y their increments, half after half, in two reused buffers:
+    read each chunk before asking for the next."""
     n_steps, n_pairs = steps.drift.shape[:2]
     halves = 2 if config.antithetic else 1
     n_draw = size // halves
@@ -379,8 +378,7 @@ def _block_steps(steps: _Steps, config: SimulationConfig, block: int, size: int)
     cuts = [*range(0, max(n_draw - 1, 1), width), n_draw]  # a last chunk of one draw joins the one before
     rngs = _streams(config, block, range(n_pairs))
     z_flat, y_flat = np.empty((2, n_pairs * halves * min(n_draw, width + 1)))  # each chunk's (rows, paths)
-
-    def chunks(m: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    for m in range(n_steps):
         for start, end in zip(cuts, cuts[1:]):  # each slot's stream continues chunk by chunk, step by step
             k = end - start
             z = z_flat[:n_pairs * halves * k].reshape(n_pairs, halves * k)
@@ -392,29 +390,15 @@ def _block_steps(steps: _Steps, config: SimulationConfig, block: int, size: int)
             np.matmul(steps.factors[m], z, out=y)
             y *= steps.scale[m]
             y += steps.drift[m]
-            yield start, end, z, y
-
-    for m in range(n_steps):
-        yield chunks(m)
+            yield m, start, end, z, y
 
 
-def _run_blocks(
-    steps: _Steps,
-    config: SimulationConfig,
-    apply: Callable[[int, int, _BlockSteps], object],
-    workers: int = 1,
-) -> list:
-    """``apply(first_path, size, block_steps)`` on every path block, with
-    ``block_steps`` its ``_block_steps``, on a pool of ``workers`` threads;
-    the results come back in block order."""
-
-    def run(block: int) -> object:
-        start = block * BLOCK_PATHS
-        size = min(BLOCK_PATHS, config.n_paths - start)
-        return apply(start, size, _block_steps(steps, config, block, size))
-
+def _run_blocks(config: SimulationConfig, apply: Callable[[int, int], object], workers: int = 1) -> list:
+    """``apply(block, size)`` on every path block, block b from path b BLOCK_PATHS on, on a pool of ``workers``
+    threads, the results in block order; ``apply`` opens the block's draws it reads."""
+    sizes = [min(BLOCK_PATHS, config.n_paths - start) for start in range(0, config.n_paths, BLOCK_PATHS)]
     with ThreadPoolExecutor(max_workers=workers) as pool:  # map cancels the queued blocks when one raises
-        return list(pool.map(run, range(math.ceil(config.n_paths / BLOCK_PATHS))))
+        return list(pool.map(apply, range(len(sizes)), sizes))
 
 
 def simulate_increments(
@@ -436,13 +420,12 @@ def simulate_increments(
     out = np.empty((config.n_paths,) + steps.drift.shape[:2])
     halves = 2 if config.antithetic else 1
 
-    def store(start: int, size: int, block_steps: _BlockSteps) -> None:
-        by_half = out[start:start + size].reshape(halves, -1, *out.shape[1:])
-        for m, chunks in enumerate(block_steps):
-            for begin, end, _, y in chunks:
-                by_half[:, begin:end, m] = y.T.reshape(halves, end - begin, -1)
+    def store(block: int, size: int) -> None:
+        by_half = out[block * BLOCK_PATHS:][:size].reshape(halves, -1, *out.shape[1:])
+        for m, begin, end, _, y in _block_steps(steps, config, block, size):
+            by_half[:, begin:end, m] = y.T.reshape(halves, end - begin, -1)
 
-    _run_blocks(steps, config, store)
+    _run_blocks(config, store)
     return out
 
 
@@ -464,15 +447,16 @@ def _payoff_evaluator(
     payoff: PayoffSpec,
     pairs: tuple[FxPair, ...],
     spots: np.ndarray,
-    bridge: np.ndarray | None,
+    steps: _Steps,
     config: SimulationConfig,
-) -> Callable[[int, int, _BlockSteps], np.ndarray]:
-    """One evaluator for every payoff as ``_simulated`` gives it, on the blocks ``price`` draws: pay
-    max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels (the one step, chunk by chunk).  A
-    barrier keeps its paying pair's terminal normals Z and then, on the paths that pay (an antithetic
-    pair if either half pays), moves the barrier pair's log-level by x_m = q_m (Z - S_m) + L_mm w_m
-    (``bridge``'s rows, see ``_terminal_steps``), one w_m per path or pair from the block's slot-1
-    stream (none where L_mm and u_m are both 0), up to the last monitoring time, testing it at each
+) -> Callable[[int, int], np.ndarray]:
+    """``evaluate(block, size)``, one evaluator for every payoff as ``_simulated`` gives it, on ``price``'s
+    ``_terminal_steps``: pay max(±(sum_p w_p X_p(T) - K), 0) on the terminal log-levels, which it draws
+    itself (the one step, chunk by chunk).  A barrier keeps its paying pair's
+    terminal normals Z and, once the chunk buffers are freed, on the paths that pay (an antithetic pair
+    if either half pays), moves the barrier pair's log-level by x_m = q_m (Z - S_m) + L_mm w_m
+    (``steps.bridge``'s rows), one w_m per path or pair from the block's slot-1 stream
+    (none where L_mm and u_m are both 0), up to the last monitoring time, testing it at each
     monitoring time (each a grid time, all of them by default).  The same normals drive a second bridge
     as eps_m w_m, eps_m = 1 on even steps and -1 on odd ones.  The bridge on -w has x'_m = 2 q_m Z - x_m,
     so its level is 2 (c_m Z + D_m) - level, c_m and D_m the running sums of scale q and drift, and so
@@ -491,21 +475,21 @@ def _payoff_evaluator(
                 raise ValidationError(f"barrier monitoring time {t} is not a grid time")
             monitor.add(m)
         beyond = np.greater_equal if payoff.direction == "up" else np.less_equal
-        q, diagonal, u, scale, drift = bridge[:max(monitor) + 1].T
+        q, diagonal, u, scale, drift = steps.bridge[:max(monitor) + 1].T
         # levels net of the running drift D_m, which the thresholds take: a bridge breaches where
         # beyond(level, bound_m), and its mirror, at 2 c_m Z - level, where beyond(line_m Z - bound_m, level)
         bound = math.log(payoff.barrier_level) - math.log(spots[-1]) - np.cumsum(drift)
         by_rest = scale * q
         line = 2.0 * np.cumsum(by_rest)
 
-    def knock_out_shares(start: int, z_pay: np.ndarray) -> np.ndarray:
+    def knock_out_shares(block: int, z_pay: np.ndarray) -> np.ndarray:
         """(4 - hits) / 4 on each paying path or pair of terminal normals ``z_pay``, hits the number of its four
         bridges that breach: those driven by w and by eps w, and their mirrors.  The steps write into the
         buffers made here, with no temporaries, and the buffers are freed on return."""
         rests = np.stack([z_pay, z_pay])  # Z - S_m on the bridges driven by w and by eps w
         levels, (w, work) = np.zeros((2, *rests.shape))  # a w weighted by 0 is not drawn, but must be finite
         bridges, mirrors, flags = np.zeros((3, *rests.shape), dtype=bool)  # which breach, by bridge
-        rng, = _streams(config, start // BLOCK_PATHS, [1])
+        rng, = _streams(config, block, [1])
         for m in range(len(q)):
             if diagonal[m] or u[m]:  # else t_m = 0 (an own-pair bridge's end): w is weighted by 0, and not drawn
                 rng.standard_normal(out=w[0])
@@ -531,29 +515,34 @@ def _payoff_evaluator(
             np.subtract(w, 0.25, out=w, where=hit)
         return w
 
-    def evaluate(start: int, size: int, block_steps: _BlockSteps) -> np.ndarray:
+    def terminal(block: int, size: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The block's path values by half and a barrier's terminal normals Z: the chunk buffers die on return."""
         value = np.empty((halves, size // halves))  # by half: returned in path order
         z_pay = np.empty_like(value) if is_barrier else None  # the paying pair's terminal normals Z
         exp_out = np.empty(0)  # the chunk's terminal levels: one buffer per block, grown for a longer last chunk
-        for begin, end, z, y in next(block_steps):  # the one step, chunk by chunk
+        for _, begin, end, z, y in _block_steps(steps, config, block, size):  # the one step, chunk by chunk
             if exp_out.size < y.size:
                 exp_out = np.empty(y.size)
-            terminal = np.exp(y.T, out=exp_out[:y.size].reshape(y.shape[::-1]))  # (paths, legs) in C order
-            terminal *= spots[:len(weights)]
+            x_t = np.exp(y.T, out=exp_out[:y.size].reshape(y.shape[::-1]))  # (paths, legs) in C order
+            x_t *= spots[:len(weights)]
             # x * 1.0 == x: one leg pays its own level bit for bit
-            value[:, begin:end] = (terminal @ weights).reshape(halves, -1)
+            value[:, begin:end] = (x_t @ weights).reshape(halves, -1)
             if is_barrier:
                 z_pay[:, begin:end] = z[0].reshape(halves, -1)
         value -= payoff.strike
         value *= sign
         np.maximum(value, 0.0, out=value)
+        return value, z_pay
+
+    def evaluate(block: int, size: int) -> np.ndarray:
+        value, z_pay = terminal(block, size)
         if is_barrier and (pays := (value > 0.0).any(axis=0)).any():  # else nothing is drawn, nor past the last
             z_pay = z_pay.compress(pays, axis=1)  # monitoring time; in C order, as the draws into w[0] need
             # knock-out keeps kept = v (4 - hits) / 4 and knock-in v - kept: they add up to v bit for bit for every
             # finite v >= 0 (tests/test_properties.py).  Where kept >= v / 2, v - kept is exact (Sterbenz); where
             # kept is v / 4, fl(3v/4) misses 3v/4 by half an ulp of v only when v's significand is even, and
             # ties-to-even gives back v.  Paying v hits / 4 would not do: an odd subnormal v / 2 rounds, twice
-            for row, kept in zip(value, knock_out_shares(start, z_pay)):  # boolean indexing in 1-d needs no index
+            for row, kept in zip(value, knock_out_shares(block, z_pay)):  # boolean indexing in 1-d needs no index
                 paid = row[pays]
                 kept *= paid
                 row[pays] = kept if payoff.style == "knock-out" else np.subtract(paid, kept, out=paid)
@@ -626,13 +615,13 @@ def price(
     steps = _prepare_steps(pairs, vols, corr, config, snapshot.rates, disc_ccy)
     steps = _terminal_steps(steps, bridged=isinstance(payoff, BarrierPayoff))
     spots = np.array([snapshot.spot(pair) for pair in pairs])
-    evaluate = _payoff_evaluator(payoff, pairs, spots, steps.bridge, config)
+    evaluate = _payoff_evaluator(payoff, pairs, spots, steps, config)
 
     disc_rate = snapshot.average_rate(disc_ccy, horizon)
     df = math.exp(-disc_rate * horizon)
 
-    def block_sums(start: int, size: int, block_steps: _BlockSteps) -> tuple[float, float]:
-        values = evaluate(start, size, block_steps)
+    def block_sums(block: int, size: int) -> tuple[float, float]:
+        values = evaluate(block, size)
         if config.antithetic:
             values = 0.5 * (values[:size // 2] + values[size // 2:])
         return float(values.sum()), float((values * values).sum())
@@ -642,7 +631,7 @@ def price(
     # since Python 3.12, so the result bytes would depend on the interpreter
     total = 0.0
     total_sq = 0.0
-    for s1, s2 in _run_blocks(steps, config, block_sums, workers):
+    for s1, s2 in _run_blocks(config, block_sums, workers):
         total += s1
         total_sq += s2
     mean = total / n_eff

@@ -45,8 +45,8 @@ from fxcorr import (
 )
 from fxcorr import montecarlo
 from fxcorr.montecarlo import (
-    _GRID_TOL, BLOCK_PATHS, _bridge, _grid_index, _payoff_evaluator, _prepare_steps, _run_blocks, _streams,
-    _terminal_steps,
+    _GRID_TOL, BLOCK_PATHS, _block_steps, _bridge, _grid_index, _payoff_evaluator, _prepare_steps, _run_blocks,
+    _streams, _terminal_steps,
 )
 from fxcorr.term_structure import _bucket_vols
 
@@ -269,13 +269,12 @@ def measured_increments(pairs, vols, corr, config, rates=None, measure=None):
     steps = _prepare_steps(pairs, vols, corr, config, rates, measure)
     out = np.empty((config.n_paths, len(config.grid), len(pairs)))
 
-    def store(start, size, block_steps):
-        by_half = out[start:start + size].reshape(2 if config.antithetic else 1, -1, *out.shape[1:])
-        for m, chunks in enumerate(block_steps):
-            for begin, end, _, y in chunks:
-                by_half[:, begin:end, m] = y.T.reshape(len(by_half), end - begin, -1)
+    def store(block, size):
+        by_half = out[block * BLOCK_PATHS:][:size].reshape(2 if config.antithetic else 1, -1, *out.shape[1:])
+        for m, begin, end, _, y in _block_steps(steps, config, block, size):
+            by_half[:, begin:end, m] = y.T.reshape(len(by_half), end - begin, -1)
 
-    _run_blocks(steps, config, store)
+    _run_blocks(config, store)
     return out
 
 
@@ -682,8 +681,8 @@ class TestPriceBarrier:
             corr = build_matrix(pairs, three_ccy_snapshot, [1.0]) if len(pairs) > 1 else None
             steps = _terminal_steps(_prepare_steps(pairs, vols, corr, config, three_ccy_snapshot.rates,
                                                    EURUSD.denominating), bridged)
-            evaluate = _payoff_evaluator(payoff, pairs, np.array([spots[p] for p in pairs]), steps.bridge, config)
-            return np.concatenate(_run_blocks(steps, config, evaluate))
+            evaluate = _payoff_evaluator(payoff, pairs, np.array([spots[p] for p in pairs]), steps, config)
+            return np.concatenate(_run_blocks(config, evaluate))
 
         vanilla = VanillaPayoff(EURUSD, 1.25, "call")
         alone = values(vanilla, (EURUSD,), bridged=False)  # the vanilla's own draw
@@ -783,8 +782,8 @@ class TestBridgedPaths:
         corr = build_matrix(pairs, snapshot, [1.0]) if len(pairs) > 1 else None
         steps = _terminal_steps(_prepare_steps(pairs, self.VOLS, corr, config, snapshot.rates, EURUSD.denominating),
                                 bridged=True)
-        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), steps.bridge, config)
-        return _run_blocks(steps, config, evaluate)
+        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), steps, config)
+        return _run_blocks(config, evaluate)
 
     # the own-pair barrier's bridge ends with t_M = 0: its last step would weight a normal by 0, and draws none
     @pytest.mark.parametrize("barrier, level, monitoring, n_bridged", [
@@ -1286,15 +1285,15 @@ class TestRunBlocks:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_error_reaches_the_caller_and_cancels_the_rest(self, workers):
         # the other blocks sleep, so the caller sees block 0's error while blocks are still queued
-        def apply(start, size, step_increments):
-            ran.append(start)
-            if start == 0:
+        def apply(block, size):
+            ran.append(block)
+            if block == 0:
                 raise KeyError("block 0 failed")
             time.sleep(0.05)
 
         ran = []
-        with pytest.raises(KeyError) as exc:  # apply never reads the increments: no steps needed
-            _run_blocks(None, SimulationConfig(20 * BLOCK_PATHS, 1, (1.0,)), apply, workers)
+        with pytest.raises(KeyError) as exc:
+            _run_blocks(SimulationConfig(20 * BLOCK_PATHS, 1, (1.0,)), apply, workers)
         assert type(exc.value) is KeyError and exc.value.args == ("block 0 failed",)
         assert 0 in ran and len(ran) < 20
 
@@ -1326,10 +1325,10 @@ class TestBlockMemory:
         "barrier": BarrierPayoff(EURUSD, 1.25, "call", USDJPY, 110.0, "up", "knock-out"),
         "basket": BasketPayoff({EURUSD: 1.0, EURJPY: 0.01}, 2.5, "call"),
     }
-    # each payoff's peak in block rows of 16,384 floats (0.13 MB), at 1 and 3 blocks: measured 5.34 and 5.34
-    # (barrier) and 2.78 and 2.81 (basket) at 52 steps, 6.09 and 6.14 and 3.38 and 3.41 at 260; a (2, 16,384)
-    # array held again, two rows more, fails each bound
-    PEAK_ROWS = {"barrier": 6.25, "basket": 4.0}
+    # each payoff's peak in block rows of 16,384 floats (0.13 MB), at 1 and 3 blocks: measured 4.95 and 4.94
+    # (barrier) and 2.28 and 2.31 (basket) at 52 steps, 5.69 and 5.72 and 2.88 and 2.90 at 260; a (2, 16,384)
+    # array held again, two rows more, fails each bound, and one row more fails each at 260 steps
+    PEAK_ROWS = {"barrier": 6.0, "basket": 3.25}
 
     @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("name", sorted(PAYOFFS))
@@ -1416,10 +1415,10 @@ class TestChunks:
         vols = {p: flat_vol(0.2) for p in pairs}
         steps = _terminal_steps(_prepare_steps(pairs, vols, build_matrix(pairs, snapshot, [1.0]), config,
                                                snapshot.rates, pairs[0].denominating))
-        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), steps.bridge, config)
+        evaluate = _payoff_evaluator(payoff, pairs, np.array([snapshot.spot(p) for p in pairs]), steps, config)
 
         def values():
-            return np.concatenate(_run_blocks(steps, config, evaluate))
+            return np.concatenate(_run_blocks(config, evaluate))
 
         chunked = values()
         monkeypatch.setattr(montecarlo, "CHUNK_PATHS", BLOCK_PATHS)
@@ -1427,8 +1426,9 @@ class TestChunks:
 
 
 class TestStepMemory:
-    """``price`` streams a block one grid step at a time: its peak stays
-    within ``TestBlockMemory``'s few block rows at 52 steps and at 260."""
+    """``price`` draws a block's one terminal step, and a barrier then bridges
+    the paths that pay step by step in rows made once per block: the peak
+    stays within ``TestBlockMemory``'s few block rows at 52 steps and at 260."""
 
     PAYOFFS, PEAK_ROWS = TestBlockMemory.PAYOFFS, TestBlockMemory.PEAK_ROWS
 
